@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import EmptySequenceError, EvalDomainError, SamplingError
-from .exprlang import Bifunction, EndoMap, Expr, ScalarFn, _batch_env, evaluate
+from .exprlang import Bifunction, EndoMap, Expr, ScalarFn, _batch_env
 from .manifold import Manifold, ManifoldKind, Point
 from .reports import CheckConfig, Report, Verdict, Witness
 
@@ -93,11 +93,6 @@ def outside_margin_batch(domain: DomainSet, X: np.ndarray) -> np.ndarray:
     return margin
 
 
-def member_scalar(domain: DomainSet, coords) -> bool:
-    x = np.asarray(coords, dtype=np.float64)[None, :]
-    return bool(member_mask_batch(domain, x)[0])
-
-
 def _draw_box_uniform(domain: DomainSet, bases: np.ndarray, pos0: int) -> np.ndarray:
     lo = domain.lows()
     hi = domain.highs()
@@ -168,11 +163,6 @@ def sample_members(
             f"{MAX_REJECTION_ROUNDS} rejection rounds"
         )
     return coords
-
-
-def sample_member_scalar(domain: DomainSet, seed: int, index: int, region: int):
-    base = np.array([rng.stream_base(seed, index)], dtype=np.uint64)
-    return tuple(sample_members(domain, base, region)[0])
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,15 @@
 
 Every check scans seeded samples, measures violations as lhs - rhs against
 the threshold tol_abs + tol_rel * max(1, |rhs|), and locally refines the
-best near-violation by coordinate-wise golden-section ascent.  Sample i is
-a pure function of (seed, i), and reductions (max violation, ties broken
-by least sample position; earliest domain error wins) are associative and
-order-independent, so any worker count produces the identical Report.
+best near-violation by a batched coordinate line search.  Each check states
+its inequality once, as a vectorized `lanes(rows, T)` over a parameter
+matrix: the bulk scan calls it on the sampled rows and the whole t-grid,
+the refinement on a matrix of probe points, and an emitted witness is
+re-evaluated through the scalar evaluator, which stays the authority.
+Sample i is a pure function of (seed, i), and reductions (max violation,
+ties broken by least sample position; earliest domain error wins) are
+associative and order-independent, so any worker count produces the
+identical Report.
 """
 
 from __future__ import annotations
@@ -59,18 +64,32 @@ NEAR_VIOLATION_FACTOR = 10.0
 # golden-section probes per coordinate line search; 0.618^40 of the interval
 # is ~4.5e-9, fine enough to pin witnesses and preimages at tolerance scale
 GOLDEN_PROBES = 40
+# evenly spaced probes per round of the batched line search; each round
+# shrinks the bracket to the two neighbours of its best probe
+LINE_PROBES = 129
+# rounds per line search: the final bracket is no wider than the one left
+# by GOLDEN_PROBES golden-section steps
+LINE_ROUNDS = math.ceil(
+    GOLDEN_PROBES * math.log((math.sqrt(5.0) - 1.0) / 2.0) / math.log(2.0 / (LINE_PROBES - 1))
+)
 # strict mode demands rhs - lhs > tol; folded into rhs as a 2*tol shift
 STRICT_MARGIN_FACTOR = 2.0
 # strict lanes need separated images: the margin of a strictly convex
 # function shrinks quadratically with the image gap and would otherwise
 # fall under tolerance for arbitrarily close sampled pairs
 STRICT_SEP_FRACTION = 0.01
+# slope triples need separated E-values: the difference quotients lose
+# digits as 1/gap, and refinement would otherwise climb into rounding noise
+SLOPE_SEP_FRACTION = 1e-5
 # chunk cap keeps per-chunk scratch matrices modest
 MAX_CHUNK = 1 << 16
 # accepted preimage distance for epigraph membership
 INVERSE_TOL = 1e-6
 
 _BIG = np.iinfo(np.int64).max
+
+# lane error codes returned by `lanes`; all but _LANE concern a whole row
+_OK, _PAIR_BAD, _E_BAD, _ANTI, _VAL_BAD, _LANE = range(6)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +101,7 @@ class _ChunkScan:
     i1: int
     err_flat: int  # _BIG when clean
     err_note: str | None
-    # candidates: list of (violation, flat, payload), best first
+    # candidates: list of (violation, flat, start point), best first
     cands: list
     max_viol: float  # max violation among counted lanes, -inf if none
     violated: bool
@@ -121,64 +140,46 @@ def _merge_chunks(chunks: list[_ChunkScan], lanes_per_pair: int, top_k: int):
     return err_flat, err_note, cands[:top_k], max_viol, violated, extras
 
 
-def _select_candidates(viol: np.ndarray, flats: np.ndarray, counted: np.ndarray, k: int):
-    """Top-k (violation, flat, unravel-index) among counted lanes."""
-    masked = np.where(counted, viol, -np.inf)
-    flat_view = masked.ravel()
-    order_n = min(k, flat_view.size)
-    if order_n == 0:
-        return []
-    if k == 1:
-        pos = int(np.argmax(flat_view))
-        if not np.isfinite(flat_view[pos]):
-            return []
-        return [(float(flat_view[pos]), int(flats.ravel()[pos]), pos)]
-    idx = np.argsort(-flat_view, kind="stable")[:order_n]
-    out = []
-    for pos in idx:
-        if np.isfinite(flat_view[pos]):
-            out.append((float(flat_view[pos]), int(flats.ravel()[pos]), int(pos)))
-    return out
+def _select_candidates(masked: np.ndarray, flats: np.ndarray, k: int):
+    """Top-k (violation, flat, position) among the finite lanes of `masked`,
+    best first.  Ties go to the least position, which is the least flat."""
+    v = masked.ravel()
+    if v.size > k:
+        kth = v[np.argpartition(v, v.size - k)[v.size - k:]].min()
+        above = np.flatnonzero(v > kth)
+        idx = np.concatenate([above, np.flatnonzero(v == kth)[: k - above.size]])
+    else:
+        idx = np.arange(v.size)
+    idx = idx[np.lexsort((idx, -v[idx]))]
+    flat_view = flats.ravel()
+    return [(float(v[p]), int(flat_view[p]), int(p)) for p in idx if np.isfinite(v[p])]
 
 
-def _golden_refine(objective, z0, intervals, steps: int):
-    """Round-robin coordinate ascent; each step runs one golden-section line
-    search over the coordinate's full admissible interval.  The best point
-    ever evaluated is kept, so the result never falls below the start."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    best_z = list(z0)
-    best_v = objective(best_z)
-    nv = len(z0)
+def _line_refine(f, z0, intervals, steps: int):
+    """Round-robin coordinate ascent of a batched objective `f`, which maps
+    a (K, len(z0)) probe matrix to K values.  Each step searches one
+    coordinate over its full admissible interval: LINE_ROUNDS rounds of
+    LINE_PROBES evenly spaced probes, each round one call of `f`, with the
+    bracket shrinking to the neighbours of the round's best probe.  The best
+    point ever evaluated is kept, so the result never falls below the start."""
+    best_z = np.array(z0, dtype=np.float64)
+    best_v = float(f(best_z[None, :])[0])
     for it in range(steps):
-        k = it % nv
-        lo, hi = intervals[k]
-        if not hi > lo:
+        k = it % best_z.size
+        a, b = intervals[k]
+        if not b > a:
             continue
-        base = list(best_z)
-
-        def f(x):
-            nonlocal best_z, best_v
-            trial = list(base)
-            trial[k] = x
-            v = objective(trial)
-            if v > best_v:
-                best_v = v
-                best_z = trial
-            return v
-
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(GOLDEN_PROBES):
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-            else:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
+        Z = np.repeat(best_z[None, :], LINE_PROBES, axis=0)
+        for _ in range(LINE_ROUNDS):
+            xs = np.linspace(a, b, LINE_PROBES)
+            Z[:, k] = xs
+            v = f(Z)
+            i = int(np.argmax(v))
+            if v[i] == -np.inf:
+                break  # nothing on the bracket is admissible
+            if v[i] > best_v:
+                best_v, best_z = float(v[i]), Z[i].copy()
+            a, b = xs[max(i - 1, 0)], xs[min(i + 1, LINE_PROBES - 1)]
     return best_z, best_v
 
 
@@ -193,6 +194,41 @@ def _clean_images(m: Manifold, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return W, ok
 
 
+def _pair_images(m: Manifold, E: EndoMap, U1: np.ndarray, U2: np.ndarray):
+    """Clean E-images of both endpoints and a row code: _E_BAD for an
+    invalid image, _ANTI for antipodal images on the sphere."""
+    W1, ok1 = _clean_images(m, E.eval_batch(U1))
+    W2, ok2 = _clean_images(m, E.eval_batch(U2))
+    code = np.where(ok1 & ok2, _OK, _E_BAD).astype(np.int8)
+    if m.kind is ManifoldKind.SPHERE:
+        code[(code == _OK) & antipodal_mask(W1, W2)] = _ANTI
+    return W1, W2, code
+
+
+def _scalar_images(m: Manifold, E: EndoMap, u1, u2):
+    """Scalar-evaluated clean E-images of two points, or None."""
+    try:
+        w = np.array([E(tuple(u1)), E(tuple(u2))], dtype=np.float64)
+    except EvalDomainError:
+        return None
+    W, ok = _clean_images(m, w)
+    if not (ok[0] and ok[1]):
+        return None
+    if m.kind is ManifoldKind.SPHERE and antipodal_mask(W[:1], W[1:])[0]:
+        return None
+    return W[0], W[1]
+
+
+def _on_manifold(m: Manifold, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probe rows as manifold coordinates: sphere rows are normalized, and
+    rows too close to the origin to normalize are rejected."""
+    if m.kind is not ManifoldKind.SPHERE:
+        return U, np.ones(U.shape[0], dtype=bool)
+    r = np.linalg.norm(U, axis=1, keepdims=True)
+    with np.errstate(all="ignore"):
+        return U / r, r[:, 0] >= 1e-12
+
+
 def _finite(*arrays) -> np.ndarray:
     out = np.isfinite(arrays[0])
     for a in arrays[1:]:
@@ -200,151 +236,194 @@ def _finite(*arrays) -> np.ndarray:
     return out
 
 
-def _scalar_image(inst: Instance, coords):
-    """E-image of one point as clean manifold coordinates, or None."""
-    try:
-        w = np.asarray(inst.E(coords), dtype=np.float64)
-    except EvalDomainError:
-        return None
-    W, ok = _clean_images(inst.manifold, w[None, :])
-    return W[0] if ok[0] else None
+class _Scan:
+    """One check's sampled scan.  A subclass supplies
+
+    * `sample(bases) -> (rows, ok)`: one parameter row per stream base;
+    * `lanes(rows, T) -> (viol, thr, err)`: violations, thresholds
+      (broadcastable to viol) and error codes per lane, where T is a
+      t-grid of shape (1, G) in the bulk scan and (N, 1) in refinement
+      (None for checks without t);
+    * `probe_rows(rows) -> (rows, ok)`: refinement probes mapped onto the
+      manifold and masked to domain members;
+    * `intervals()`, the admissible range of each refined coordinate,
+      and `witness(z)`, the scalar re-evaluation of a point (or None).
+
+    Pair i owns the flat lane indices i*L .. i*L + L - 1 with
+    L = lanes_per_pair(): slot i*L marks errors of the whole row, and
+    lane j of the bulk grid sits at i*L + first_lane + j.
+    """
+
+    has_t = True
+    first_lane = 1
+    skips_unsampled = False  # rows that found no member are skipped, not errors
+    notes = {}  # error code -> note template with the pair index {i}
+
+    def lanes_per_pair(self) -> int:
+        return self.cfg.t_grid + 1
+
+    def bulk_grid(self):
+        return np.linspace(0.0, 1.0, self.cfg.t_grid)[None, :]
+
+    def chunk(self, i0: int, i1: int) -> _ChunkScan:
+        n = i1 - i0
+        L = self.lanes_per_pair()
+        gidx = np.arange(i0, i1, dtype=np.int64)
+        bases = rng.base_array(self.cfg.seed, np.arange(i0, i1, dtype=np.uint64))
+        rows, ok = self.sample(bases)
+        T = self.bulk_grid()
+        viol, thr, err = self.lanes(rows, T)
+        err[~ok] = _OK if self.skips_unsampled else _PAIR_BAD
+        G = viol.shape[1]
+        flats = gidx[:, None] * L + self.first_lane + np.arange(G, dtype=np.int64)[None, :]
+        err_flat, err_note = _BIG, None
+        if np.any(err):
+            at = np.where(err == _OK, _BIG, np.where(err == _LANE, flats, gidx[:, None] * L))
+            pos = int(np.argmin(at))
+            err_flat = int(at.ravel()[pos])
+            err_note = self.notes[int(err.ravel()[pos])].format(i=int(gidx[pos // G]))
+        counted = ok[:, None] & (err == _OK) & np.isfinite(viol) & (flats < err_flat)
+        masked = np.where(counted, viol, -np.inf)
+        cands = []
+        for v, flat, pos in _select_candidates(masked, flats, k=8):
+            pi, j = divmod(pos, G)
+            z0 = rows[pi] if T is None else np.append(rows[pi], T[0, j])
+            cands.append((v, flat, z0))
+        extra = {"n": n, "unsampled": int(np.sum(~ok)), "counted": int(np.sum(counted))}
+        extra.update(self.chunk_extra(rows, ok))
+        return _ChunkScan(
+            i0, i1, err_flat, err_note, cands, float(masked.max()),
+            bool(np.any(counted & (viol > thr))), extra,
+        )
+
+    def chunk_extra(self, rows, ok) -> dict:
+        return {}
+
+    def merge_extras(self, extras) -> dict:
+        return {}
+
+    def objective(self, Z: np.ndarray) -> np.ndarray:
+        """Refinement objective over a probe matrix; -inf off the admissible
+        region and on evaluation failures."""
+        rows, T = (Z[:, :-1], Z[:, -1:]) if self.has_t else (Z, None)
+        rows, ok = self.probe_rows(rows)
+        with np.errstate(all="ignore"):
+            viol, _, err = self.lanes(rows, T)
+        v = viol[:, 0]
+        return np.where(ok & (err[:, 0] == _OK) & np.isfinite(v), v, -np.inf)
 
 
-def _pair_error_reason(p: int, pair_bad, e_bad, anti) -> str:
-    if pair_bad[p]:
-        return "rejection sampling exhausted for a domain point"
-    if e_bad[p]:
-        return "E produced an invalid manifold point"
-    if anti[p]:
-        return "antipodal E-images: geodesic not unique"
-    return "h or phi non-finite at an E-image"
+_PAIR_NOTES = {
+    _PAIR_BAD: "rejection sampling exhausted for a domain point (pair {i})",
+    _E_BAD: "E produced an invalid manifold point (pair {i})",
+    _ANTI: "antipodal E-images: geodesic not unique (pair {i})",
+}
+
+
+class _PairScan(_Scan):
+    """Rows (u1, u2) of two sampled domain members; probes append t."""
+
+    def sample(self, bases):
+        U1, ok1 = sample_members(self.domain, bases, region=0, on_fail="mask")
+        U2, ok2 = sample_members(self.domain, bases, region=1, on_fail="mask")
+        return np.hstack([U1, U2]), ok1 & ok2
+
+    def probe_rows(self, rows):
+        m = self.manifold
+        d = m.ambient_dim
+        U1, ok1 = _on_manifold(m, rows[:, :d])
+        U2, ok2 = _on_manifold(m, rows[:, d:])
+        ok = ok1 & ok2 & member_mask_batch(self.domain, U1) & member_mask_batch(self.domain, U2)
+        return np.hstack([U1, U2]), ok
+
+    def intervals(self):
+        box = list(self.domain.box)
+        return box + box + [(0.0, 1.0)]
+
+    def _probe_point(self, z):
+        """A point of refinement as the row its lanes saw, and its t."""
+        z = np.asarray(z, dtype=np.float64)
+        return self.probe_rows(z[None, :-1])[0][0], float(z[-1])
 
 
 # ---------------------------------------------------------------------------
 # convexity of h along curves between E-images
 
 @dataclass
-class _ConvexityScan:
+class _ConvexityScan(_PairScan):
     inst: Instance
     cfg: CheckConfig
     strict: bool = False
 
-    def lanes_per_pair(self) -> int:
-        return self.cfg.t_grid + 1
+    # lane t = 0 compares h(E(mu2)) with itself, so the bulk grid skips it;
+    # its flat index stays reserved so sample positions do not move
+    first_lane = 2
+    notes = {
+        **_PAIR_NOTES,
+        _VAL_BAD: "h or phi non-finite at an E-image (pair {i})",
+        _LANE: "curve point left h's evaluable domain (pair {i})",
+    }
 
-    def t_values(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.cfg.t_grid)
+    @property
+    def manifold(self) -> Manifold:
+        return self.inst.manifold
 
-    def chunk(self, i0: int, i1: int) -> _ChunkScan:
-        cfg = self.cfg
-        inst = self.inst
-        m = inst.manifold
-        n = i1 - i0
-        G = cfg.t_grid
-        L = G + 1
-        local = np.arange(n, dtype=np.int64)
-        gidx = local + i0
-        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-        U1, ok1 = sample_members(inst.domain, bases, region=0, on_fail="mask")
-        U2, ok2 = sample_members(inst.domain, bases, region=1, on_fail="mask")
-        pair_bad = ~(ok1 & ok2)
-        W1 = inst.E.eval_batch(U1)
-        W2 = inst.E.eval_batch(U2)
-        W1, okw1 = _clean_images(m, W1)
-        W2, okw2 = _clean_images(m, W2)
-        e_bad = ~pair_bad & ~(okw1 & okw2)
-        anti = np.zeros(n, dtype=bool)
-        if m.kind is ManifoldKind.SPHERE:
-            anti = ~pair_bad & ~e_bad & antipodal_mask(W1, W2)
-        h1 = inst.h.eval_batch(W1)
-        h2 = inst.h.eval_batch(W2)
-        p12 = inst.phi.eval_batch(h1, h2)
-        val_bad = ~pair_bad & ~e_bad & ~anti & ~_finite(h1, h2, p12)
-        pair_err = pair_bad | e_bad | anti | val_bad
-        err_flat = _BIG
-        err_note = None
-        if np.any(pair_err):
-            p = int(np.argmax(pair_err))
-            err_flat = int(gidx[p]) * L
-            err_note = f"{_pair_error_reason(p, pair_bad, e_bad, anti)} (pair {int(gidx[p])})"
+    @property
+    def domain(self) -> DomainSet:
+        return self.inst.domain
 
-        ts = self.t_values()
-        viol = np.empty((n, G))
-        thr = np.empty((n, G))
-        lane_err = np.zeros((n, G), dtype=bool)
-        strict_lane = np.zeros((n, G), dtype=bool)
-        if self.strict:
-            with np.errstate(all="ignore"):
-                sep = distance_batch(m, W1, W2)
-            strict_sep = STRICT_SEP_FRACTION * inst.domain.scale()
-        with np.errstate(all="ignore"):
-            for j, t in enumerate(ts):
-                gp = geodesic_batch(m, W1, W2, float(t))
-                lhs = inst.h.eval_batch(gp)
-                rhs = h2 + t * p12
-                v = lhs - rhs
-                tau = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
-                if self.strict and 0 < j < G - 1:
-                    elig = sep > strict_sep
-                    v = np.where(elig, v + STRICT_MARGIN_FACTOR * tau, v)
-                    strict_lane[:, j] = elig
-                viol[:, j] = v
-                thr[:, j] = tau
-                lane_err[:, j] = ~pair_err & ~np.isfinite(lhs)
-        flats = gidx[:, None] * L + 1 + np.arange(G, dtype=np.int64)[None, :]
-        if np.any(lane_err):
-            le_flats = np.where(lane_err, flats, _BIG)
-            le_min = int(le_flats.min())
-            if le_min < err_flat:
-                err_flat = le_min
-                pos = int(np.argmin(le_flats.ravel()))
-                pi, _ = divmod(pos, G)
-                err_note = (
-                    f"curve point left h's evaluable domain (pair {int(gidx[pi])})"
-                )
-        counted = (~pair_err[:, None]) & (~lane_err) & np.isfinite(viol) & (flats < err_flat)
-        cands_raw = _select_candidates(viol, flats, counted, k=8)
-        cands = []
-        for v, flat, pos in cands_raw:
-            pi, j = divmod(pos, G)
-            payload = {
-                "u1": tuple(U1[pi]),
-                "u2": tuple(U2[pi]),
-                "t": float(ts[j]),
-                "strict_lane": bool(strict_lane[pi, j]),
-            }
-            cands.append((v, flat, payload))
-        any_counted = bool(np.any(counted))
-        max_viol = float(np.max(np.where(counted, viol, -np.inf))) if any_counted else -np.inf
-        violated = bool(np.any(counted & (viol > thr)))
-        return _ChunkScan(i0, i1, err_flat, err_note, cands, max_viol, violated, {})
+    def bulk_grid(self):
+        return super().bulk_grid()[:, 1:]
 
-    def objective(self, z) -> float:
-        """Scalar twin of the chunk computation for refinement; returns -inf
-        off the admissible region or on evaluation failures."""
+    def lanes(self, rows, T):
         inst = self.inst
         cfg = self.cfg
         m = inst.manifold
         d = m.ambient_dim
-        u1 = np.asarray(z[:d], dtype=np.float64)
-        u2 = np.asarray(z[d : 2 * d], dtype=np.float64)
-        t = float(z[2 * d])
-        if m.kind is ManifoldKind.SPHERE:
-            n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
-            if n1 < 1e-12 or n2 < 1e-12:
-                return -np.inf
-            u1, u2 = u1 / n1, u2 / n2
-        if not (
-            member_mask_batch(inst.domain, u1[None, :])[0]
-            and member_mask_batch(inst.domain, u2[None, :])[0]
-        ):
-            return -np.inf
-        w1 = _scalar_image(inst, tuple(u1))
-        w2 = _scalar_image(inst, tuple(u2))
-        if w1 is None or w2 is None:
-            return -np.inf
-        if m.kind is ManifoldKind.SPHERE and antipodal_mask(w1[None, :], w2[None, :])[0]:
-            return -np.inf
+        W1, W2, code = _pair_images(m, inst.E, rows[:, :d], rows[:, d:])
+        h1 = inst.h.eval_batch(W1)
+        h2 = inst.h.eval_batch(W2)
+        p12 = inst.phi.eval_batch(h1, h2)
+        code[(code == _OK) & ~_finite(h1, h2, p12)] = _VAL_BAD
+        shape = (rows.shape[0], T.shape[1])
+        viol = np.empty(shape)
+        thr = np.empty(shape)
+        err = np.repeat(code[:, None], T.shape[1], axis=1)
+        with np.errstate(all="ignore"):
+            if self.strict:
+                sep = distance_batch(m, W1, W2)
+                elig = sep > STRICT_SEP_FRACTION * inst.domain.scale()
+            for j in range(T.shape[1]):
+                t = T[:, j]
+                lhs = inst.h.eval_batch(geodesic_batch(m, W1, W2, t))
+                rhs = h2 + t * p12
+                v = lhs - rhs
+                tau = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
+                if self.strict:
+                    v = np.where(elig & (t > 0.0) & (t < 1.0), v + STRICT_MARGIN_FACTOR * tau, v)
+                viol[:, j] = v
+                thr[:, j] = tau
+                err[(code == _OK) & ~np.isfinite(lhs), j] = _LANE
+        return viol, thr, err
+
+    def intervals(self):
+        iv = super().intervals()
+        if self.strict:
+            # stays on the tested interior range: the strict margin dies
+            # out toward the endpoints for every function
+            ts = np.linspace(0.0, 1.0, self.cfg.t_grid)
+            iv[-1] = (float(ts[1]), float(ts[-2]))
+        return iv
+
+    def witness(self, z) -> Witness | None:
+        inst = self.inst
+        m = inst.manifold
+        row, t = self._probe_point(z)
+        u1, u2 = np.split(row, 2)
+        images = _scalar_images(m, inst.E, u1, u2)
+        if images is None:
+            return None
+        w1, w2 = images
         try:
             h1 = inst.h(tuple(w1))
             h2 = inst.h(tuple(w2))
@@ -352,47 +431,12 @@ class _ConvexityScan:
             gp = geodesic_batch(m, w1[None, :], w2[None, :], t)[0]
             lhs = inst.h(tuple(gp))
         except EvalDomainError:
-            return -np.inf
+            return None
         rhs = h2 + t * p12
-        v = lhs - rhs
         if self.strict and 0.0 < t < 1.0:
-            strict_sep = STRICT_SEP_FRACTION * inst.domain.scale()
-            if float(distance_batch(m, w1[None, :], w2[None, :])[0]) > strict_sep:
-                v += STRICT_MARGIN_FACTOR * cfg.threshold(rhs)
-        return v
-
-    def refine_setup(self, payload):
-        z0 = list(payload["u1"]) + list(payload["u2"]) + [payload["t"]]
-        box = list(self.inst.domain.box)
-        if self.strict:
-            # stays on the tested interior range: the strict margin dies
-            # out toward the endpoints for every function
-            ts = self.t_values()
-            t_iv = (float(ts[1]), float(ts[-2]))
-        else:
-            t_iv = (0.0, 1.0)
-        return z0, box + box + [t_iv]
-
-    def witness(self, z, viol) -> Witness:
-        inst = self.inst
-        m = inst.manifold
-        d = m.ambient_dim
-        u1 = np.asarray(z[:d])
-        u2 = np.asarray(z[d : 2 * d])
-        t = float(z[2 * d])
-        if m.kind is ManifoldKind.SPHERE:
-            u1 = u1 / np.linalg.norm(u1)
-            u2 = u2 / np.linalg.norm(u2)
-        w1 = _scalar_image(inst, tuple(u1))
-        w2 = _scalar_image(inst, tuple(u2))
-        h1 = inst.h(tuple(w1))
-        h2 = inst.h(tuple(w2))
-        p12 = inst.phi(h1, h2)
-        gp = geodesic_batch(m, w1[None, :], w2[None, :], t)[0]
-        lhs = inst.h(tuple(gp))
-        rhs = h2 + t * p12
-        if self.strict and 0.0 < t < 1.0 and viol - (lhs - rhs) > 1e-300:
-            rhs = rhs - STRICT_MARGIN_FACTOR * self.cfg.threshold(rhs)
+            sep = float(distance_batch(m, w1[None, :], w2[None, :])[0])
+            if sep > STRICT_SEP_FRACTION * inst.domain.scale():
+                rhs = rhs - STRICT_MARGIN_FACTOR * self.cfg.threshold(rhs)
         return Witness(
             points=(Point(tuple(u1)), Point(tuple(u2))),
             t=t,
@@ -402,6 +446,24 @@ class _ConvexityScan:
         )
 
 
+def _margin_witness(points, t: float, margin: float) -> Witness | None:
+    """Witness of a point outside a set by `margin` (a test whose rhs is 0)."""
+    if not math.isfinite(margin):
+        return None
+    return Witness(points=points, t=t, lhs=margin, rhs=0.0, violation=margin)
+
+
+def _emitted_witness(scan, cfg: CheckConfig, zs, origin: int) -> Witness | None:
+    """The scalar re-evaluation of the first of `zs` that stays above
+    threshold.  The batch evaluator can return finite values where the
+    scalar one raises, so a refined point may fail here."""
+    for z in zs:
+        w = scan.witness(z)
+        if w is not None and w.violation > cfg.threshold(w.rhs):
+            return replace(w, origin_index=origin)
+    return None
+
+
 def _finish_scan(scan, cfg: CheckConfig, notes=(), flags=None, top_k: int = 1,
                  force_refine: bool = False) -> Report:
     n = cfg.samples
@@ -409,75 +471,42 @@ def _finish_scan(scan, cfg: CheckConfig, notes=(), flags=None, top_k: int = 1,
     chunks = _run_chunks(n, cfg, scan.chunk)
     err_flat, err_note, cands, max_viol, violated, extras = _merge_chunks(chunks, L, top_k)
     flags = dict(flags or {})
-    for handler in (getattr(scan, "merge_extras", None),):
-        if handler:
-            flags.update(handler(extras, err_flat))
+    flags.update(scan.merge_extras(extras))
     samples_used = n if err_flat == _BIG else err_flat // L
     notes = tuple(notes)
 
-    best = None
+    best = None  # (refined value, witness)
     confirmed = []
-    for viol0, flat, payload in cands:
-        tau_hint = cfg.tol_abs + cfg.tol_rel  # scale-free trigger hint
+    tau_hint = cfg.tol_abs + cfg.tol_rel  # scale-free trigger hint
+    for viol0, flat, z0 in cands:
         if not force_refine and viol0 <= -NEAR_VIOLATION_FACTOR * tau_hint and not violated:
             continue
-        z0, intervals = scan.refine_setup(payload)
-        z, v = _golden_refine(scan.objective, z0, intervals, cfg.refine_steps)
-        if np.isfinite(v):
-            w = replace(scan.witness(z, v), origin_index=flat // L)
-            if w.violation > cfg.threshold(w.rhs):
-                confirmed.append(w)
-        if best is None or v > best[1]:
-            best = (z, v, flat)
+        z, v = _line_refine(scan.objective, z0, scan.intervals(), cfg.refine_steps)
+        max_viol = max(max_viol, v)
+        # the start point is the fallback when the refined one fails
+        w = _emitted_witness(scan, cfg, (z, z0), flat // L)
+        if w is not None:
+            confirmed.append(w)
+            if best is None or v > best[0]:
+                best = (v, w)
         if not force_refine:
             break
 
-    if best is not None and np.isfinite(best[1]):
-        witness = replace(scan.witness(best[0], best[1]), origin_index=best[2] // L)
-        max_viol = max(max_viol, float(best[1]))
-        if witness.violation > cfg.threshold(witness.rhs):
-            return Report(
-                Verdict.VIOLATED,
-                float(max_viol),
-                witness,
-                samples_used,
-                cfg.seed,
-                flags=flags,
-                notes=notes,
-                refined=tuple(confirmed),
-            )
+    def report(verdict, witness=None, more_notes=(), refined=()):
+        mv = float(max_viol) if np.isfinite(max_viol) else None
+        return Report(verdict, mv, witness, samples_used, cfg.seed, flags=flags,
+                      notes=notes + more_notes, refined=refined)
 
+    if best is not None:
+        return report(Verdict.VIOLATED, best[1], refined=tuple(confirmed))
     if err_flat != _BIG:
-        return Report(
-            Verdict.DOMAIN_ERROR,
-            None if not np.isfinite(max_viol) else float(max_viol),
-            None,
-            samples_used,
-            cfg.seed,
-            flags=flags,
-            notes=notes + (err_note or "domain error",),
-        )
+        return report(Verdict.DOMAIN_ERROR, more_notes=(err_note,))
     if violated:
         # bulk scan saw a violation but the refined re-evaluation did not
         # confirm it; report the conservative verdict with the raw value
-        return Report(
-            Verdict.HOLDS_ON_SAMPLES,
-            float(max_viol),
-            None,
-            samples_used,
-            cfg.seed,
-            flags=flags,
-            notes=notes + ("unconfirmed raw violation did not survive re-evaluation",),
-        )
-    return Report(
-        Verdict.HOLDS_ON_SAMPLES,
-        None if not np.isfinite(max_viol) else float(max_viol),
-        None,
-        samples_used,
-        cfg.seed,
-        flags=flags,
-        notes=notes,
-    )
+        return report(Verdict.HOLDS_ON_SAMPLES, more_notes=(
+            "unconfirmed raw violation did not survive re-evaluation",))
+    return report(Verdict.HOLDS_ON_SAMPLES)
 
 
 def check_geodesic_phiE_convex_fn(
@@ -532,35 +561,39 @@ def search_counterexample(inst: Instance, cfg: CheckConfig, strict: bool = False
 # slope form on Euclidean(1)
 
 @dataclass
-class _SlopeScan:
+class _SlopeScan(_Scan):
+    """Rows (mu1, mu, mu2) of three sampled points; one lane per row."""
+
     inst: Instance
     cfg: CheckConfig
+
+    has_t = False
+    notes = dict.fromkeys(
+        (_PAIR_BAD, _E_BAD, _VAL_BAD), "evaluation failed on triple {i}"
+    )
 
     def lanes_per_pair(self) -> int:
         return 2
 
-    def chunk(self, i0: int, i1: int) -> _ChunkScan:
-        cfg = self.cfg
+    def bulk_grid(self):
+        return None
+
+    def sample(self, bases):
+        pts, oks = zip(*(
+            sample_members(self.inst.domain, bases, region=region, on_fail="mask")
+            for region in range(3)
+        ))
+        return np.hstack(pts), oks[0] & oks[1] & oks[2]
+
+    def lanes(self, rows, T):
         inst = self.inst
-        n = i1 - i0
-        L = 2
-        gidx = np.arange(i0, i1, dtype=np.int64)
-        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-        pts = []
-        oks = []
-        for region in range(3):
-            P, ok = sample_members(inst.domain, bases, region=region, on_fail="mask")
-            pts.append(P[:, 0])
-            oks.append(ok)
-        pair_bad = ~(oks[0] & oks[1] & oks[2])
-        U = np.stack(pts, axis=1)  # (n, 3) in mu-space
-        Evals = np.stack([inst.E.eval_batch(U[:, k : k + 1])[:, 0] for k in range(3)], axis=1)
-        e_bad = ~pair_bad & ~np.all(np.isfinite(Evals), axis=1)
-        order = np.argsort(Evals, axis=1, kind="stable")
-        Es = np.take_along_axis(Evals, order, axis=1)
-        Us = np.take_along_axis(U, order, axis=1)
+        cfg = self.cfg
+        Evals = np.stack([inst.E.eval_batch(rows[:, k : k + 1])[:, 0] for k in range(3)], axis=1)
+        code = np.where(np.all(np.isfinite(Evals), axis=1), _OK, _E_BAD).astype(np.int8)
+        Es = np.sort(Evals, axis=1, kind="stable")
         e1, em, e2 = Es[:, 0], Es[:, 1], Es[:, 2]
-        admissible = ~pair_bad & ~e_bad & (e1 < em) & (em < e2)
+        sep = SLOPE_SEP_FRACTION * inst.domain.scale()
+        admissible = (code == _OK) & (em - e1 > sep) & (e2 - em > sep)
         h1 = inst.h.eval_batch(e1[:, None])
         hm = inst.h.eval_batch(em[:, None])
         h2 = inst.h.eval_batch(e2[:, None])
@@ -569,72 +602,38 @@ class _SlopeScan:
             lhs = p / (e1 - e2)
             rhs = (h2 - hm) / (e2 - em)
             viol = lhs - rhs
+            thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
         val_bad = admissible & ~_finite(h1, hm, h2, p, viol)
-        err_flat = _BIG
-        err_note = None
-        bad = pair_bad | e_bad | val_bad
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            err_flat = int(gidx[k]) * L
-            err_note = f"evaluation failed on triple {int(gidx[k])}"
-        flats = gidx * L + 1
-        counted = admissible & ~val_bad & (flats < err_flat)
-        thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
-        cands_raw = _select_candidates(viol[:, None], flats[:, None], counted[:, None], k=8)
-        cands = []
-        for v, flat, pos in cands_raw:
-            cands.append((v, flat, {"u": tuple(float(x) for x in Us[pos])}))
-        any_counted = bool(np.any(counted))
-        max_viol = float(np.max(np.where(counted, viol, -np.inf))) if any_counted else -np.inf
-        violated = bool(np.any(counted & (viol > thr)))
-        return _ChunkScan(
-            i0, i1, err_flat, err_note, cands, max_viol, violated,
-            {"admissible": int(np.sum(admissible & (flats < err_flat)))},
-        )
+        code[val_bad] = _VAL_BAD
+        viol = np.where(admissible & ~val_bad, viol, -np.inf)
+        return viol[:, None], thr[:, None], code[:, None]
 
-    def merge_extras(self, extras, err_flat):
-        total = sum(e.get("admissible", 0) for e in extras)
-        self._admissible = total
+    def probe_rows(self, rows):
+        ok = np.ones(rows.shape[0], dtype=bool)
+        for k in range(3):
+            ok &= member_mask_batch(self.inst.domain, rows[:, k : k + 1])
+        return rows, ok
+
+    def intervals(self):
+        return list(self.inst.domain.box) * 3
+
+    def merge_extras(self, extras):
+        self._admissible = sum(e["counted"] for e in extras)
         return {}
 
-    def objective(self, z) -> float:
+    def witness(self, z) -> Witness | None:
         inst = self.inst
-        us = [np.asarray([z[k]]) for k in range(3)]
-        for u in us:
-            if not member_mask_batch(inst.domain, u[None, :])[0]:
-                return -np.inf
         try:
-            es = sorted(inst.E((float(u[0]),))[0] for u in us)
-        except EvalDomainError:
-            return -np.inf
-        e1, em, e2 = es
-        if not (e1 < em < e2):
-            return -np.inf
-        try:
+            e1, em, e2 = sorted(inst.E((float(zk),))[0] for zk in z)
             h1 = inst.h((e1,))
             hm = inst.h((em,))
             h2 = inst.h((e2,))
             p = inst.phi(h1, h2)
         except EvalDomainError:
-            return -np.inf
-        lhs = p / (e1 - e2)
-        rhs = (h2 - hm) / (e2 - em)
-        v = lhs - rhs
-        return v if math.isfinite(v) else -np.inf
-
-    def refine_setup(self, payload):
-        z0 = list(payload["u"])
-        intervals = list(self.inst.domain.box) * 3
-        return z0, intervals
-
-    def witness(self, z, viol) -> Witness:
-        inst = self.inst
-        es = sorted(inst.E((float(zk),))[0] for zk in z)
-        e1, em, e2 = es
-        h1 = inst.h((e1,))
-        hm = inst.h((em,))
-        h2 = inst.h((e2,))
-        p = inst.phi(h1, h2)
+            return None
+        sep = SLOPE_SEP_FRACTION * inst.domain.scale()
+        if not (em - e1 > sep and e2 - em > sep):
+            return None
         lhs = p / (e1 - e2)
         rhs = (h2 - hm) / (e2 - em)
         return Witness(
@@ -653,14 +652,15 @@ def check_slope_inequality(inst: Instance, cfg: CheckConfig) -> Report:
         [h(E(mu2)) - h(E(mu))] / [E(mu2) - E(mu)]
             >= phi(h(E(mu1)), h(E(mu2))) / [E(mu1) - E(mu2)].
 
-    Triples are labeled by sorting the three E-values; with no admissible
+    Triples are labeled by sorting the three E-values, and both gaps must
+    exceed SLOPE_SEP_FRACTION of the domain scale; with no admissible
     triple at all (constant E, say) the premise fails.
     """
     if inst.manifold.kind is not ManifoldKind.EUCLIDEAN or inst.manifold.dim != 1:
         raise ValueError("slope check requires Euclidean(1)")
     scan = _SlopeScan(inst, cfg)
     report = _finish_scan(scan, cfg)
-    admissible = getattr(scan, "_admissible", 0)
+    admissible = scan._admissible
     if report.verdict is Verdict.HOLDS_ON_SAMPLES and admissible == 0:
         return Report(
             Verdict.PREMISE_FAILED,
@@ -670,99 +670,59 @@ def check_slope_inequality(inst: Instance, cfg: CheckConfig) -> Report:
             cfg.seed,
             notes=("no sampled triple satisfied E(mu1) < E(mu) < E(mu2)",),
         )
-    flags = dict(report.flags)
-    flags["admissible_triples"] = admissible
-    return Report(
-        report.verdict, report.max_violation, report.witness,
-        report.samples_used, report.seed, flags=flags, notes=report.notes,
-    )
+    return replace(report, flags={**report.flags, "admissible_triples": admissible})
 
 
 # ---------------------------------------------------------------------------
 # geodesic E-convex sets
 
 @dataclass
-class _SetScan:
+class _SetScan(_PairScan):
     manifold: Manifold
     E: EndoMap
     B: DomainSet
     cfg: CheckConfig
 
-    def lanes_per_pair(self) -> int:
-        return self.cfg.t_grid + 1
+    notes = {
+        **_PAIR_NOTES,
+        _LANE: "membership predicate failed to evaluate on a curve point",
+    }
 
-    def chunk(self, i0: int, i1: int) -> _ChunkScan:
+    @property
+    def domain(self) -> DomainSet:
+        return self.B
+
+    def lanes(self, rows, T):
+        m = self.manifold
+        d = m.ambient_dim
+        W1, W2, code = _pair_images(m, self.E, rows[:, :d], rows[:, d:])
+        viol = np.empty((rows.shape[0], T.shape[1]))
+        err = np.repeat(code[:, None], T.shape[1], axis=1)
+        with np.errstate(all="ignore"):
+            for j in range(T.shape[1]):
+                margin = outside_margin_batch(self.B, geodesic_batch(m, W1, W2, T[:, j]))
+                viol[:, j] = margin
+                err[(code == _OK) & ~np.isfinite(margin), j] = _LANE
+        return viol, self.cfg.tol_abs + self.cfg.tol_rel, err  # rhs of a margin test is 0
+
+    def chunk_extra(self, rows, ok):
         cfg = self.cfg
         m = self.manifold
-        n = i1 - i0
-        G = cfg.t_grid
-        L = G + 1
-        gidx = np.arange(i0, i1, dtype=np.int64)
-        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-        U1, ok1 = sample_members(self.B, bases, region=0, on_fail="mask")
-        U2, ok2 = sample_members(self.B, bases, region=1, on_fail="mask")
-        pair_bad = ~(ok1 & ok2)
-        note = "rejection sampling exhausted for a domain point"
-        W1, okw1 = _clean_images(m, self.E.eval_batch(U1))
-        W2, okw2 = _clean_images(m, self.E.eval_batch(U2))
-        e_bad = ~pair_bad & ~(okw1 & okw2)
-        if np.any(e_bad):
-            note = "E produced an invalid manifold point"
-        anti = np.zeros(n, dtype=bool)
-        if m.kind is ManifoldKind.SPHERE:
-            anti = ~pair_bad & ~e_bad & antipodal_mask(W1, W2)
-            if np.any(anti):
-                note = "antipodal E-images: geodesic not unique"
-        pair_err = pair_bad | e_bad | anti
-        err_flat = _BIG
-        err_note = None
-        if np.any(pair_err):
-            k = int(np.argmax(pair_err))
-            err_flat = int(gidx[k]) * L
-            err_note = f"{note} (pair {int(gidx[k])})"
-        ok_rows = ~pair_err
+        d = m.ambient_dim
+        U1, U2 = rows[:, :d], rows[:, d:]
+        W1, W2, code = _pair_images(m, self.E, U1, U2)
+        ok_rows = ok & (code == _OK)
         with np.errstate(all="ignore"):
             d_im = distance_batch(m, W1, W2)
             d_base = distance_batch(m, U1, U2)
         len_disc = np.where(ok_rows, np.abs(d_im - d_base), 0.0)
         len_thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(d_base))
-        len_bad = int(np.sum(ok_rows & (len_disc > len_thr)))
-        max_len_disc = float(np.max(len_disc, initial=0.0))
+        return {
+            "len_bad": int(np.sum(ok_rows & (len_disc > len_thr))),
+            "max_len_disc": float(np.max(len_disc, initial=0.0)),
+        }
 
-        ts = np.linspace(0.0, 1.0, G)
-        viol = np.empty((n, G))
-        lane_err = np.zeros((n, G), dtype=bool)
-        with np.errstate(all="ignore"):
-            for j, t in enumerate(ts):
-                gp = geodesic_batch(m, W1, W2, float(t))
-                margin = outside_margin_batch(self.B, gp)
-                viol[:, j] = margin
-                lane_err[:, j] = ~pair_err & ~np.isfinite(margin)
-        flats = gidx[:, None] * L + 1 + np.arange(G, dtype=np.int64)[None, :]
-        if np.any(lane_err):
-            le_flats = np.where(lane_err, flats, _BIG)
-            le_min = int(le_flats.min())
-            if le_min < err_flat:
-                err_flat = le_min
-                err_note = "membership predicate failed to evaluate on a curve point"
-        counted = (~pair_err[:, None]) & ~lane_err & np.isfinite(viol) & (flats < err_flat)
-        thr = cfg.tol_abs + cfg.tol_rel  # rhs of a margin test is 0
-        cands_raw = _select_candidates(viol, flats, counted, k=8)
-        cands = []
-        for v, flat, pos in cands_raw:
-            pi, j = divmod(pos, G)
-            cands.append(
-                (v, flat, {"u1": tuple(U1[pi]), "u2": tuple(U2[pi]), "t": float(ts[j])})
-            )
-        any_counted = bool(np.any(counted))
-        max_viol = float(np.max(np.where(counted, viol, -np.inf))) if any_counted else -np.inf
-        violated = bool(np.any(counted & (viol > thr)))
-        return _ChunkScan(
-            i0, i1, err_flat, err_note, cands, max_viol, violated,
-            {"len_bad": len_bad, "max_len_disc": max_len_disc},
-        )
-
-    def merge_extras(self, extras, err_flat):
+    def merge_extras(self, extras):
         len_bad = sum(e["len_bad"] for e in extras)
         max_disc = max(e["max_len_disc"] for e in extras)
         self._length_note = (
@@ -771,58 +731,17 @@ class _SetScan:
         )
         return {"length_matches_base_distance": len_bad == 0}
 
-    def objective(self, z) -> float:
+    def witness(self, z) -> Witness | None:
         m = self.manifold
-        d = m.ambient_dim
-        u1 = np.asarray(z[:d], dtype=np.float64)
-        u2 = np.asarray(z[d : 2 * d], dtype=np.float64)
-        t = float(z[2 * d])
-        if m.kind is ManifoldKind.SPHERE:
-            n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
-            if n1 < 1e-12 or n2 < 1e-12:
-                return -np.inf
-            u1, u2 = u1 / n1, u2 / n2
-        if not (
-            member_mask_batch(self.B, u1[None, :])[0]
-            and member_mask_batch(self.B, u2[None, :])[0]
-        ):
-            return -np.inf
-        try:
-            w1 = np.asarray(self.E(tuple(u1)), dtype=np.float64)
-            w2 = np.asarray(self.E(tuple(u2)), dtype=np.float64)
-        except EvalDomainError:
-            return -np.inf
-        W1, ok1 = _clean_images(m, w1[None, :])
-        W2, ok2 = _clean_images(m, w2[None, :])
-        if not (ok1[0] and ok2[0]):
-            return -np.inf
-        if m.kind is ManifoldKind.SPHERE and antipodal_mask(W1, W2)[0]:
-            return -np.inf
-        gp = geodesic_batch(m, W1, W2, t)
+        row, t = self._probe_point(z)
+        u1, u2 = np.split(row, 2)
+        images = _scalar_images(m, self.E, u1, u2)
+        if images is None:
+            return None
+        w1, w2 = images
+        gp = geodesic_batch(m, w1[None, :], w2[None, :], t)
         margin = float(outside_margin_batch(self.B, gp)[0])
-        return margin if math.isfinite(margin) else -np.inf
-
-    def refine_setup(self, payload):
-        z0 = list(payload["u1"]) + list(payload["u2"]) + [payload["t"]]
-        box = list(self.B.box)
-        return z0, box + box + [(0.0, 1.0)]
-
-    def witness(self, z, viol) -> Witness:
-        m = self.manifold
-        d = m.ambient_dim
-        u1 = np.asarray(z[:d])
-        u2 = np.asarray(z[d : 2 * d])
-        t = float(z[2 * d])
-        if m.kind is ManifoldKind.SPHERE:
-            u1 = u1 / np.linalg.norm(u1)
-            u2 = u2 / np.linalg.norm(u2)
-        return Witness(
-            points=(Point(tuple(u1)), Point(tuple(u2))),
-            t=t,
-            lhs=float(viol),
-            rhs=0.0,
-            violation=float(viol),
-        )
+        return _margin_witness((Point(tuple(u1)), Point(tuple(u2))), t, margin)
 
 
 def check_geodesic_E_convex_set(
@@ -835,164 +754,87 @@ def check_geodesic_E_convex_set(
     """
     scan = _SetScan(m, E, B, cfg)
     report = _finish_scan(scan, cfg)
-    note = getattr(scan, "_length_note", None)
-    if note:
-        report = Report(
-            report.verdict, report.max_violation, report.witness,
-            report.samples_used, report.seed, flags=report.flags,
-            notes=report.notes + (note,),
-        )
-    return report
+    return replace(report, notes=report.notes + (scan._length_note,))
 
 
 # ---------------------------------------------------------------------------
 # product-space sets
 
 @dataclass
-class _ProductSetScan:
+class _ProductSetScan(_PairScan):
+    """Rows (u1, v1, u2, v2) of two sampled product-set members."""
+
     manifold: Manifold
     E: EndoMap
     phi: Bifunction
     S: ProductSet
     cfg: CheckConfig
 
-    def lanes_per_pair(self) -> int:
-        return self.cfg.t_grid + 1
+    skips_unsampled = True
+    notes = {
+        **dict.fromkeys((_E_BAD, _ANTI, _VAL_BAD), "E, geodesic, or phi failed on member pair {i}"),
+        _LANE: "graph predicate failed to evaluate on a candidate",
+    }
 
-    def chunk(self, i0: int, i1: int) -> _ChunkScan:
-        cfg = self.cfg
-        m = self.manifold
-        n = i1 - i0
-        G = cfg.t_grid
-        L = G + 1
-        gidx = np.arange(i0, i1, dtype=np.int64)
-        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
+    def _split(self, rows):
+        d = self.manifold.ambient_dim
+        return rows[..., :d], rows[..., d], rows[..., d + 1 : 2 * d + 1], rows[..., 2 * d + 1]
+
+    def sample(self, bases):
         (U1, V1), ok1 = sample_product_members(self.S, bases, region=0, on_fail="mask")
         (U2, V2), ok2 = sample_product_members(self.S, bases, region=1, on_fail="mask")
-        pair_bad = ~(ok1 & ok2)
-        unsampled = int(np.sum(pair_bad))
-        W1, okw1 = _clean_images(m, self.E.eval_batch(U1))
-        W2, okw2 = _clean_images(m, self.E.eval_batch(U2))
-        e_bad = ~pair_bad & ~(okw1 & okw2)
-        anti = np.zeros(n, dtype=bool)
-        if m.kind is ManifoldKind.SPHERE:
-            anti = ~pair_bad & ~e_bad & antipodal_mask(W1, W2)
-        pv = self.phi.eval_batch(V1, V2)
-        val_bad = ~pair_bad & ~e_bad & ~anti & ~np.isfinite(pv)
-        pair_err = e_bad | anti | val_bad
-        err_flat = _BIG
-        err_note = None
-        if np.any(pair_err):
-            k = int(np.argmax(pair_err))
-            err_flat = int(gidx[k]) * L
-            err_note = f"E, geodesic, or phi failed on member pair {int(gidx[k])}"
-        ts = np.linspace(0.0, 1.0, G)
-        viol = np.empty((n, G))
-        lane_err = np.zeros((n, G), dtype=bool)
-        with np.errstate(all="ignore"):
-            for j, t in enumerate(ts):
-                gp = geodesic_batch(m, W1, W2, float(t))
-                w = V2 + t * pv
-                margin = self.S.outside_margin(gp, w)
-                viol[:, j] = margin
-                lane_err[:, j] = ~pair_bad & ~pair_err & ~np.isfinite(margin)
-        flats = gidx[:, None] * L + 1 + np.arange(G, dtype=np.int64)[None, :]
-        if np.any(lane_err):
-            le_flats = np.where(lane_err, flats, _BIG)
-            le_min = int(le_flats.min())
-            if le_min < err_flat:
-                err_flat = le_min
-                err_note = "graph predicate failed to evaluate on a candidate"
-        counted = (
-            (~pair_bad[:, None]) & (~pair_err[:, None]) & ~lane_err
-            & np.isfinite(viol) & (flats < err_flat)
-        )
-        thr = cfg.tol_abs + cfg.tol_rel
-        cands_raw = _select_candidates(viol, flats, counted, k=8)
-        cands = []
-        for v, flat, pos in cands_raw:
-            pi, j = divmod(pos, G)
-            cands.append((
-                v, flat,
-                {
-                    "u1": tuple(U1[pi]), "v1": float(V1[pi]),
-                    "u2": tuple(U2[pi]), "v2": float(V2[pi]),
-                    "t": float(ts[j]),
-                },
-            ))
-        any_counted = bool(np.any(counted))
-        max_viol = float(np.max(np.where(counted, viol, -np.inf))) if any_counted else -np.inf
-        violated = bool(np.any(counted & (viol > thr)))
-        return _ChunkScan(
-            i0, i1, err_flat, err_note, cands, max_viol, violated,
-            {"unsampled": unsampled, "n": n},
-        )
+        return np.hstack([U1, V1[:, None], U2, V2[:, None]]), ok1 & ok2
 
-    def merge_extras(self, extras, err_flat):
+    def lanes(self, rows, T):
+        m = self.manifold
+        U1, V1, U2, V2 = self._split(rows)
+        W1, W2, code = _pair_images(m, self.E, U1, U2)
+        pv = self.phi.eval_batch(V1, V2)
+        code[(code == _OK) & ~np.isfinite(pv)] = _VAL_BAD
+        viol = np.empty((rows.shape[0], T.shape[1]))
+        err = np.repeat(code[:, None], T.shape[1], axis=1)
+        with np.errstate(all="ignore"):
+            for j in range(T.shape[1]):
+                t = T[:, j]
+                margin = self.S.outside_margin(geodesic_batch(m, W1, W2, t), V2 + t * pv)
+                viol[:, j] = margin
+                err[(code == _OK) & ~np.isfinite(margin), j] = _LANE
+        return viol, self.cfg.tol_abs + self.cfg.tol_rel, err
+
+    def probe_rows(self, rows):
+        m = self.manifold
+        U1, V1, U2, V2 = self._split(rows)
+        U1, ok1 = _on_manifold(m, U1)
+        U2, ok2 = _on_manifold(m, U2)
+        ok = ok1 & ok2 & self.S.member_mask(U1, V1) & self.S.member_mask(U2, V2)
+        return np.hstack([U1, V1[:, None], U2, V2[:, None]]), ok
+
+    def intervals(self):
+        box = list(self.S.base.box)
+        vr = [tuple(self.S.v_range)]
+        return box + vr + box + vr + [(0.0, 1.0)]
+
+    def merge_extras(self, extras):
         self._unsampled = sum(e["unsampled"] for e in extras)
         self._n = sum(e["n"] for e in extras)
         return {}
 
-    def objective(self, z) -> float:
+    def witness(self, z) -> Witness | None:
         m = self.manifold
-        d = m.ambient_dim
-        u1 = np.asarray(z[:d], dtype=np.float64)
-        v1 = float(z[d])
-        u2 = np.asarray(z[d + 1 : 2 * d + 1], dtype=np.float64)
-        v2 = float(z[2 * d + 1])
-        t = float(z[2 * d + 2])
-        if m.kind is ManifoldKind.SPHERE:
-            n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
-            if n1 < 1e-12 or n2 < 1e-12:
-                return -np.inf
-            u1, u2 = u1 / n1, u2 / n2
-        if not (
-            self.S.member_mask(u1[None, :], np.array([v1]))[0]
-            and self.S.member_mask(u2[None, :], np.array([v2]))[0]
-        ):
-            return -np.inf
+        row, t = self._probe_point(z)
+        u1, v1, u2, v2 = self._split(row)
+        images = _scalar_images(m, self.E, u1, u2)
+        if images is None:
+            return None
+        w1, w2 = images
         try:
-            w1 = np.asarray(self.E(tuple(u1)), dtype=np.float64)
-            w2 = np.asarray(self.E(tuple(u2)), dtype=np.float64)
-            pv = self.phi(v1, v2)
+            w = float(v2) + t * self.phi(float(v1), float(v2))
         except EvalDomainError:
-            return -np.inf
-        W1, ok1 = _clean_images(m, w1[None, :])
-        W2, ok2 = _clean_images(m, w2[None, :])
-        if not (ok1[0] and ok2[0]):
-            return -np.inf
-        if m.kind is ManifoldKind.SPHERE and antipodal_mask(W1, W2)[0]:
-            return -np.inf
-        gp = geodesic_batch(m, W1, W2, t)
-        margin = float(self.S.outside_margin(gp, np.array([v2 + t * pv]))[0])
-        return margin if math.isfinite(margin) else -np.inf
-
-    def refine_setup(self, payload):
-        z0 = (
-            list(payload["u1"]) + [payload["v1"]]
-            + list(payload["u2"]) + [payload["v2"]] + [payload["t"]]
-        )
-        box = list(self.S.base.box)
-        vr = [tuple(self.S.v_range)]
-        return z0, box + vr + box + vr + [(0.0, 1.0)]
-
-    def witness(self, z, viol) -> Witness:
-        d = self.manifold.ambient_dim
-        u1 = np.asarray(z[:d])
-        v1 = float(z[d])
-        u2 = np.asarray(z[d + 1 : 2 * d + 1])
-        v2 = float(z[2 * d + 1])
-        t = float(z[2 * d + 2])
-        if self.manifold.kind is ManifoldKind.SPHERE:
-            u1 = u1 / np.linalg.norm(u1)
-            u2 = u2 / np.linalg.norm(u2)
-        return Witness(
-            points=(Point(tuple(u1) + (v1,)), Point(tuple(u2) + (v2,))),
-            t=t,
-            lhs=float(viol),
-            rhs=0.0,
-            violation=float(viol),
-        )
+            return None
+        gp = geodesic_batch(m, w1[None, :], w2[None, :], t)
+        margin = float(self.S.outside_margin(gp, np.array([w]))[0])
+        points = (Point(tuple(u1) + (float(v1),)), Point(tuple(u2) + (float(v2),)))
+        return _margin_witness(points, t, margin)
 
 
 def check_geodesic_phiE_convex_set(
@@ -1006,17 +848,15 @@ def check_geodesic_phiE_convex_set(
     """
     scan = _ProductSetScan(m, E, phi, S, cfg)
     report = _finish_scan(scan, cfg)
-    unsampled = getattr(scan, "_unsampled", 0)
-    total = getattr(scan, "_n", cfg.samples)
-    if unsampled == total:
+    unsampled = scan._unsampled
+    if unsampled == scan._n:
         return Report(
             Verdict.HOLDS_ON_SAMPLES, None, None, 0, cfg.seed,
             notes=("no members found; membership condition is vacuous",),
         )
     if unsampled > 0 and report.verdict is Verdict.HOLDS_ON_SAMPLES:
-        return Report(
-            report.verdict, report.max_violation, report.witness,
-            report.samples_used - unsampled, report.seed, flags=report.flags,
+        return replace(
+            report, samples_used=report.samples_used - unsampled,
             notes=report.notes + (f"{unsampled} draws found no member and were skipped",),
         )
     return report
@@ -1058,20 +898,14 @@ class EpigraphMembership:
         if best_mu is None:
             raise InverseSearchFailedError("no domain sample could be drawn")
 
-        def objective(z):
-            x = np.asarray(z, dtype=np.float64)
-            if not member_mask_batch(inst.domain, x[None, :])[0]:
-                return -np.inf
-            try:
-                w = np.asarray(inst.E(tuple(x)), dtype=np.float64)
-            except EvalDomainError:
-                return -np.inf
-            d = float(np.linalg.norm(w - target))
-            return -d if math.isfinite(d) else -np.inf
+        def objective(Z):
+            with np.errstate(all="ignore"):
+                d = np.linalg.norm(inst.E.eval_batch(Z) - target[None, :], axis=1)
+            return np.where(member_mask_batch(inst.domain, Z) & np.isfinite(d), -d, -np.inf)
 
-        z, v = _golden_refine(objective, list(best_mu), list(inst.domain.box), cfg.refine_steps)
+        z, v = _line_refine(objective, best_mu, inst.domain.box, cfg.refine_steps)
         if math.isfinite(v) and -v < best_d:
-            best_d, best_mu = -v, tuple(z)
+            best_d, best_mu = -v, tuple(float(x) for x in z)
         return best_d, best_mu
 
     def __call__(self, u, v: float) -> bool:

@@ -333,16 +333,6 @@ def run_job(raw: dict, command: str, cfg: CheckConfig) -> list[dict]:
     raise ConfigError(f"unknown command {command!r}")
 
 
-def _collect_verdicts(reports: list[dict]):
-    out = []
-    for rep in reports:
-        if "verdict" in rep:
-            out.append(rep["verdict"])
-        if rep.get("premises"):
-            out.extend(p["verdict"] for p in rep["premises"])
-    return out
-
-
 def exit_code_for(reports: list[dict]) -> int:
     verdicts = [rep.get("verdict") for rep in reports]
     if any(v == Verdict.VIOLATED.value for v in verdicts):

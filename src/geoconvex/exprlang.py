@@ -476,10 +476,24 @@ _NP_UNARY_FN = {
 def compile_batch(node: Node) -> Callable:
     """Compile to a closure mapping {name: array} to an array.
 
-    Non-finite lanes are returned as-is for the caller to mask.  Lanes whose
-    if-condition operands are non-finite are poisoned with NaN so a bad
-    condition cannot silently select a branch.
+    Non-finite lanes are returned as-is for the caller to mask, without
+    floating-point warnings.  Lanes whose if-condition operands are
+    non-finite are poisoned with NaN so a bad condition cannot silently
+    select a branch.
     """
+    fn = _compile(node)
+
+    def run(env):
+        with np.errstate(all="ignore"):
+            return fn(env)
+
+    return run
+
+
+_NP_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply}
+
+
+def _compile(node: Node) -> Callable:
     if isinstance(node, Const):
         c = node.value
         return lambda env: c
@@ -487,36 +501,30 @@ def compile_batch(node: Node) -> Callable:
         name = node.name
         return lambda env: env[name]
     if isinstance(node, Unary):
-        f = compile_batch(node.operand)
+        f = _compile(node.operand)
         return lambda env: -f(env)
     if isinstance(node, Binary):
-        fl = compile_batch(node.lhs)
-        fr = compile_batch(node.rhs)
+        fl = _compile(node.lhs)
+        fr = _compile(node.rhs)
         op = node.op
-        if op == "+":
-            return lambda env: fl(env) + fr(env)
-        if op == "-":
-            return lambda env: fl(env) - fr(env)
-        if op == "*":
-            return lambda env: fl(env) * fr(env)
+        if op in _NP_ARITH:
+            uf = _NP_ARITH[op]
+            return lambda env: uf(fl(env), fr(env))
         if op == "/":
-            def _div(env, fl=fl, fr=fr):
-                with np.errstate(all="ignore"):
-                    b = fr(env)
-                    out = fl(env) / b
-                return np.where(b == 0.0, np.nan, out)
+            def _div(env):
+                b = fr(env)
+                return np.where(b == 0.0, np.nan, np.divide(fl(env), b))
 
             return _div
-        def _pow(env, fl=fl, fr=fr):
-            with np.errstate(all="ignore"):
-                a = fl(env)
-                b = fr(env)
-                out = np.power(a, b)
-            return np.where((a == 0.0) & (b < 0.0), np.nan, out)
+
+        def _pow(env):
+            a = fl(env)
+            b = fr(env)
+            return np.where((a == 0.0) & (b < 0.0), np.nan, np.power(a, b))
 
         return _pow
     if isinstance(node, Call):
-        fns = [compile_batch(a) for a in node.args]
+        fns = [_compile(a) for a in node.args]
         if node.fn == "min":
             return lambda env: np.minimum(fns[0](env), fns[1](env))
         if node.fn == "max":
@@ -524,30 +532,22 @@ def compile_batch(node: Node) -> Callable:
         uf = _NP_UNARY_FN[node.fn]
         f0 = fns[0]
         if node.fn == "artanh":
-            def _artanh(env, f0=f0):
-                with np.errstate(all="ignore"):
-                    x = f0(env)
-                    out = np.arctanh(x)
-                return np.where(np.abs(x) >= 1.0, np.nan, out)
+            def _artanh(env):
+                x = f0(env)
+                return np.where(np.abs(x) >= 1.0, np.nan, np.arctanh(x))
 
             return _artanh
-
-        def _call(env, f0=f0, uf=uf):
-            with np.errstate(all="ignore"):
-                return uf(f0(env))
-
-        return _call
-    fl = compile_batch(node.lhs)
-    fr = compile_batch(node.rhs)
-    ft = compile_batch(node.then)
-    fe = compile_batch(node.orelse)
+        return lambda env: uf(f0(env))
+    fl = _compile(node.lhs)
+    fr = _compile(node.rhs)
+    ft = _compile(node.then)
+    fe = _compile(node.orelse)
     cmp = _NP_CMP[node.cmp]
 
     def _ifexpr(env):
-        with np.errstate(all="ignore"):
-            a = np.asarray(fl(env), dtype=np.float64)
-            b = np.asarray(fr(env), dtype=np.float64)
-            out = np.where(cmp(a, b), ft(env), fe(env))
+        a = np.asarray(fl(env), dtype=np.float64)
+        b = np.asarray(fr(env), dtype=np.float64)
+        out = np.where(cmp(a, b), ft(env), fe(env))
         bad = ~(np.isfinite(a) & np.isfinite(b))
         if np.any(bad):
             out = np.where(bad, np.nan, out)

@@ -352,10 +352,6 @@ def theorem_case(tid: TheoremId, seed: int, cfg):
     if tid is TheoremId.CHART_CONTINUITY:
         inst, K, eps = continuity_case(seed)
         return th.verify_chart_continuity, {"inst": inst, "K": K, "eps": eps, "cfg": cfg}
-    if tid is TheoremId.SUP_FAMILY:
-        insts, _ = closure_family("SupFamily", seed)
-        return th.verify_closure, {"kind": "SupFamily", "insts": insts,
-                                   "weights": None, "cfg": cfg}
     if tid is TheoremId.LOCAL_MIN:
         inst, mu_star = local_min_case(seed)
         return th.verify_local_min, {"inst": inst, "mu_star": mu_star, "cfg": cfg}

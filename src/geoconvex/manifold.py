@@ -143,14 +143,16 @@ def antipodal_mask(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return dots <= -1.0 + ANTIPODAL_TOL
 
 
-def geodesic_batch(m: Manifold, X1: np.ndarray, X2: np.ndarray, t: float) -> np.ndarray:
+def geodesic_batch(m: Manifold, X1: np.ndarray, X2: np.ndarray, t) -> np.ndarray:
     """Points at parameter t on the curves from rows of X2 (t=0) to X1 (t=1).
 
+    t is one value for every row or an (N,) vector with one value per row.
     Inputs are assumed valid and, on the sphere, non-antipodal; callers
     screen rows with valid_mask/antipodal_mask first.
     """
+    t = np.asarray(t, dtype=np.float64)
     if m.kind is ManifoldKind.EUCLIDEAN:
-        return X2 + t * (X1 - X2)
+        return X2 + t[..., None] * (X1 - X2)
     if m.kind is ManifoldKind.SPHERE:
         dots = np.clip(np.einsum("ij,ij->i", X2, X1), -1.0, 1.0)
         theta = np.arccos(dots)
@@ -164,7 +166,7 @@ def geodesic_batch(m: Manifold, X1: np.ndarray, X2: np.ndarray, t: float) -> np.
         w1 = np.where(small, t, w1)
         out = w2[:, None] * X2 + w1[:, None] * X1
         return project_batch(m, out)
-    return _ball_exp_batch(X2, t * _ball_log_batch(X2, X1))
+    return _ball_exp_batch(X2, t[..., None] * _ball_log_batch(X2, X1))
 
 
 def _sphere_angle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -30,9 +30,9 @@ from .algebra import (
     sample_members,
 )
 from .checker import (
+    GOLDEN_PROBES,
     _chunk_ranges,
     _clean_images,
-    _golden_refine,
     check_geodesic_E_convex_set,
     check_geodesic_phiE_convex_fn,
     check_geodesic_phiE_convex_set,
@@ -78,6 +78,47 @@ LOCAL_MIN_DIRECTIONS = 16
 _R_AUX1 = 8
 _R_AUX2 = 9
 _R_DIRS = 10
+
+
+def _golden_refine(objective, z0, intervals, steps: int):
+    """Round-robin coordinate ascent; each step runs one golden-section line
+    search over the coordinate's full admissible interval.  The best point
+    ever evaluated is kept, so the result never falls below the start."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    best_z = list(z0)
+    best_v = objective(best_z)
+    nv = len(z0)
+    for it in range(steps):
+        k = it % nv
+        lo, hi = intervals[k]
+        if not hi > lo:
+            continue
+        base = list(best_z)
+
+        def f(x):
+            nonlocal best_z, best_v
+            trial = list(base)
+            trial[k] = x
+            v = objective(trial)
+            if v > best_v:
+                best_v = v
+                best_z = trial
+            return v
+
+        a, b = lo, hi
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(GOLDEN_PROBES):
+            if fc < fd:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = f(d)
+            else:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+    return best_z, best_v
 
 
 class TheoremId(Enum):

@@ -294,3 +294,112 @@ def test_restriction_to_curve_equivalence():
             pulled_rhs = K(0.0) + t * inst.phi(K(1.0), K(0.0))
             assert pulled_lhs == direct_lhs
             assert pulled_rhs == pytest.approx(direct_rhs, abs=1e-12)
+
+
+def _convexity_gap(inst, w):
+    """Scalar lhs - rhs of a convexity witness along the E-image geodesic."""
+    from geoconvex.manifold import GeodesicSpec, Point, geodesic
+
+    e1, e2 = inst.E(w.points[0].coords), inst.E(w.points[1].coords)
+    curve = geodesic(GeodesicSpec(inst.manifold, Point(e1), Point(e2)), w.t)
+    h1, h2 = inst.h(e1), inst.h(e2)
+    rhs = h2 + w.t * inst.phi(h1, h2)
+    return inst.h(curve.coords) - rhs, rhs
+
+
+def test_witness_revalidates_every_scan_kind():
+    from geoconvex.exprlang import evaluate
+
+    # set scan: the segment between the lobes leaves the set
+    dom = DomainSet(E1, ((-2.0, 2.0),), parse("x1^2 - 1", point_vars(1)))
+    w = check_geodesic_E_convex_set(E1, EndoMap.identity(1), dom, CFG).witness
+    (u1,), (u2,) = w.points[0].coords, w.points[1].coords
+    x = w.t * u1 + (1 - w.t) * u2
+    outside = -evaluate(dom.membership, {"x1": x})
+    assert outside == pytest.approx(w.violation, abs=1e-12)
+    assert outside > CFG.threshold(0.0)
+
+    # product-set scan: the candidate falls below the graph of -x^2
+    graph = parse("v - (-(x1^2))", point_vars(1) + ("v",))
+    S = ProductSet(DomainSet(E1, ((-1.0, 1.0),)), graph, (-1.0, 2.0))
+    phi = Bifunction.from_source("a - b")
+    w = check_geodesic_phiE_convex_set(E1, EndoMap.identity(1), phi, S, CFG).witness
+    (u1, v1), (u2, v2) = w.points[0].coords, w.points[1].coords
+    x = w.t * u1 + (1 - w.t) * u2
+    outside = -evaluate(graph, {"x1": x, "v": v2 + w.t * phi(v1, v2)})
+    assert outside == pytest.approx(w.violation, abs=1e-12)
+    assert outside > CFG.threshold(0.0)
+
+    # slope scan: the difference quotients of a concave function
+    inst = _inst1d("-(x1^2)", "a - b", (0.0, 1.0))
+    w = check_slope_inequality(inst, CFG).witness
+    e1, em, e2 = (p.coords[0] for p in w.points)
+    assert e1 < em < e2
+    lhs = inst.phi(inst.h((e1,)), inst.h((e2,))) / (e1 - e2)
+    rhs = (inst.h((e2,)) - inst.h((em,))) / (e2 - em)
+    assert (lhs, rhs) == (w.lhs, w.rhs)
+    assert lhs - rhs > CFG.threshold(rhs)
+
+    # counterexample search: every refined witness, on a curved manifold too
+    cap = DomainSet(sphere(2), ((-2.0, 2.0),) * 3, parse("x3 - 0.5", point_vars(3)))
+    for inst in (_inst1d("-(x1^2)", "a - b", (-1.0, 1.0)),
+                 Instance(sphere(2), ScalarFn.from_source("2*x3 - 2", 3),
+                          EndoMap.identity(3), Bifunction.from_source("a - b"), cap)):
+        rep = search_counterexample(inst, CFG)
+        assert rep.verdict is Verdict.VIOLATED and rep.refined
+        for w in rep.refined:
+            gap, rhs = _convexity_gap(inst, w)
+            assert gap == pytest.approx(w.violation, abs=1e-12)
+            assert gap > CFG.threshold(rhs)
+
+
+def test_batch_finite_where_scalar_raises():
+    # past x1 = 709.78 exp overflows: the batch lane of 1/exp(x1) is a
+    # finite 0, the scalar evaluator raises
+    inst = _inst1d("1/exp(x1) - (x1 - 710)^2", "a - b", (700.0, 720.0))
+    for rep in (check_phiE_convex_interval(inst, CFG), search_counterexample(inst, CFG)):
+        assert rep.verdict in (Verdict.VIOLATED, Verdict.HOLDS_ON_SAMPLES)
+        for w in ((rep.witness,) if rep.witness else ()) + rep.refined:
+            gap, rhs = _convexity_gap(inst, w)
+            assert gap == pytest.approx(w.violation, abs=1e-12)
+            assert gap > CFG.threshold(rhs)
+
+
+def test_select_candidates_ties_straddle_kth():
+    from geoconvex.checker import _select_candidates
+
+    # four lanes tie at the 3rd-best value; the two with the least flat win
+    masked = np.array([[0.5, 2.0, -np.inf], [2.0, 3.0, 2.0], [1.0, 2.0, -np.inf]])
+    flats = np.arange(9).reshape(3, 3) * 10 + 7
+    got = _select_candidates(masked, flats, k=3)
+    assert got == [(3.0, 47, 4), (2.0, 17, 1), (2.0, 37, 3)]
+    # against a full stable sort, on data full of ties
+    rng_ = np.random.default_rng(5)
+    for _ in range(50):
+        m = rng_.integers(-3, 3, size=(40, 7)).astype(float)
+        m[m == -3] = -np.inf
+        f = np.arange(m.size).reshape(m.shape)
+        for k in (1, 8, 300):
+            order = np.argsort(-m.ravel(), kind="stable")[:k]
+            want = [(float(m.ravel()[p]), int(p), int(p)) for p in order
+                    if np.isfinite(m.ravel()[p])]
+            assert _select_candidates(m, f, k) == want
+
+
+def test_line_refine_pins_a_smooth_maximum():
+    from geoconvex.checker import GOLDEN_PROBES, LINE_PROBES, LINE_ROUNDS, _line_refine
+
+    golden_width = ((5 ** 0.5 - 1) / 2) ** GOLDEN_PROBES
+    assert (2 / (LINE_PROBES - 1)) ** LINE_ROUNDS <= golden_width
+    calls = []
+
+    def f(Z):
+        calls.append(Z.shape[0])
+        v = -((Z[:, 0] - 0.3) ** 2) - (Z[:, 1] + 0.7) ** 2
+        return np.where(Z[:, 1] < 0.5, v, -np.inf)
+
+    z, v = _line_refine(f, [0.9, 0.9], [(-1.0, 1.0), (-1.0, 1.0)], steps=4)
+    assert z == pytest.approx([0.3, -0.7], abs=1e-8)
+    assert v == pytest.approx(0.0, abs=1e-15)
+    # the first step finds no admissible probe and stops after one round
+    assert calls == [1, LINE_PROBES] + [LINE_PROBES] * (3 * LINE_ROUNDS)

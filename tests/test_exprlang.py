@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geoconvex.errors import (
@@ -22,6 +22,7 @@ from geoconvex.exprlang import (
     ScalarFn,
     Unary,
     Var,
+    _compare,
     compile_batch,
     compose_scalar,
     differentiate_numeric,
@@ -208,3 +209,87 @@ def test_depth_limit():
 def test_source_size_limit():
     with pytest.raises(ExprSyntaxError):
         parse("1 + " * 20000 + "1", ())
+
+
+def test_batch_overflow_raises_no_warning():
+    import warnings
+
+    X = np.array([[1e200], [-1e300], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ScalarFn.from_source("x1*x1 + x1 - 1", 1).eval_batch(X)
+        assert out[0] == np.inf and out[2] == -1.0
+        out = ScalarFn.from_source("(x1 - 1e308) - 1e308 + 1/x1 + 0/0", 1).eval_batch(X)
+        assert not np.any(np.isfinite(out))
+
+
+# numpy's elementwise exp and tanh are not always the math module's: on
+# the same input they were measured up to 1 and 3 ulps apart.  A lane may
+# differ from the scalar value by this many ulps per operation, and by
+# what that propagates to through the tree.
+ULPS_PER_OP = 4
+
+
+class _TooCloseToCall(Exception):
+    """An if-condition or divisor lies within the propagated bound."""
+
+
+def _scalar_with_bound(node, env):
+    """The scalar value of `node` and a bound on how far its batch lane may
+    be from it; raises EvalDomainError exactly where the scalar does."""
+    v = evaluate(Expr(node, ("x1", "x2")), env)
+    if isinstance(node, (Const, Var)):
+        return v, 0.0
+    if isinstance(node, IfExpr):
+        (a, ea), (b, eb) = (_scalar_with_bound(n, env) for n in (node.lhs, node.rhs))
+        if ea + eb > 0.0 and abs(a - b) <= ea + eb:
+            raise _TooCloseToCall
+        taken = node.then if _compare(node.cmp, a, b) else node.orelse
+        return _scalar_with_bound(taken, env)
+    if isinstance(node, Unary):
+        return v, _scalar_with_bound(node.operand, env)[1]
+    if isinstance(node, Call):
+        a, ea = _scalar_with_bound(node.args[0], env)
+        # exp grows by a factor exp(ea); sin, cos, tanh, abs are 1-Lipschitz
+        if node.fn == "exp" and ea > 700.0:
+            raise _TooCloseToCall
+        e = abs(v) * math.expm1(ea) if node.fn == "exp" else ea
+    else:
+        (a, ea), (b, eb) = (_scalar_with_bound(n, env) for n in (node.lhs, node.rhs))
+        if node.op in "+-":
+            e = ea + eb
+        elif node.op == "*":
+            e = abs(a) * eb + abs(b) * ea + ea * eb
+        else:
+            den = abs(b) * (abs(b) - eb)
+            if not den > 0.0:
+                raise _TooCloseToCall
+            e = (abs(a) * eb + abs(b) * ea) / den
+    e += ULPS_PER_OP * math.ulp(abs(v) + e)
+    if not math.isfinite(abs(v) + e):
+        raise _TooCloseToCall
+    return v, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_leaf, _nodes, max_leaves=12),
+       st.floats(-800.0, 800.0), st.floats(-800.0, 800.0))
+def test_batch_lanes_agree_with_scalar(root, x1, x2):
+    env = {"x1": x1, "x2": x2}
+    lane = float(np.asarray(compile_batch(root)({"x1": np.array([x1]),
+                                                 "x2": np.array([x2])})).ravel()[0])
+    try:
+        value, bound = _scalar_with_bound(root, env)
+    except EvalDomainError:
+        return  # the lane may be anything, finite included
+    except _TooCloseToCall:
+        assume(False)
+    assert math.isfinite(lane)  # a non-finite lane implies the scalar raises
+    assert abs(lane - value) <= bound
+
+
+def test_batch_finite_where_scalar_raises():
+    f = ScalarFn.from_source("1/exp(x1)", 1)
+    assert f.eval_batch(np.array([[800.0]]))[0] == 0.0
+    with pytest.raises(EvalDomainError):
+        f((800.0,))

@@ -257,3 +257,18 @@ def test_log_norm_matches_distance_in_base_metric():
         assert lam * np.linalg.norm(log_map(B2, pb, qb)) == pytest.approx(
             distance(B2, pb, qb), abs=1e-9
         )
+
+
+def test_geodesic_batch_per_row_t_matches_scalar_calls():
+    from geoconvex.manifold import geodesic_batch
+
+    rng = np.random.default_rng(3)
+    for m in (E2, S2, B2):
+        X = rng.uniform(-0.6, 0.6, size=(2, 40, m.ambient_dim))
+        if m == S2:
+            X = X / np.linalg.norm(X, axis=2, keepdims=True)
+        t = rng.uniform(0.0, 1.0, 40)
+        per_row = geodesic_batch(m, X[0], X[1], t)
+        for i in range(40):
+            one = geodesic_batch(m, X[0][i : i + 1], X[1][i : i + 1], float(t[i]))
+            assert np.array_equal(per_row[i], one[0])
