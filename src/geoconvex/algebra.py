@@ -16,7 +16,7 @@ import numpy as np
 from . import rng
 from .errors import EmptySequenceError, EvalDomainError, SamplingError
 from .exprlang import Bifunction, EndoMap, Expr, ScalarFn, _batch_env
-from .manifold import Manifold, ManifoldKind, Point
+from .manifold import Manifold, ManifoldKind, Point, row_finite, row_norm
 from .reports import CheckConfig, Report, Verdict, Witness
 
 # Fixed rejection-sampling layout: each sampled object owns a region of the
@@ -27,6 +27,11 @@ MAX_REJECTION_ROUNDS = 4096
 # Gap-function arguments are sampled from this fixed window.
 PHI_ARG_RANGE = (-10.0, 10.0)
 PHI_SCALE_RANGE = (0.0, 10.0)
+
+# Poincare-ball members lie strictly inside this radius; sampled points
+# keep a wider margin from the boundary.
+BALL_MEMBER_RADIUS = 1.0 - 1e-12
+BALL_SAMPLE_RADIUS = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,18 +63,26 @@ class DomainSet:
 
 
 def box_excess_batch(domain: DomainSet, X: np.ndarray) -> np.ndarray:
-    lo = domain.lows()[None, :]
-    hi = domain.highs()[None, :]
-    return np.max(np.maximum(lo - X, X - hi), axis=1)
+    """How far each row lies outside the box, per the worst axis."""
+    out = None
+    for j, (lo, hi) in enumerate(domain.box):
+        c = X[:, j]
+        e = np.maximum(lo - c, c - hi)
+        out = e if out is None else np.maximum(out, e)
+    return out
 
 
-def member_mask_batch(domain: DomainSet, X: np.ndarray) -> np.ndarray:
-    ok = np.all(np.isfinite(X), axis=1) & (box_excess_batch(domain, X) <= 0.0)
+def member_mask_batch(
+    domain: DomainSet, X: np.ndarray, ball_radius: float = BALL_MEMBER_RADIUS
+) -> np.ndarray:
+    """Rows of X that are domain members.  On the Poincare ball, rows must
+    lie within `ball_radius`, which must not exceed BALL_MEMBER_RADIUS."""
+    ok = row_finite(X) & (box_excess_batch(domain, X) <= 0.0)
     m = domain.manifold
     if m.kind is ManifoldKind.SPHERE:
-        ok &= np.abs(np.linalg.norm(X, axis=1) - 1.0) <= 1e-9
+        ok &= np.abs(row_norm(X) - 1.0) <= 1e-9
     elif m.kind is ManifoldKind.POINCARE_BALL:
-        ok &= np.linalg.norm(X, axis=1) < 1.0 - 1e-12
+        ok &= row_norm(X) < ball_radius
     if domain.membership is not None:
         with np.errstate(all="ignore"):
             pred = domain.membership._batch_fn(_batch_env(domain.membership.variables, X))
@@ -87,7 +100,7 @@ def outside_margin_batch(domain: DomainSet, X: np.ndarray) -> np.ndarray:
             pred = domain.membership._batch_fn(_batch_env(domain.membership.variables, X))
         pred = np.asarray(pred, dtype=np.float64) + np.zeros(X.shape[0])
         margin = np.maximum(margin, -pred)
-    bad = ~np.all(np.isfinite(X), axis=1)
+    bad = ~row_finite(X)
     if np.any(bad):
         margin = np.where(bad, np.nan, margin)
     return margin
@@ -110,10 +123,10 @@ def _draw_sphere(bases: np.ndarray, pos0: int, d: int) -> np.ndarray:
         u1 = np.maximum(rng.unit_array(bases, pos0 + 2 * j), 2.0 ** -53)
         u2 = rng.unit_array(bases, pos0 + 2 * j + 1)
         out[:, j] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    norms = row_norm(out)
     with np.errstate(all="ignore"):
-        unit = out / norms
-    unit[norms[:, 0] < 1e-12] = np.nan  # degenerate draw, rejected below
+        unit = out / norms[:, None]
+    unit[norms < 1e-12] = np.nan  # degenerate draw, rejected below
     return unit
 
 
@@ -139,7 +152,6 @@ def sample_members(
     coords = np.zeros((n, d))
     active = np.ones(n, dtype=bool)
     sphere = domain.manifold.kind is ManifoldKind.SPHERE
-    ball = domain.manifold.kind is ManifoldKind.POINCARE_BALL
     for attempt in range(MAX_REJECTION_ROUNDS):
         if not np.any(active):
             break
@@ -150,9 +162,8 @@ def sample_members(
             draw = _draw_sphere(sub, pos0, d)
         else:
             draw = _draw_box_uniform(domain, sub, pos0)
-        ok = member_mask_batch(domain, draw)
-        if ball:
-            ok &= np.linalg.norm(draw, axis=1) < 1.0 - 1e-9
+        # ball draws keep clear of the boundary by more than members must
+        ok = member_mask_batch(domain, draw, ball_radius=BALL_SAMPLE_RADIUS)
         coords[idx[ok]] = draw[ok]
         active[idx[ok]] = False
     if on_fail == "mask":

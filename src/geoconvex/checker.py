@@ -40,6 +40,9 @@ from .manifold import (
     antipodal_mask,
     distance_batch,
     geodesic_batch,
+    geodesic_fan,
+    row_finite,
+    row_norm,
     valid_mask,
 )
 from .reports import CheckConfig, Report, Verdict, Witness
@@ -188,21 +191,27 @@ def _clean_images(m: Manifold, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tolerance are renormalized."""
     ok = valid_mask(m, W)
     if m.kind is ManifoldKind.SPHERE:
-        W = W.copy()
-        r = np.linalg.norm(W[ok], axis=1, keepdims=True)
-        W[ok] = W[ok] / r
+        with np.errstate(all="ignore"):
+            W = np.where(ok[:, None], W / row_norm(W)[:, None], W)
     return W, ok
 
 
+def _halves(A: np.ndarray):
+    """The two halves of a stack of two equal-length arrays (views)."""
+    n = A.shape[0] // 2
+    return A[:n], A[n:]
+
+
 def _pair_images(m: Manifold, E: EndoMap, U1: np.ndarray, U2: np.ndarray):
-    """Clean E-images of both endpoints and a row code: _E_BAD for an
-    invalid image, _ANTI for antipodal images on the sphere."""
-    W1, ok1 = _clean_images(m, E.eval_batch(U1))
-    W2, ok2 = _clean_images(m, E.eval_batch(U2))
+    """Clean E-images of both endpoints, stacked as one (2N, d) array whose
+    halves image U1 and U2, and a row code: _E_BAD for an invalid image,
+    _ANTI for antipodal images on the sphere."""
+    W, ok = _clean_images(m, E.eval_batch(np.vstack([U1, U2])))
+    ok1, ok2 = _halves(ok)
     code = np.where(ok1 & ok2, _OK, _E_BAD).astype(np.int8)
     if m.kind is ManifoldKind.SPHERE:
-        code[(code == _OK) & antipodal_mask(W1, W2)] = _ANTI
-    return W1, W2, code
+        code[(code == _OK) & antipodal_mask(*_halves(W))] = _ANTI
+    return W, code
 
 
 def _scalar_images(m: Manifold, E: EndoMap, u1, u2):
@@ -224,9 +233,9 @@ def _on_manifold(m: Manifold, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows too close to the origin to normalize are rejected."""
     if m.kind is not ManifoldKind.SPHERE:
         return U, np.ones(U.shape[0], dtype=bool)
-    r = np.linalg.norm(U, axis=1, keepdims=True)
+    r = row_norm(U)
     with np.errstate(all="ignore"):
-        return U / r, r[:, 0] >= 1e-12
+        return U / r[:, None], r >= 1e-12
 
 
 def _finite(*arrays) -> np.ndarray:
@@ -272,7 +281,7 @@ class _Scan:
         bases = rng.base_array(self.cfg.seed, np.arange(i0, i1, dtype=np.uint64))
         rows, ok = self.sample(bases)
         T = self.bulk_grid()
-        viol, thr, err = self.lanes(rows, T)
+        viol, thr, err, more = self.bulk_lanes(rows, ok, T)
         err[~ok] = _OK if self.skips_unsampled else _PAIR_BAD
         G = viol.shape[1]
         flats = gidx[:, None] * L + self.first_lane + np.arange(G, dtype=np.int64)[None, :]
@@ -290,14 +299,15 @@ class _Scan:
             z0 = rows[pi] if T is None else np.append(rows[pi], T[0, j])
             cands.append((v, flat, z0))
         extra = {"n": n, "unsampled": int(np.sum(~ok)), "counted": int(np.sum(counted))}
-        extra.update(self.chunk_extra(rows, ok))
+        extra.update(more)
         return _ChunkScan(
             i0, i1, err_flat, err_note, cands, float(masked.max()),
             bool(np.any(counted & (viol > thr))), extra,
         )
 
-    def chunk_extra(self, rows, ok) -> dict:
-        return {}
+    def bulk_lanes(self, rows, ok, T):
+        """`lanes` over a sampled chunk, plus the chunk's extra counters."""
+        return (*self.lanes(rows, T), {})
 
     def merge_extras(self, extras) -> dict:
         return {}
@@ -329,12 +339,10 @@ class _PairScan(_Scan):
         return np.hstack([U1, U2]), ok1 & ok2
 
     def probe_rows(self, rows):
-        m = self.manifold
-        d = m.ambient_dim
-        U1, ok1 = _on_manifold(m, rows[:, :d])
-        U2, ok2 = _on_manifold(m, rows[:, d:])
-        ok = ok1 & ok2 & member_mask_batch(self.domain, U1) & member_mask_batch(self.domain, U2)
-        return np.hstack([U1, U2]), ok
+        d = self.manifold.ambient_dim
+        U, ok = _on_manifold(self.manifold, np.vstack([rows[:, :d], rows[:, d:]]))
+        ok &= member_mask_batch(self.domain, U)
+        return np.hstack(_halves(U)), np.logical_and(*_halves(ok))
 
     def intervals(self):
         box = list(self.domain.box)
@@ -380,9 +388,9 @@ class _ConvexityScan(_PairScan):
         cfg = self.cfg
         m = inst.manifold
         d = m.ambient_dim
-        W1, W2, code = _pair_images(m, inst.E, rows[:, :d], rows[:, d:])
-        h1 = inst.h.eval_batch(W1)
-        h2 = inst.h.eval_batch(W2)
+        W, code = _pair_images(m, inst.E, rows[:, :d], rows[:, d:])
+        W1, W2 = _halves(W)
+        h1, h2 = _halves(inst.h.eval_batch(W))
         p12 = inst.phi.eval_batch(h1, h2)
         code[(code == _OK) & ~_finite(h1, h2, p12)] = _VAL_BAD
         shape = (rows.shape[0], T.shape[1])
@@ -393,9 +401,10 @@ class _ConvexityScan(_PairScan):
             if self.strict:
                 sep = distance_batch(m, W1, W2)
                 elig = sep > STRICT_SEP_FRACTION * inst.domain.scale()
+            curve = geodesic_fan(m, W1, W2)
             for j in range(T.shape[1]):
                 t = T[:, j]
-                lhs = inst.h.eval_batch(geodesic_batch(m, W1, W2, t))
+                lhs = inst.h.eval_batch(curve(t))
                 rhs = h2 + t * p12
                 v = lhs - rhs
                 tau = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
@@ -588,15 +597,14 @@ class _SlopeScan(_Scan):
     def lanes(self, rows, T):
         inst = self.inst
         cfg = self.cfg
-        Evals = np.stack([inst.E.eval_batch(rows[:, k : k + 1])[:, 0] for k in range(3)], axis=1)
-        code = np.where(np.all(np.isfinite(Evals), axis=1), _OK, _E_BAD).astype(np.int8)
+        Evals = inst.E.eval_batch(rows.reshape(-1, 1)).reshape(-1, 3)
+        code = np.where(row_finite(Evals), _OK, _E_BAD).astype(np.int8)
         Es = np.sort(Evals, axis=1, kind="stable")
         e1, em, e2 = Es[:, 0], Es[:, 1], Es[:, 2]
         sep = SLOPE_SEP_FRACTION * inst.domain.scale()
         admissible = (code == _OK) & (em - e1 > sep) & (e2 - em > sep)
-        h1 = inst.h.eval_batch(e1[:, None])
-        hm = inst.h.eval_batch(em[:, None])
-        h2 = inst.h.eval_batch(e2[:, None])
+        H = inst.h.eval_batch(Es.reshape(-1, 1)).reshape(-1, 3)
+        h1, hm, h2 = H[:, 0], H[:, 1], H[:, 2]
         p = inst.phi.eval_batch(h1, h2)
         with np.errstate(all="ignore"):
             lhs = p / (e1 - e2)
@@ -609,10 +617,8 @@ class _SlopeScan(_Scan):
         return viol[:, None], thr[:, None], code[:, None]
 
     def probe_rows(self, rows):
-        ok = np.ones(rows.shape[0], dtype=bool)
-        for k in range(3):
-            ok &= member_mask_batch(self.inst.domain, rows[:, k : k + 1])
-        return rows, ok
+        ok = member_mask_batch(self.inst.domain, rows.reshape(-1, 1)).reshape(-1, 3)
+        return rows, ok[:, 0] & ok[:, 1] & ok[:, 2]
 
     def intervals(self):
         return list(self.inst.domain.box) * 3
@@ -692,35 +698,38 @@ class _SetScan(_PairScan):
     def domain(self) -> DomainSet:
         return self.B
 
-    def lanes(self, rows, T):
-        m = self.manifold
-        d = m.ambient_dim
-        W1, W2, code = _pair_images(m, self.E, rows[:, :d], rows[:, d:])
+    def lanes(self, rows, T, images=None):
+        d = self.manifold.ambient_dim
+        W, code = images or _pair_images(self.manifold, self.E, rows[:, :d], rows[:, d:])
         viol = np.empty((rows.shape[0], T.shape[1]))
         err = np.repeat(code[:, None], T.shape[1], axis=1)
         with np.errstate(all="ignore"):
+            curve = geodesic_fan(self.manifold, *_halves(W))
             for j in range(T.shape[1]):
-                margin = outside_margin_batch(self.B, geodesic_batch(m, W1, W2, T[:, j]))
+                margin = outside_margin_batch(self.B, curve(T[:, j]))
                 viol[:, j] = margin
                 err[(code == _OK) & ~np.isfinite(margin), j] = _LANE
         return viol, self.cfg.tol_abs + self.cfg.tol_rel, err  # rhs of a margin test is 0
 
-    def chunk_extra(self, rows, ok):
+    def bulk_lanes(self, rows, ok, T):
+        # the length-discrepancy counters reuse the lanes' E-images
         cfg = self.cfg
         m = self.manifold
         d = m.ambient_dim
         U1, U2 = rows[:, :d], rows[:, d:]
-        W1, W2, code = _pair_images(m, self.E, U1, U2)
+        images = _pair_images(m, self.E, U1, U2)
+        W, code = images
+        W1, W2 = _halves(W)
         ok_rows = ok & (code == _OK)
         with np.errstate(all="ignore"):
             d_im = distance_batch(m, W1, W2)
             d_base = distance_batch(m, U1, U2)
         len_disc = np.where(ok_rows, np.abs(d_im - d_base), 0.0)
         len_thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(d_base))
-        return {
+        return (*self.lanes(rows, T, images), {
             "len_bad": int(np.sum(ok_rows & (len_disc > len_thr))),
             "max_len_disc": float(np.max(len_disc, initial=0.0)),
-        }
+        })
 
     def merge_extras(self, extras):
         len_bad = sum(e["len_bad"] for e in extras)
@@ -788,15 +797,16 @@ class _ProductSetScan(_PairScan):
     def lanes(self, rows, T):
         m = self.manifold
         U1, V1, U2, V2 = self._split(rows)
-        W1, W2, code = _pair_images(m, self.E, U1, U2)
+        W, code = _pair_images(m, self.E, U1, U2)
         pv = self.phi.eval_batch(V1, V2)
         code[(code == _OK) & ~np.isfinite(pv)] = _VAL_BAD
         viol = np.empty((rows.shape[0], T.shape[1]))
         err = np.repeat(code[:, None], T.shape[1], axis=1)
         with np.errstate(all="ignore"):
+            curve = geodesic_fan(m, *_halves(W))
             for j in range(T.shape[1]):
                 t = T[:, j]
-                margin = self.S.outside_margin(geodesic_batch(m, W1, W2, t), V2 + t * pv)
+                margin = self.S.outside_margin(curve(t), V2 + t * pv)
                 viol[:, j] = margin
                 err[(code == _OK) & ~np.isfinite(margin), j] = _LANE
         return viol, self.cfg.tol_abs + self.cfg.tol_rel, err
@@ -804,10 +814,11 @@ class _ProductSetScan(_PairScan):
     def probe_rows(self, rows):
         m = self.manifold
         U1, V1, U2, V2 = self._split(rows)
-        U1, ok1 = _on_manifold(m, U1)
-        U2, ok2 = _on_manifold(m, U2)
-        ok = ok1 & ok2 & self.S.member_mask(U1, V1) & self.S.member_mask(U2, V2)
-        return np.hstack([U1, V1[:, None], U2, V2[:, None]]), ok
+        U, ok = _on_manifold(m, np.vstack([U1, U2]))
+        V = np.concatenate([V1, V2])
+        ok &= self.S.member_mask(U, V)
+        U1, U2 = _halves(U)
+        return np.hstack([U1, V1[:, None], U2, V2[:, None]]), np.logical_and(*_halves(ok))
 
     def intervals(self):
         box = list(self.S.base.box)
@@ -889,7 +900,7 @@ class EpigraphMembership:
             U, ok = sample_members(inst.domain, bases, region=5, on_fail="mask")
             W = inst.E.eval_batch(U)
             with np.errstate(all="ignore"):
-                dist = np.linalg.norm(W - target[None, :], axis=1)
+                dist = row_norm(W - target[None, :])
             dist = np.where(ok & np.isfinite(dist), dist, np.inf)
             k = int(np.argmin(dist))
             if dist[k] < best_d:
@@ -900,7 +911,7 @@ class EpigraphMembership:
 
         def objective(Z):
             with np.errstate(all="ignore"):
-                d = np.linalg.norm(inst.E.eval_batch(Z) - target[None, :], axis=1)
+                d = row_norm(inst.E.eval_batch(Z) - target[None, :])
             return np.where(member_mask_batch(inst.domain, Z) & np.isfinite(d), -d, -np.inf)
 
         z, v = _line_refine(objective, best_mu, inst.domain.box, cfg.refine_steps)

@@ -101,23 +101,44 @@ def validate_point(m: Manifold, p: Point) -> None:
             raise InvalidPointError(f"|coords| = {r!r}, not inside the unit ball")
 
 
+def row_norm(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, d) array.
+
+    Bit-identical to np.linalg.norm(X, axis=1): below 8 columns numpy sums
+    the squares sequentially, which this column-by-column sum repeats
+    without numpy's per-row overhead on short rows."""
+    if X.shape[1] >= 8:
+        return np.linalg.norm(X, axis=1)
+    s = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        c = X[:, j]
+        s += c * c
+    return np.sqrt(s)
+
+
+def row_finite(X: np.ndarray) -> np.ndarray:
+    """Rows of an (N, d) array whose entries are all finite."""
+    ok = np.isfinite(X[:, 0])
+    for j in range(1, X.shape[1]):
+        ok &= np.isfinite(X[:, j])
+    return ok
+
+
 def valid_mask(m: Manifold, X: np.ndarray) -> np.ndarray:
     """Row mask of valid points for an (N, d) coordinate array."""
-    ok = np.all(np.isfinite(X), axis=1)
+    ok = row_finite(X)
     if m.kind is ManifoldKind.SPHERE:
-        r = np.linalg.norm(X, axis=1)
-        ok &= np.abs(r - 1.0) <= SPHERE_SNAP_TOL
+        ok &= np.abs(row_norm(X) - 1.0) <= SPHERE_SNAP_TOL
     elif m.kind is ManifoldKind.POINCARE_BALL:
-        ok &= np.linalg.norm(X, axis=1) < 1.0 - BALL_BOUNDARY_TOL
+        ok &= row_norm(X) < 1.0 - BALL_BOUNDARY_TOL
     return ok
 
 
 def project_batch(m: Manifold, X: np.ndarray) -> np.ndarray:
     """Snap rows assumed near the manifold back onto it (sphere only)."""
     if m.kind is ManifoldKind.SPHERE:
-        r = np.linalg.norm(X, axis=1, keepdims=True)
         with np.errstate(all="ignore"):
-            return X / r
+            return X / row_norm(X)[:, None]
     return X
 
 
@@ -143,48 +164,70 @@ def antipodal_mask(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return dots <= -1.0 + ANTIPODAL_TOL
 
 
-def geodesic_batch(m: Manifold, X1: np.ndarray, X2: np.ndarray, t) -> np.ndarray:
-    """Points at parameter t on the curves from rows of X2 (t=0) to X1 (t=1).
+def geodesic_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
+    """The curves from rows of X2 (t=0) to X1 (t=1), as a function of t.
 
-    t is one value for every row or an (N,) vector with one value per row.
-    Inputs are assumed valid and, on the sphere, non-antipodal; callers
-    screen rows with valid_mask/antipodal_mask first.
+    The per-pair part of the curve is computed once; the returned function
+    maps t, one value for every row or an (N,) vector with one value per
+    row, to the (N, d) points at t.  Inputs are assumed valid and, on the
+    sphere, non-antipodal; callers screen rows with valid_mask/antipodal_mask
+    first.
     """
-    t = np.asarray(t, dtype=np.float64)
     if m.kind is ManifoldKind.EUCLIDEAN:
-        return X2 + t[..., None] * (X1 - X2)
+        D = X1 - X2
+
+        def at(t):
+            return X2 + np.asarray(t, dtype=np.float64)[..., None] * D
+
+        return at
     if m.kind is ManifoldKind.SPHERE:
         dots = np.clip(np.einsum("ij,ij->i", X2, X1), -1.0, 1.0)
         theta = np.arccos(dots)
         sin_theta = np.sin(theta)
         small = sin_theta < 1e-9
-        with np.errstate(all="ignore"):
-            w2 = np.sin((1.0 - t) * theta) / sin_theta
-            w1 = np.sin(t * theta) / sin_theta
-        # nearly parallel rows fall back to normalized linear interpolation
-        w2 = np.where(small, 1.0 - t, w2)
-        w1 = np.where(small, t, w1)
-        out = w2[:, None] * X2 + w1[:, None] * X1
-        return project_batch(m, out)
-    return _ball_exp_batch(X2, t[..., None] * _ball_log_batch(X2, X1))
+
+        def at(t):
+            t = np.asarray(t, dtype=np.float64)
+            with np.errstate(all="ignore"):
+                w2 = np.sin((1.0 - t) * theta) / sin_theta
+                w1 = np.sin(t * theta) / sin_theta
+            # nearly parallel rows fall back to normalized linear interpolation
+            w2 = np.where(small, 1.0 - t, w2)
+            w1 = np.where(small, t, w1)
+            return project_batch(m, w2[:, None] * X2 + w1[:, None] * X1)
+
+        return at
+    p2, lam = _ball_frame(X2)
+    V = _ball_log_batch(X2, X1, p2, lam)
+
+    def at(t):
+        return _ball_exp_batch(X2, np.asarray(t, dtype=np.float64)[..., None] * V, p2, lam)
+
+    return at
+
+
+def geodesic_batch(m: Manifold, X1: np.ndarray, X2: np.ndarray, t) -> np.ndarray:
+    """Points at parameter t on the curves from rows of X2 (t=0) to X1 (t=1);
+    see geodesic_fan."""
+    return geodesic_fan(m, X1, X2)(t)
 
 
 def _sphere_angle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Angle between unit rows; the chord form keeps small angles accurate
     where arccos loses half the significant digits."""
     dots = np.clip(np.einsum("ij,ij->i", X, Y), -1.0, 1.0)
-    chord = np.linalg.norm(X - Y, axis=1)
+    chord = row_norm(X - Y)
     small = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
     return np.where(dots > 0.9, small, np.arccos(dots))
 
 
 def distance_batch(m: Manifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if m.kind is ManifoldKind.EUCLIDEAN:
-        return np.linalg.norm(X - Y, axis=1)
+        return row_norm(X - Y)
     if m.kind is ManifoldKind.SPHERE:
         return _sphere_angle(X, Y)
-    w = _mobius_add_batch(-X, Y)
-    nw = np.clip(np.linalg.norm(w, axis=1), 0.0, 1.0 - 1e-16)
+    w = _mobius_add_batch(-X, Y, np.einsum("ij,ij->i", X, X))
+    nw = np.clip(row_norm(w), 0.0, 1.0 - 1e-16)
     return 2.0 * np.arctanh(nw)
 
 
@@ -196,10 +239,10 @@ def log_batch(m: Manifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         dots = np.clip(np.einsum("ij,ij->i", X, Y), -1.0, 1.0)
         theta = _sphere_angle(X, Y)
         w = Y - dots[:, None] * X
-        nw = np.linalg.norm(w, axis=1)
+        nw = row_norm(w)
         scale = np.where(nw > 1e-15, theta / np.maximum(nw, 1e-300), 0.0)
         return scale[:, None] * w
-    return _ball_log_batch(X, Y)
+    return _ball_log_batch(X, Y, *_ball_frame(X))
 
 
 def exp_batch(m: Manifold, X: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -209,38 +252,41 @@ def exp_batch(m: Manifold, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         # project out any residual normal component before flowing
         dots = np.einsum("ij,ij->i", X, V)
         V = V - dots[:, None] * X
-        nv = np.linalg.norm(V, axis=1)
-        unit = np.where(nv[:, None] > 1e-300, V / np.maximum(nv[:, None], 1e-300), 0.0)
-        out = np.cos(nv)[:, None] * X + np.sin(nv)[:, None] * unit
+        nv = row_norm(V)[:, None]
+        unit = np.where(nv > 1e-300, V / np.maximum(nv, 1e-300), 0.0)
+        out = np.cos(nv) * X + np.sin(nv) * unit
         return project_batch(m, out)
-    return _ball_exp_batch(X, V)
+    return _ball_exp_batch(X, V, *_ball_frame(X))
 
 
-def _mobius_add_batch(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _mobius_add_batch(X: np.ndarray, Y: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Mobius sum of the rows of X and Y, given x2 = |X|^2 per row."""
     xy = np.einsum("ij,ij->i", X, Y)[:, None]
-    x2 = np.einsum("ij,ij->i", X, X)[:, None]
     y2 = np.einsum("ij,ij->i", Y, Y)[:, None]
+    x2 = x2[:, None]
     num = (1.0 + 2.0 * xy + y2) * X + (1.0 - x2) * Y
     den = 1.0 + 2.0 * xy + x2 * y2
     return num / den
 
 
-def _ball_log_batch(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    w = _mobius_add_batch(-P, Q)
-    nw = np.clip(np.linalg.norm(w, axis=1), 0.0, 1.0 - 1e-16)
+def _ball_frame(P: np.ndarray):
+    """|P|^2 and the conformal factor lambda = 2 / (1 - |P|^2) per row."""
     p2 = np.einsum("ij,ij->i", P, P)
-    lam = 2.0 / (1.0 - p2)
+    return p2, 2.0 / (1.0 - p2)
+
+
+def _ball_log_batch(P: np.ndarray, Q: np.ndarray, p2: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    w = _mobius_add_batch(-P, Q, p2)
+    nw = np.clip(row_norm(w), 0.0, 1.0 - 1e-16)
     scale = np.where(nw > 1e-15, (2.0 / lam) * np.arctanh(nw) / np.maximum(nw, 1e-300), 0.0)
     return scale[:, None] * w
 
 
-def _ball_exp_batch(P: np.ndarray, V: np.ndarray) -> np.ndarray:
-    nv = np.linalg.norm(V, axis=1)
-    p2 = np.einsum("ij,ij->i", P, P)
-    lam = 2.0 / (1.0 - p2)
+def _ball_exp_batch(P: np.ndarray, V: np.ndarray, p2: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    nv = row_norm(V)
     mag = np.tanh(lam * nv / 2.0)
     w = np.where(nv[:, None] > 1e-300, mag[:, None] * V / np.maximum(nv[:, None], 1e-300), 0.0)
-    return _mobius_add_batch(P, w)
+    return _mobius_add_batch(P, w, p2)
 
 
 def geodesic(spec: GeodesicSpec, t: float) -> Point:

@@ -66,6 +66,7 @@ from .manifold import (
     exp_map,
     geodesic_batch,
     log_batch,
+    row_norm,
 )
 from .reports import CheckConfig, Report, Verdict, Witness
 
@@ -554,8 +555,8 @@ def _roundtrip_premise(diffeo: Diffeo, X: np.ndarray, seed: int) -> Report:
         Y = diffeo.fwd(X)
         back = diffeo.inv(Y)
         again = diffeo.fwd(back)
-    err1 = float(np.max(np.linalg.norm(back - X, axis=1), initial=0.0))
-    err2 = float(np.max(np.linalg.norm(again - Y, axis=1), initial=0.0))
+    err1 = float(np.max(row_norm(back - X), initial=0.0))
+    err2 = float(np.max(row_norm(again - Y), initial=0.0))
     err = max(err1, err2)
     ok = math.isfinite(err) and err <= ROUNDTRIP_TOL
     return _bool_premise(
@@ -692,7 +693,7 @@ def verify_continuity_bound(inst: Instance, K: float, eps: float,
         ok = ok1 & ok2 & okw1 & okw2 & inner & np.isfinite(h1) & np.isfinite(h2)
         admissible += int(np.sum(ok))
         with np.errstate(all="ignore"):
-            gap = np.linalg.norm(W1 - W2, axis=1)
+            gap = row_norm(W1 - W2)
             lhs = np.abs(h1 - h2)
             rhs = L * gap
             viol = lhs - rhs
@@ -779,7 +780,7 @@ def verify_chart_continuity(inst: Instance, K: float, eps: float, cfg: CheckConf
         ok = ok1 & ok2 & okw1 & okw2 & inner & np.isfinite(h1) & np.isfinite(h2)
         admissible += int(np.sum(ok))
         with np.errstate(all="ignore"):
-            gap = np.linalg.norm(Y1 - Y2, axis=1)
+            gap = row_norm(Y1 - Y2)
             lhs = np.abs(h1 - h2)
             rhs = L * gap
             viol = lhs - rhs

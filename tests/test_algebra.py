@@ -151,3 +151,28 @@ def test_sphere_and_ball_sampling_valid():
     ball = DomainSet(poincare_ball(2), ((-0.9, 0.9), (-0.9, 0.9)))
     bpts = sample_members(ball, bases, region=0)
     assert (np.linalg.norm(bpts, axis=1) < 1.0).all()
+
+
+def test_box_excess_matches_axis_max():
+    from geoconvex.algebra import DomainSet, box_excess_batch
+    from geoconvex.manifold import euclidean
+
+    box = ((-1.0, 2.0), (0.5, 0.5), (-3.0, -3.0), (0.0, 1e-300))  # two degenerate axes
+    dom = DomainSet(euclidean(4), box)
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-4.0, 4.0, size=(200, 4))
+    X[:20, 1] = 0.5
+    X[10:30, 2] = -3.0
+    X[30:40] = (-1.0, 0.5, -3.0, 0.0)
+    X[40, 3] = -0.0
+    X[41, 0] = np.nan
+    X[42, 2] = np.inf
+    X[43, 1] = -np.inf
+    lo = dom.lows()[None, :]
+    hi = dom.highs()[None, :]
+    with np.errstate(all="ignore"):
+        ref = np.max(np.maximum(lo - X, X - hi), axis=1)
+        got = box_excess_batch(dom, X)
+    nan = np.isnan(ref)
+    assert np.array_equal(nan, np.isnan(got))
+    assert got[~nan].tobytes() == ref[~nan].tobytes()

@@ -272,3 +272,108 @@ def test_geodesic_batch_per_row_t_matches_scalar_calls():
         for i in range(40):
             one = geodesic_batch(m, X[0][i : i + 1], X[1][i : i + 1], float(t[i]))
             assert np.array_equal(per_row[i], one[0])
+
+
+def _same_bits(a, b):
+    """Equal shapes and bits, except that any NaN matches any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+def _awkward_rows(rng, width):
+    X = rng.normal(size=(64, width)) * rng.choice([1e-300, 1e-150, 1.0, 1e150, 1e300], size=(64, 1))
+    X[0, 0] = np.nan
+    X[1, -1] = np.inf
+    X[2, width // 2] = -np.inf
+    X[3] = 1e300
+    X[4] = -1e-300
+    X[5] = 0.0
+    X[6, 0] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_row_kernels_match_numpy_reductions(width):
+    from geoconvex.manifold import row_finite, row_norm
+
+    rng = np.random.default_rng(width)
+    X = _awkward_rows(rng, width)
+    wide = np.hstack([X, X])[:, ::2]  # a strided view holding the same rows
+    for A in (X, wide):
+        with np.errstate(all="ignore"):
+            assert _same_bits(row_norm(A), np.linalg.norm(A, axis=1))
+        assert np.array_equal(row_finite(A), np.all(np.isfinite(A), axis=1))
+
+
+def _old_mobius_add(X, Y):
+    xy = np.einsum("ij,ij->i", X, Y)[:, None]
+    x2 = np.einsum("ij,ij->i", X, X)[:, None]
+    y2 = np.einsum("ij,ij->i", Y, Y)[:, None]
+    num = (1.0 + 2.0 * xy + y2) * X + (1.0 - x2) * Y
+    den = 1.0 + 2.0 * xy + x2 * y2
+    return num / den
+
+
+def _old_geodesic_batch(m, X1, X2, t):
+    """geodesic_batch as it was written before geodesic_fan, the reference."""
+    t = np.asarray(t, dtype=np.float64)
+    if m.kind.value == "Euclidean":
+        return X2 + t[..., None] * (X1 - X2)
+    if m.kind.value == "Sphere":
+        dots = np.clip(np.einsum("ij,ij->i", X2, X1), -1.0, 1.0)
+        theta = np.arccos(dots)
+        sin_theta = np.sin(theta)
+        small = sin_theta < 1e-9
+        with np.errstate(all="ignore"):
+            w2 = np.sin((1.0 - t) * theta) / sin_theta
+            w1 = np.sin(t * theta) / sin_theta
+        w2 = np.where(small, 1.0 - t, w2)
+        w1 = np.where(small, t, w1)
+        out = w2[:, None] * X2 + w1[:, None] * X1
+        with np.errstate(all="ignore"):
+            return out / np.linalg.norm(out, axis=1, keepdims=True)
+    # Poincare ball: exp at X2 of t times the log of X1
+    w = _old_mobius_add(-X2, X1)
+    nw = np.clip(np.linalg.norm(w, axis=1), 0.0, 1.0 - 1e-16)
+    lam = 2.0 / (1.0 - np.einsum("ij,ij->i", X2, X2))
+    scale = np.where(nw > 1e-15, (2.0 / lam) * np.arctanh(nw) / np.maximum(nw, 1e-300), 0.0)
+    V = t[..., None] * (scale[:, None] * w)
+    nv = np.linalg.norm(V, axis=1)
+    mag = np.tanh(lam * nv / 2.0)
+    step = np.where(nv[:, None] > 1e-300, mag[:, None] * V / np.maximum(nv[:, None], 1e-300), 0.0)
+    return _old_mobius_add(X2, step)
+
+
+@pytest.mark.parametrize("m", [euclidean(1), E2, S2, sphere(3), B2, poincare_ball(3)],
+                         ids=lambda m: f"{m.kind.value}{m.dim}")
+def test_geodesic_fan_matches_per_t_formula(m):
+    from geoconvex.manifold import geodesic_batch, geodesic_fan
+
+    rng = np.random.default_rng(m.dim)
+    n, d = 48, m.ambient_dim
+    X1 = rng.uniform(-0.6, 0.6, size=(n, d))
+    X2 = rng.uniform(-0.6, 0.6, size=(n, d))
+    if m.kind.value == "Sphere":
+        X1 /= np.linalg.norm(X1, axis=1, keepdims=True)
+        X2 /= np.linalg.norm(X2, axis=1, keepdims=True)
+        # near-parallel rows take the linear fallback (sin(theta) < 1e-9)
+        X2[:8] = np.eye(d)[np.arange(8) % d]
+        X1[:4] = X2[:4]
+        X1[4:8] = X2[4:8] + 1e-12 * rng.normal(size=(4, d))
+        X1[4:8] /= np.linalg.norm(X1[4:8], axis=1, keepdims=True)
+        sin_theta = np.sin(np.arccos(np.clip(np.einsum("ij,ij->i", X2, X1), -1.0, 1.0)))
+        assert np.all(sin_theta[:8] < 1e-9)
+    else:
+        X1[:4] = X2[:4]  # coincident endpoints
+    curve = geodesic_fan(m, X1, X2)
+    per_row = rng.uniform(0.0, 1.0, n)
+    per_row[:3] = (0.0, 1.0, 0.5)
+    for t in (0.0, 1.0, 0.3, np.float64(0.7), per_row):
+        ref = _old_geodesic_batch(m, X1, X2, t)
+        assert _same_bits(curve(t), ref)
+        assert _same_bits(geodesic_batch(m, X1, X2, t), ref)
