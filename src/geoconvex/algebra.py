@@ -315,15 +315,19 @@ def _equation_report(
     return Report(Verdict.HOLDS_ON_SAMPLES, max_violation, None, budget, seed, notes=notes)
 
 
+def _phi_args(bases: np.ndarray, count: int) -> list[np.ndarray]:
+    """Gap-function arguments from PHI_ARG_RANGE at stream positions 0..count-1."""
+    lo, hi = PHI_ARG_RANGE
+    return [lo + (hi - lo) * rng.unit_array(bases, k) for k in range(count)]
+
+
 def check_nonneg_homogeneous(
     phi: Bifunction, budget: int, seed: int = 0, cfg: CheckConfig | None = None
 ) -> Report:
     """Sampled test of phi(t*u1, t*u2) == t*phi(u1, u2) for t >= 0."""
     cfg = cfg or CheckConfig(seed=seed)
     bases = rng.base_array(seed, np.arange(budget, dtype=np.uint64))
-    lo, hi = PHI_ARG_RANGE
-    u1 = lo + (hi - lo) * rng.unit_array(bases, 0)
-    u2 = lo + (hi - lo) * rng.unit_array(bases, 1)
+    u1, u2 = _phi_args(bases, 2)
     t = PHI_SCALE_RANGE[0] + (PHI_SCALE_RANGE[1] - PHI_SCALE_RANGE[0]) * rng.unit_array(bases, 2)
     lhs = phi.eval_batch(t * u1, t * u2)
     rhs = t * phi.eval_batch(u1, u2)
@@ -338,11 +342,7 @@ def check_additive(
     """Sampled test of phi(u1+v1, u2+v2) == phi(u1,u2) + phi(v1,v2)."""
     cfg = cfg or CheckConfig(seed=seed)
     bases = rng.base_array(seed, np.arange(budget, dtype=np.uint64))
-    lo, hi = PHI_ARG_RANGE
-    u1 = lo + (hi - lo) * rng.unit_array(bases, 0)
-    u2 = lo + (hi - lo) * rng.unit_array(bases, 1)
-    v1 = lo + (hi - lo) * rng.unit_array(bases, 2)
-    v2 = lo + (hi - lo) * rng.unit_array(bases, 3)
+    u1, u2, v1, v2 = _phi_args(bases, 4)
     lhs = phi.eval_batch(u1 + v1, u2 + v2)
     rhs = phi.eval_batch(u1, u2) + phi.eval_batch(v1, v2)
     return _equation_report(
@@ -360,20 +360,11 @@ def check_antisymmetric(
     """
     cfg = cfg or CheckConfig(seed=seed)
     bases = rng.base_array(seed, np.arange(budget, dtype=np.uint64))
-    lo, hi = PHI_ARG_RANGE
-    a = lo + (hi - lo) * rng.unit_array(bases, 0)
-    b = lo + (hi - lo) * rng.unit_array(bases, 1)
+    a, b = _phi_args(bases, 2)
     lhs = phi.eval_batch(a, b)
     rhs = -phi.eval_batch(b, a)
     return _equation_report(
-        "antisymmetric",
-        lhs,
-        rhs,
-        [a, b],
-        None,
-        budget,
-        seed,
-        cfg,
+        "antisymmetric", lhs, rhs, [a, b], None, budget, seed, cfg,
         notes=("interpretation: antisymmetry read as phi(a,b) = -phi(b,a)",),
     )
 

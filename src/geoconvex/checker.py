@@ -323,6 +323,40 @@ class _Scan:
         return np.where(ok & (err[:, 0] == _OK) & np.isfinite(v), v, -np.inf)
 
 
+class _UntimedScan(_Scan):
+    """A scan without t: one lane per row, so row i owns flat indices 2i
+    (errors of the row) and 2i + 1 (its lane).  Rows whose lane is -inf
+    are inadmissible; the admissible ones are counted."""
+
+    has_t = False
+
+    def lanes_per_pair(self) -> int:
+        return 2
+
+    def bulk_grid(self):
+        return None
+
+    def merge_extras(self, extras):
+        self._admissible = sum(e["counted"] for e in extras)
+        return {}
+
+
+class _InstanceScan:
+    """Manifold, domain and remap of a scan over an Instance `inst`."""
+
+    @property
+    def manifold(self) -> Manifold:
+        return self.inst.manifold
+
+    @property
+    def domain(self) -> DomainSet:
+        return self.inst.domain
+
+    @property
+    def E(self) -> EndoMap:
+        return self.inst.E
+
+
 _PAIR_NOTES = {
     _PAIR_BAD: "rejection sampling exhausted for a domain point (pair {i})",
     _E_BAD: "E produced an invalid manifold point (pair {i})",
@@ -331,7 +365,8 @@ _PAIR_NOTES = {
 
 
 class _PairScan(_Scan):
-    """Rows (u1, u2) of two sampled domain members; probes append t."""
+    """Rows (u1, u2) of two sampled domain members; probes append t when
+    the scan has one."""
 
     def sample(self, bases):
         U1, ok1 = sample_members(self.domain, bases, region=0, on_fail="mask")
@@ -346,19 +381,29 @@ class _PairScan(_Scan):
 
     def intervals(self):
         box = list(self.domain.box)
-        return box + box + [(0.0, 1.0)]
+        return box + box + [(0.0, 1.0)] if self.has_t else box + box
 
     def _probe_point(self, z):
-        """A point of refinement as the row its lanes saw, and its t."""
+        """A point of refinement as the row its lanes saw, and its t (None
+        for a scan without t)."""
         z = np.asarray(z, dtype=np.float64)
+        if not self.has_t:
+            return self.probe_rows(z[None, :])[0][0], None
         return self.probe_rows(z[None, :-1])[0][0], float(z[-1])
+
+    def _witness_images(self, z):
+        """The halves u1, u2 of the row behind a refinement point, its t, and
+        the scalar E-images of the halves (None when they fail)."""
+        row, t = self._probe_point(z)
+        u1, u2 = np.split(row, 2)
+        return u1, u2, t, _scalar_images(self.manifold, self.E, u1, u2)
 
 
 # ---------------------------------------------------------------------------
 # convexity of h along curves between E-images
 
 @dataclass
-class _ConvexityScan(_PairScan):
+class _ConvexityScan(_InstanceScan, _PairScan):
     inst: Instance
     cfg: CheckConfig
     strict: bool = False
@@ -371,14 +416,6 @@ class _ConvexityScan(_PairScan):
         _VAL_BAD: "h or phi non-finite at an E-image (pair {i})",
         _LANE: "curve point left h's evaluable domain (pair {i})",
     }
-
-    @property
-    def manifold(self) -> Manifold:
-        return self.inst.manifold
-
-    @property
-    def domain(self) -> DomainSet:
-        return self.inst.domain
 
     def bulk_grid(self):
         return super().bulk_grid()[:, 1:]
@@ -427,9 +464,7 @@ class _ConvexityScan(_PairScan):
     def witness(self, z) -> Witness | None:
         inst = self.inst
         m = inst.manifold
-        row, t = self._probe_point(z)
-        u1, u2 = np.split(row, 2)
-        images = _scalar_images(m, inst.E, u1, u2)
+        u1, u2, t, images = self._witness_images(z)
         if images is None:
             return None
         w1, w2 = images
@@ -529,6 +564,15 @@ def check_geodesic_phiE_convex_fn(
     a > tol margin whenever the E-images differ and t is interior.
     """
     set_report = check_geodesic_E_convex_set(inst.manifold, inst.E, inst.domain, cfg)
+    return _fn_check_given_set(inst, cfg, set_report, strict)
+
+
+def _fn_check_given_set(
+    inst: Instance, cfg: CheckConfig, set_report: Report, strict: bool = False
+) -> Report:
+    """The function check on a set premise already scanned: `set_report` is
+    the set check of inst's manifold, E and domain at cfg, so verifiers whose
+    checks share those reuse one scan."""
     if not set_report.holds:
         return Report(
             Verdict.PREMISE_FAILED,
@@ -570,22 +614,15 @@ def search_counterexample(inst: Instance, cfg: CheckConfig, strict: bool = False
 # slope form on Euclidean(1)
 
 @dataclass
-class _SlopeScan(_Scan):
+class _SlopeScan(_UntimedScan):
     """Rows (mu1, mu, mu2) of three sampled points; one lane per row."""
 
     inst: Instance
     cfg: CheckConfig
 
-    has_t = False
     notes = dict.fromkeys(
         (_PAIR_BAD, _E_BAD, _VAL_BAD), "evaluation failed on triple {i}"
     )
-
-    def lanes_per_pair(self) -> int:
-        return 2
-
-    def bulk_grid(self):
-        return None
 
     def sample(self, bases):
         pts, oks = zip(*(
@@ -622,10 +659,6 @@ class _SlopeScan(_Scan):
 
     def intervals(self):
         return list(self.inst.domain.box) * 3
-
-    def merge_extras(self, extras):
-        self._admissible = sum(e["counted"] for e in extras)
-        return {}
 
     def witness(self, z) -> Witness | None:
         inst = self.inst
@@ -741,14 +774,11 @@ class _SetScan(_PairScan):
         return {"length_matches_base_distance": len_bad == 0}
 
     def witness(self, z) -> Witness | None:
-        m = self.manifold
-        row, t = self._probe_point(z)
-        u1, u2 = np.split(row, 2)
-        images = _scalar_images(m, self.E, u1, u2)
+        u1, u2, t, images = self._witness_images(z)
         if images is None:
             return None
         w1, w2 = images
-        gp = geodesic_batch(m, w1[None, :], w2[None, :], t)
+        gp = geodesic_batch(self.manifold, w1[None, :], w2[None, :], t)
         margin = float(outside_margin_batch(self.B, gp)[0])
         return _margin_witness((Point(tuple(u1)), Point(tuple(u2))), t, margin)
 

@@ -32,7 +32,6 @@ from .algebra import (
 )
 from .checker import (
     CheckConfig,
-    Report,
     Verdict,
     check_geodesic_E_convex_set,
     check_geodesic_phiE_convex_fn,
@@ -47,6 +46,7 @@ from .exprlang import BUILTIN_ARITY, Bifunction, EndoMap, ScalarFn, parse, point
 from .manifold import ManifoldKind, Point, manifold_from_name
 from .theorems import (
     BUILTIN_DIFFEOS,
+    CLOSURE_KINDS,
     TheoremId,
     diffeo_from_endomaps,
     stereographic_diffeo,
@@ -230,21 +230,19 @@ def _theorem_report(raw: dict, cfg: CheckConfig) -> dict:
             for src in h_list
         ]
 
+    def num(key):
+        _require(key in spec, f"{tid.value} needs {key}")
+        try:
+            return float(spec[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{tid.value}: {key} must be a number") from None
+
     if tid is TheoremId.MEAN_VALUE_31:
-        rep = verify_mean_value(inst, float(spec["u1"]), float(spec["u2"]), cfg)
+        rep = verify_mean_value(inst, num("u1"), num("u2"), cfg)
     elif tid is TheoremId.THREE_POINT_32:
-        rep = verify_three_point(
-            inst, float(spec["mu1"]), float(spec["mu2"]), float(spec["mu3"]), cfg
-        )
-    elif tid in (TheoremId.SCALING_41A, TheoremId.SUM_41B,
-                 TheoremId.WEIGHTED_SUM, TheoremId.SUP_FAMILY):
-        kind = {
-            TheoremId.SCALING_41A: "Scaling",
-            TheoremId.SUM_41B: "Sum",
-            TheoremId.WEIGHTED_SUM: "WeightedSum",
-            TheoremId.SUP_FAMILY: "SupFamily",
-        }[tid]
-        rep = verify_closure(kind, _family(), spec.get("weights"), cfg)
+        rep = verify_three_point(inst, num("mu1"), num("mu2"), num("mu3"), cfg)
+    elif tid in CLOSURE_KINDS:
+        rep = verify_closure(CLOSURE_KINDS[tid], _family(), spec.get("weights"), cfg)
     elif tid is TheoremId.COMPOSITION:
         _require("h2" in spec, "Composition needs h2")
         rep = verify_composition(inst, ScalarFn.from_source(spec["h2"], 1), cfg)
@@ -262,11 +260,16 @@ def _theorem_report(raw: dict, cfg: CheckConfig) -> dict:
             )
         rep = verify_diffeo_invariance(inst, diffeo, cfg)
     elif tid is TheoremId.CONTINUITY_BOUND:
-        rep = verify_continuity_bound(inst, float(spec["K"]), float(spec["eps"]), cfg)
+        rep = verify_continuity_bound(inst, num("K"), num("eps"), cfg)
     elif tid is TheoremId.CHART_CONTINUITY:
-        rep = verify_chart_continuity(inst, float(spec["K"]), float(spec["eps"]), cfg)
+        rep = verify_chart_continuity(inst, num("K"), num("eps"), cfg)
     elif tid is TheoremId.LOCAL_MIN:
-        rep = verify_local_min(inst, Point(tuple(spec["mu_star"])), cfg)
+        mu_star = spec.get("mu_star")
+        amb = inst.manifold.ambient_dim
+        _require(isinstance(mu_star, list) and len(mu_star) == amb
+                 and all(isinstance(c, (int, float)) for c in mu_star),
+                 f"LocalMin needs mu_star, a list of {amb} numbers")
+        rep = verify_local_min(inst, Point(tuple(float(c) for c in mu_star)), cfg)
     elif tid in (TheoremId.PHI_LIMIT, TheoremId.PHI_SERIES_LIMIT):
         phis = [Bifunction.from_source(p) for p in spec.get("phis", [])]
         mode = "Pointwise" if tid is TheoremId.PHI_LIMIT else "PartialSums"
@@ -274,7 +277,7 @@ def _theorem_report(raw: dict, cfg: CheckConfig) -> dict:
     elif tid is TheoremId.STRICT_DIFFERENTIAL:
         kwargs = {}
         if "tol_strict" in spec:
-            kwargs["tol_strict"] = float(spec["tol_strict"])
+            kwargs["tol_strict"] = num("tol_strict")
         rep = verify_strict_differential(inst, cfg, **kwargs)
     elif tid is TheoremId.EPIGRAPH_EQUIV:
         rep = verify_epigraph_equiv(inst, cfg)

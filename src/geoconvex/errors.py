@@ -26,6 +26,10 @@ class ExprSyntaxError(GeoconvexError):
         self.expected = frozenset(expected)
 
 
+class ExprDepthError(GeoconvexError, ValueError):
+    """An expression tree, parsed or built by composition, is too deep."""
+
+
 class UnknownIdentifierError(GeoconvexError):
     """An identifier is neither a declared variable nor a builtin."""
 

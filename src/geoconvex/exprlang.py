@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     ArityMismatchError,
     EvalDomainError,
+    ExprDepthError,
     ExprSyntaxError,
     UnknownIdentifierError,
 )
@@ -129,7 +130,7 @@ class Expr:
 
     def __post_init__(self):
         if node_depth(self.root) > MAX_DEPTH:
-            raise ValueError(f"expression tree deeper than {MAX_DEPTH}")
+            raise ExprDepthError(f"expression tree deeper than {MAX_DEPTH}")
 
     @cached_property
     def _batch_fn(self) -> Callable:
@@ -740,21 +741,28 @@ def weighted_sum_fns(fns, weights) -> ScalarFn:
     return ScalarFn(Expr(root, fns[0].expr.variables), "weighted sum")
 
 
-def compose_scalar(outer: ScalarFn, inner: ScalarFn) -> ScalarFn:
-    """outer(inner(x)) for a one-variable outer function."""
-    if outer.nvars != 1:
-        raise ValueError("outer function must take a single variable")
-    root = substitute(outer.expr.root, {outer.expr.variables[0]: inner.expr.root})
-    return ScalarFn(Expr(root, inner.expr.variables), f"({outer.label})o({inner.label})")
+def _compose(outer: Expr, parts) -> Expr:
+    """outer with its i-th variable replaced by parts[i], over the variables
+    of the parts."""
+    if len(parts) != len(outer.variables):
+        raise ValueError(
+            f"outer takes {len(outer.variables)} variables, inner gives {len(parts)}"
+        )
+    mapping = {name: p.root for name, p in zip(outer.variables, parts)}
+    return Expr(substitute(outer.root, mapping), parts[0].variables)
+
+
+def compose_scalar(outer: ScalarFn, inner: ScalarFn | EndoMap) -> ScalarFn:
+    """outer(inner(x)); a scalar inner feeds a one-variable outer, a remap
+    feeds one component per variable of outer."""
+    parts = inner.exprs if isinstance(inner, EndoMap) else (inner.expr,)
+    return ScalarFn(_compose(outer.expr, parts), f"({outer.label})o({inner.label})")
 
 
 def compose_endomaps(outer: EndoMap, inner: EndoMap) -> EndoMap:
-    """outer(inner(x)), both maps on the same coordinate count."""
-    names = inner.exprs[0].variables
-    mapping = {name: e.root for name, e in zip(names, inner.exprs)}
-    exprs = tuple(
-        Expr(substitute(e.root, mapping), names) for e in outer.exprs
-    )
+    """outer(inner(x)); inner gives one component per variable of outer, so
+    the two maps may change the coordinate count (3 -> 2 -> 3, say)."""
+    exprs = tuple(_compose(e, inner.exprs) for e in outer.exprs)
     return EndoMap(exprs, f"({outer.label})o({inner.label})")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import DomainSet, Instance, ProductSet
-from .exprlang import Bifunction, Binary, EndoMap, Expr, ScalarFn, Var, point_vars
+from .exprlang import Bifunction, Binary, EndoMap, Expr, ScalarFn, Var, parse, point_vars
 from .manifold import Point, euclidean, sphere
 from .rng import Stream
 from .theorems import TheoremId, diffeo_from_endomaps, stereographic_diffeo
@@ -105,11 +105,8 @@ def epigraph_instance(seed: int) -> Instance:
         E = EndoMap.identity(2)
         m = dom.manifold
     else:
-        m = sphere(2)
-        from .exprlang import parse
-
-        cap = parse("x3 - 0.5", point_vars(3))
-        dom = DomainSet(m, ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), cap)
+        dom = _upper_cap()
+        m = dom.manifold
         h = ScalarFn.from_source("2 - 2*x3" if convex else "2*x3", 3)
         E = EndoMap.identity(3)
     return Instance(m, h, E, phi, dom, label=f"epigraph[{'holds' if convex else 'violated'}] seed={seed}")
@@ -259,15 +256,15 @@ def interval_holds_instance(seed: int) -> Instance:
     return Instance(dom.manifold, h, E, phi, dom, label=f"convex seed={seed}")
 
 
-def sphere_cap_instance(seed: int) -> Instance:
-    from .exprlang import parse
+def _upper_cap() -> DomainSet:
+    """The cap x3 > 0.5 of the unit 2-sphere."""
+    return DomainSet(sphere(2), ((-1.0, 1.0),) * 3, parse("x3 - 0.5", point_vars(3)))
 
-    s = Stream(seed, _F_EPIGRAPH + 64)
-    m = sphere(2)
-    cap = parse("x3 - 0.5", point_vars(3))
-    dom = DomainSet(m, ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), cap)
+
+def sphere_cap_instance(seed: int) -> Instance:
+    dom = _upper_cap()
     h = ScalarFn.from_source("2 - 2*x3", 3)
-    return Instance(m, h, EndoMap.identity(3), Bifunction.from_source("a - b"), dom,
+    return Instance(dom.manifold, h, EndoMap.identity(3), Bifunction.from_source("a - b"), dom,
                     label=f"cap seed={seed}")
 
 
@@ -328,14 +325,8 @@ def theorem_case(tid: TheoremId, seed: int, cfg):
         return th.verify_three_point, {
             "inst": inst, "mu1": mus[0], "mu2": mus[1], "mu3": mus[2], "cfg": cfg,
         }
-    if tid in (TheoremId.SCALING_41A, TheoremId.SUM_41B,
-               TheoremId.WEIGHTED_SUM, TheoremId.SUP_FAMILY):
-        kind = {
-            TheoremId.SCALING_41A: "Scaling",
-            TheoremId.SUM_41B: "Sum",
-            TheoremId.WEIGHTED_SUM: "WeightedSum",
-            TheoremId.SUP_FAMILY: "SupFamily",
-        }[tid]
+    if tid in th.CLOSURE_KINDS:
+        kind = th.CLOSURE_KINDS[tid]
         insts, weights = closure_family(kind, seed)
         return th.verify_closure, {
             "kind": kind, "insts": insts, "weights": weights, "cfg": cfg,

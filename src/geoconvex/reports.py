@@ -102,10 +102,3 @@ class Report:
             "refined_witnesses": [w.to_dict() for w in self.refined],
         }
 
-
-def premise_failed(seed: int, note: str, samples_used: int = 0) -> Report:
-    return Report(Verdict.PREMISE_FAILED, None, None, samples_used, seed, notes=(note,))
-
-
-def domain_error(seed: int, note: str, samples_used: int = 0) -> Report:
-    return Report(Verdict.DOMAIN_ERROR, None, None, samples_used, seed, notes=(note,))

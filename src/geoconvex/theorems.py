@@ -11,9 +11,9 @@ three-point form is logged for exactly that reason).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +30,24 @@ from .algebra import (
     sample_members,
 )
 from .checker import (
+    _E_BAD,
+    _OK,
+    _PAIR_NOTES,
+    _VAL_BAD,
     GOLDEN_PROBES,
-    _chunk_ranges,
+    STRICT_SEP_FRACTION,
+    _ConvexityScan,
+    _InstanceScan,
+    _PairScan,
+    _UntimedScan,
     _clean_images,
+    _finish_scan,
+    _margin_witness,
+    _finite,
+    _fn_check_given_set,
+    _halves,
+    _on_manifold,
+    _pair_images,
     check_geodesic_E_convex_set,
     check_geodesic_phiE_convex_fn,
     check_geodesic_phiE_convex_set,
@@ -50,6 +65,7 @@ from .exprlang import (
     Var,
     add_bifunctions,
     add_fns,
+    compose_endomaps,
     compose_scalar,
     differentiate_numeric,
     directional_derivative_batch,
@@ -64,7 +80,7 @@ from .manifold import (
     Point,
     distance_batch,
     exp_map,
-    geodesic_batch,
+    geodesic_batch,  # unused here; bench/test_bench.py reads theorems.geodesic_batch
     log_batch,
     row_norm,
 )
@@ -167,17 +183,23 @@ class TheoremReport:
 
 
 def _labeled(report: Report, name: str) -> Report:
-    return Report(
-        report.verdict, report.max_violation, report.witness,
-        report.samples_used, report.seed, flags=report.flags,
-        notes=(f"premise: {name}",) + report.notes,
-    )
+    return replace(report, notes=(f"premise: {name}",) + report.notes, refined=())
 
 
-def _bool_premise(name: str, ok: bool, seed: int, detail: str = "") -> Report:
+def _bool_premise(name: str, ok: bool, seed: int, *details: str) -> Report:
     verdict = Verdict.HOLDS_ON_SAMPLES if ok else Verdict.PREMISE_FAILED
-    notes = (f"premise: {name}",) + ((detail,) if detail else ())
+    notes = (f"premise: {name}",) + tuple(d for d in details if d)
     return Report(verdict, None, None, 0, seed, notes=notes)
+
+
+def _shared_family_premise(insts: Sequence[Instance], seed: int) -> Report:
+    first = insts[0]
+    shared = all(
+        i.manifold == first.manifold and i.E == first.E
+        and i.phi == first.phi and i.domain == first.domain
+        for i in insts
+    )
+    return _bool_premise("family shares manifold, E, phi, domain", shared, seed)
 
 
 def _assemble(tid: TheoremId, premises, conclusion: Report | None,
@@ -375,30 +397,26 @@ def verify_three_point(inst: Instance, mu1: float, mu2: float, mu3: float,
 # ---------------------------------------------------------------------------
 # closure under scaling, sums, weighted sums, suprema
 
-_CLOSURE_IDS = {
-    "Scaling": TheoremId.SCALING_41A,
-    "Sum": TheoremId.SUM_41B,
-    "WeightedSum": TheoremId.WEIGHTED_SUM,
-    "SupFamily": TheoremId.SUP_FAMILY,
+CLOSURE_KINDS = {
+    TheoremId.SCALING_41A: "Scaling",
+    TheoremId.SUM_41B: "Sum",
+    TheoremId.WEIGHTED_SUM: "WeightedSum",
+    TheoremId.SUP_FAMILY: "SupFamily",
 }
 
 
 def verify_closure(kind: str, insts: Sequence[Instance],
                    weights: Sequence[float] | None, cfg: CheckConfig) -> TheoremReport:
-    tid = _CLOSURE_IDS[kind]
+    tid = next(t for t, k in CLOSURE_KINDS.items() if k == kind)
     insts = list(insts)
     first = insts[0]
-    premises = []
-    shared = all(
-        i.manifold == first.manifold and i.E == first.E
-        and i.phi == first.phi and i.domain == first.domain
-        for i in insts
-    )
-    premises.append(_bool_premise("family shares manifold, E, phi, domain", shared, cfg.seed))
-    if not shared:
+    premises = [_shared_family_premise(insts, cfg.seed)]
+    if not premises[0].holds:
         return _assemble(tid, premises, None)
+    # the family shares manifold, E and domain, hence one set premise
+    set_report = check_geodesic_E_convex_set(first.manifold, first.E, first.domain, cfg)
     for k, sub in enumerate(insts):
-        premises.append(_labeled(check_geodesic_phiE_convex_fn(sub, cfg),
+        premises.append(_labeled(_fn_check_given_set(sub, cfg, set_report),
                                  f"member {k} convexity"))
     if kind in ("Scaling", "Sum", "WeightedSum"):
         budget = min(cfg.samples, 20_000)
@@ -444,7 +462,8 @@ def verify_closure(kind: str, insts: Sequence[Instance],
         combined = weighted_sum_fns([i.h for i in insts], list(weights))
     else:
         combined = max_fns([i.h for i in insts])
-    conclusion = check_geodesic_phiE_convex_fn(first.with_h(combined, f"{kind} combination"), cfg)
+    conclusion = _fn_check_given_set(first.with_h(combined, f"{kind} combination"), cfg,
+                                     set_report)
     return _assemble(tid, premises, conclusion)
 
 
@@ -454,8 +473,9 @@ def verify_closure(kind: str, insts: Sequence[Instance],
 def verify_composition(h1_inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> TheoremReport:
     tid = TheoremId.COMPOSITION
     premises = []
+    set_report = check_geodesic_E_convex_set(h1_inst.manifold, h1_inst.E, h1_inst.domain, cfg)
     diff_inst = h1_inst.with_phi(Bifunction.difference())
-    premises.append(_labeled(check_geodesic_phiE_convex_fn(diff_inst, cfg),
+    premises.append(_labeled(_fn_check_given_set(diff_inst, cfg, set_report),
                              "inner function geodesic E-convex (difference gap)"))
     try:
         _, _, H = _sampled_image_values(h1_inst, cfg, 512, _R_AUX1)
@@ -487,10 +507,19 @@ def verify_composition(h1_inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> The
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None)
     composed = compose_scalar(h2, h1_inst.h)
-    conclusion = check_geodesic_phiE_convex_fn(
-        h1_inst.with_h(composed, "composition"), cfg
-    )
+    conclusion = _fn_check_given_set(h1_inst.with_h(composed, "composition"), cfg, set_report)
     return _assemble(tid, premises, conclusion)
+
+
+# ---------------------------------------------------------------------------
+# conclusion scans: each statement below states its conclusion once, as
+# `lanes` over sampled rows plus the scalar `witness`, and runs it through
+# the checker's scan engine (workers, refinement, early domain errors and
+# scalar re-validation of witnesses)
+
+def _pair_witness(u1, u2, lhs: float, rhs: float) -> Witness:
+    return Witness(points=(Point(tuple(u1)), Point(tuple(u2))), t=None,
+                   lhs=float(lhs), rhs=float(rhs), violation=float(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -498,49 +527,42 @@ def verify_composition(h1_inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> The
 
 @dataclass(frozen=True)
 class Diffeo:
-    """Invertible chart-to-chart map with batch forward/inverse callables."""
+    """Invertible chart-to-chart map: forward and inverse remaps."""
 
     name: str
     src: Manifold
     dst: Manifold
-    fwd: Callable[[np.ndarray], np.ndarray]
-    inv: Callable[[np.ndarray], np.ndarray]
+    fwd: EndoMap
+    inv: EndoMap
+
+    def transport(self, inst: Instance) -> Instance:
+        """inst read through the chart round trip R = inv o fwd: h o R with
+        remap E o R."""
+        R = compose_endomaps(self.inv, self.fwd)
+        return Instance(inst.manifold, compose_scalar(inst.h, R), compose_endomaps(inst.E, R),
+                        inst.phi, inst.domain, inst.label)
 
 
 def diffeo_from_endomaps(m: Manifold, H: EndoMap, Hinv: EndoMap, name: str = "") -> Diffeo:
-    return Diffeo(
-        name or f"({H.label})/({Hinv.label})",
-        m, m,
-        lambda X: H.eval_batch(X),
-        lambda Y: Hinv.eval_batch(Y),
-    )
+    return Diffeo(name or f"({H.label})/({Hinv.label})", m, m, H, Hinv)
 
 
 def identity_diffeo(m: Manifold) -> Diffeo:
-    return Diffeo("identity", m, m, lambda X: X, lambda Y: Y)
+    ident = EndoMap.identity(m.ambient_dim)
+    return Diffeo("identity", m, m, ident, ident)
 
 
 def stereographic_diffeo() -> Diffeo:
     """Unit 2-sphere minus the south pole onto the plane, and back."""
-
-    def fwd(X: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            den = 1.0 + X[:, 2]
-            return np.stack([X[:, 0] / den, X[:, 1] / den], axis=1)
-
-    def inv(Y: np.ndarray) -> np.ndarray:
-        r2 = np.einsum("ij,ij->i", Y, Y)
-        den = 1.0 + r2
-        return np.stack(
-            [2.0 * Y[:, 0] / den, 2.0 * Y[:, 1] / den, (1.0 - r2) / den], axis=1
-        )
-
+    r2 = "(x1*x1 + x2*x2)"
     return Diffeo(
         "stereographic",
         Manifold(ManifoldKind.SPHERE, 2),
         Manifold(ManifoldKind.EUCLIDEAN, 2),
-        fwd,
-        inv,
+        EndoMap.from_source(["x1/(1 + x3)", "x2/(1 + x3)"], 3),
+        EndoMap.from_source(
+            [f"2*x1/(1 + {r2})", f"2*x2/(1 + {r2})", f"(1 - {r2})/(1 + {r2})"], 2
+        ),
     )
 
 
@@ -550,14 +572,19 @@ BUILTIN_DIFFEOS = {
 }
 
 
+def _aux_members(inst: Instance, cfg: CheckConfig) -> np.ndarray:
+    """Seeded domain members for premises on the chart itself."""
+    n = max(2, min(cfg.samples, 2048))
+    bases = rng.base_array(cfg.seed, np.arange(n, dtype=np.uint64))
+    return sample_members(inst.domain, bases, region=_R_AUX1)
+
+
 def _roundtrip_premise(diffeo: Diffeo, X: np.ndarray, seed: int) -> Report:
     with np.errstate(all="ignore"):
-        Y = diffeo.fwd(X)
-        back = diffeo.inv(Y)
-        again = diffeo.fwd(back)
-    err1 = float(np.max(row_norm(back - X), initial=0.0))
-    err2 = float(np.max(row_norm(again - Y), initial=0.0))
-    err = max(err1, err2)
+        Y = diffeo.fwd.eval_batch(X)
+        back = diffeo.inv.eval_batch(Y)
+        again = diffeo.fwd.eval_batch(back)
+    err = max(float(np.max(row_norm(D), initial=0.0)) for D in (back - X, again - Y))
     ok = math.isfinite(err) and err <= ROUNDTRIP_TOL
     return _bool_premise(
         "H and Hinv invert each other on samples", ok, seed,
@@ -570,89 +597,81 @@ def verify_diffeo_invariance(inst: Instance, diffeo: Diffeo, cfg: CheckConfig,
     """Transport h to h o Hinv on H(B) with remap E' = H o E o Hinv and test
     the convexity inequality along pushed-forward curves H(curve(t)).
 
-    The transported remap choice and the pushforward curves are the
-    substitution pattern the transport argument itself uses; both are
-    recorded on the report as interpretations.
+    Read back in source coordinates this is the convexity scan of h o R
+    with remap E o R, R = Hinv o H the chart round trip.  The transported
+    remap choice and the pushforward curves are the substitution pattern
+    the transport argument itself uses; both are recorded on the report as
+    interpretations.
     """
-    premises = []
-    n0 = max(2, min(cfg.samples, 2048))
-    bases = rng.base_array(cfg.seed, np.arange(n0, dtype=np.uint64))
-    U = sample_members(inst.domain, bases, region=_R_AUX1)
-    premises.append(_roundtrip_premise(diffeo, U, cfg.seed))
-    premises.append(_labeled(check_geodesic_phiE_convex_fn(inst, cfg), "source convexity"))
+    premises = [
+        _roundtrip_premise(diffeo, _aux_members(inst, cfg), cfg.seed),
+        _labeled(check_geodesic_phiE_convex_fn(inst, cfg), "source convexity"),
+    ]
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None)
-
-    m = inst.manifold
-    G = cfg.t_grid
-    ts = np.linspace(0.0, 1.0, G)
-    best = (-np.inf, None)
-    max_viol = -np.inf
-    violated = False
-    n = cfg.samples
-    for i0, i1 in _chunk_ranges(n, 1):
-        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-        U1, ok1 = sample_members(inst.domain, bases, region=0, on_fail="mask")
-        U2, ok2 = sample_members(inst.domain, bases, region=1, on_fail="mask")
-        with np.errstate(all="ignore"):
-            # transported data, everything through the chart round trip
-            T1 = diffeo.inv(diffeo.fwd(U1))
-            T2 = diffeo.inv(diffeo.fwd(U2))
-            W1, okw1 = _clean_images(m, inst.E.eval_batch(T1))
-            W2, okw2 = _clean_images(m, inst.E.eval_batch(T2))
-            EW1 = diffeo.inv(diffeo.fwd(W1))
-            EW2 = diffeo.inv(diffeo.fwd(W2))
-            h1 = inst.h.eval_batch(EW1)
-            h2 = inst.h.eval_batch(EW2)
-            p12 = inst.phi.eval_batch(h1, h2)
-            ok = ok1 & ok2 & okw1 & okw2 & np.isfinite(h1) & np.isfinite(h2) & np.isfinite(p12)
-            for j, t in enumerate(ts):
-                gp = geodesic_batch(m, W1, W2, float(t))
-                pushed = diffeo.inv(diffeo.fwd(gp))
-                lhs = inst.h.eval_batch(pushed)
-                rhs = h2 + t * p12
-                viol = lhs - rhs
-                lane_ok = ok & np.isfinite(viol)
-                if not np.any(lane_ok):
-                    continue
-                thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
-                masked = np.where(lane_ok, viol, -np.inf)
-                k = int(np.argmax(masked))
-                if masked[k] > max_viol:
-                    max_viol = float(masked[k])
-                    img1 = diffeo.fwd(U1[k : k + 1])[0]
-                    img2 = diffeo.fwd(U2[k : k + 1])[0]
-                    best = (
-                        max_viol,
-                        Witness(
-                            points=(Point(tuple(img1)), Point(tuple(img2))),
-                            t=float(t), lhs=float(lhs[k]), rhs=float(rhs[k]),
-                            violation=float(viol[k]),
-                        ),
-                    )
-                violated = violated or bool(np.any(masked > thr))
-    notes = (
+    conclusion = _finish_scan(_ConvexityScan(diffeo.transport(inst), cfg), cfg, notes=(
         "transported remap: H o E o Hinv; image curves: pushforward of source curves",
-    )
-    if violated and best[1] is not None:
-        conclusion = Report(Verdict.VIOLATED, float(max_viol), best[1], n, cfg.seed,
-                            notes=notes)
-    else:
-        mv = None if not math.isfinite(max_viol) else float(max_viol)
-        conclusion = Report(Verdict.HOLDS_ON_SAMPLES, mv, None, n, cfg.seed, notes=notes)
+    ))
     return _assemble(tid, premises, conclusion)
 
 
 # ---------------------------------------------------------------------------
-# continuity bound
+# continuity bounds
 
-def verify_continuity_bound(inst: Instance, K: float, eps: float,
-                            cfg: CheckConfig) -> TheoremReport:
+@dataclass
+class _LipschitzScan(_InstanceScan, _UntimedScan, _PairScan):
+    """|h(E(mu1)) - h(E(mu2))| <= L * |Y1 - Y2| for pairs whose chart images
+    Y = chart(E(mu)) lie in the box [lo, hi], with h read through the chart."""
+
+    inst: Instance
+    cfg: CheckConfig
+    chart: Diffeo
+    L: float
+    lo: np.ndarray
+    hi: np.ndarray
+
+    notes = {**_PAIR_NOTES, _VAL_BAD: "h non-finite through the chart at an E-image (pair {i})"}
+
+    def _terms(self, Y1, Y2, h1, h2):
+        """lhs, rhs and box admissibility of pairs with chart images Y1, Y2
+        and h values h1, h2."""
+        with np.errstate(all="ignore"):
+            lhs = np.abs(h1 - h2)
+            rhs = self.L * row_norm(Y1 - Y2)
+        lo, hi = self.lo, self.hi
+        inside = np.all((Y1 >= lo) & (Y1 <= hi) & (Y2 >= lo) & (Y2 <= hi), axis=1)
+        return lhs, rhs, inside
+
+    def lanes(self, rows, T):
+        d = self.manifold.ambient_dim
+        W, code = _pair_images(self.manifold, self.E, rows[:, :d], rows[:, d:])
+        Y = self.chart.fwd.eval_batch(W)
+        H = self.inst.h.eval_batch(self.chart.inv.eval_batch(Y))
+        lhs, rhs, inside = self._terms(*_halves(Y), *_halves(H))
+        code[(code == _OK) & ~_finite(lhs, rhs)] = _VAL_BAD
+        viol = np.where(inside, lhs - rhs, -np.inf)
+        thr = self.cfg.tol_abs + self.cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
+        return viol[:, None], thr[:, None], code[:, None]
+
+    def witness(self, z) -> Witness | None:
+        u1, u2, _, images = self._witness_images(z)
+        if images is None:
+            return None
+        try:
+            Y = np.array([self.chart.fwd(tuple(w)) for w in images])
+            H = np.array([self.inst.h(self.chart.inv(tuple(y))) for y in Y])
+        except EvalDomainError:
+            return None
+        lhs, rhs, inside = self._terms(Y[:1], Y[1:], H[:1], H[1:])
+        return _pair_witness(u1, u2, lhs[0], rhs[0]) if inside[0] else None
+
+
+def _verify_lipschitz(tid: TheoremId, inst: Instance, K: float, eps: float, cfg: CheckConfig,
+                      chart: Diffeo, lo, hi, premises=()) -> TheoremReport:
     """With phi bounded by K on the sampled value range and L = K/eps,
-    require |h(E(mu1)) - h(E(mu2))| <= L * |E(mu1) - E(mu2)| + tol for
-    pairs whose E-images lie in the box inset by eps."""
-    tid = TheoremId.CONTINUITY_BOUND
-    premises = []
+    require |h(E(mu1)) - h(E(mu2))| <= L * |Y1 - Y2| + tol for pairs whose
+    chart images Y lie in the box [lo, hi]."""
+    premises = list(premises)
     _, _, H = _sampled_image_values(inst, cfg, 512, _R_AUX1)
     if H.size < 2:
         premises.append(_bool_premise("value range sampleable", False, cfg.seed))
@@ -671,144 +690,85 @@ def verify_continuity_bound(inst: Instance, K: float, eps: float,
         return _assemble(tid, premises, None)
 
     L = K / eps
-    lo = inst.domain.lows() + eps
-    hi = inst.domain.highs() - eps
-    n = cfg.samples
-    max_viol = -np.inf
-    witness = None
-    violated = False
-    admissible = 0
-    for i0, i1 in _chunk_ranges(n, 1):
-        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-        U1, ok1 = sample_members(inst.domain, bases, region=0, on_fail="mask")
-        U2, ok2 = sample_members(inst.domain, bases, region=1, on_fail="mask")
-        W1, okw1 = _clean_images(inst.manifold, inst.E.eval_batch(U1))
-        W2, okw2 = _clean_images(inst.manifold, inst.E.eval_batch(U2))
-        inner = (
-            np.all(W1 >= lo[None, :], axis=1) & np.all(W1 <= hi[None, :], axis=1)
-            & np.all(W2 >= lo[None, :], axis=1) & np.all(W2 <= hi[None, :], axis=1)
-        )
-        h1 = inst.h.eval_batch(W1)
-        h2 = inst.h.eval_batch(W2)
-        ok = ok1 & ok2 & okw1 & okw2 & inner & np.isfinite(h1) & np.isfinite(h2)
-        admissible += int(np.sum(ok))
-        with np.errstate(all="ignore"):
-            gap = row_norm(W1 - W2)
-            lhs = np.abs(h1 - h2)
-            rhs = L * gap
-            viol = lhs - rhs
-        thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
-        masked = np.where(ok & np.isfinite(viol), viol, -np.inf)
-        if np.any(np.isfinite(masked)):
-            k = int(np.argmax(masked))
-            if masked[k] > max_viol:
-                max_viol = float(masked[k])
-                witness = Witness(
-                    points=(Point(tuple(U1[k])), Point(tuple(U2[k]))), t=None,
-                    lhs=float(lhs[k]), rhs=float(rhs[k]), violation=float(viol[k]),
-                )
-            violated = violated or bool(np.any(masked > thr))
-    if admissible == 0:
+    scan = _LipschitzScan(inst, cfg, chart, L, lo, hi)
+    conclusion = _finish_scan(scan, cfg)
+    if conclusion.holds and scan._admissible == 0:
         premises.append(_bool_premise("pairs exist inside the inset region", False, cfg.seed))
         return _assemble(tid, premises, None)
-    note = (f"Lipschitz constant L = K/eps = {L!r}; {admissible} admissible pairs",)
-    if violated:
-        conclusion = Report(Verdict.VIOLATED, max_viol, witness, n, cfg.seed, notes=note)
-    else:
-        mv = None if not math.isfinite(max_viol) else max_viol
-        conclusion = Report(Verdict.HOLDS_ON_SAMPLES, mv, None, n, cfg.seed, notes=note)
-    return _assemble(tid, premises, conclusion)
+    note = f"chart {chart.name}; L = K/eps = {L!r}; {scan._admissible} admissible pairs"
+    return _assemble(tid, premises, replace(conclusion, notes=conclusion.notes + (note,)))
 
 
-def verify_chart_continuity(inst: Instance, K: float, eps: float, cfg: CheckConfig,
-                            chart: Diffeo | None = None) -> TheoremReport:
-    """Continuity read through a chart: the transported function h o inv
-    must satisfy the same Lipschitz-style bound in chart coordinates."""
-    tid = TheoremId.CHART_CONTINUITY
-    chart = chart or (
-        stereographic_diffeo()
-        if inst.manifold.kind is ManifoldKind.SPHERE and inst.manifold.dim == 2
-        else identity_diffeo(inst.manifold)
+def verify_continuity_bound(inst: Instance, K: float, eps: float,
+                            cfg: CheckConfig) -> TheoremReport:
+    """The Lipschitz-style bound in E-image coordinates, for pairs whose
+    E-images lie in the domain box inset by eps."""
+    return _verify_lipschitz(
+        TheoremId.CONTINUITY_BOUND, inst, K, eps, cfg, identity_diffeo(inst.manifold),
+        inst.domain.lows() + eps, inst.domain.highs() - eps,
     )
-    premises = []
-    n0 = max(2, min(cfg.samples, 2048))
-    bases = rng.base_array(cfg.seed, np.arange(n0, dtype=np.uint64))
-    U = sample_members(inst.domain, bases, region=_R_AUX1)
-    premises.append(_roundtrip_premise(chart, U, cfg.seed))
-    _, _, H = _sampled_image_values(inst, cfg, 512, _R_AUX1)
-    if H.size < 2:
-        premises.append(_bool_premise("value range sampleable", False, cfg.seed))
-        return _assemble(tid, premises, None)
-    A, B = np.meshgrid(H[:64], H[:64])
-    pv = inst.phi.eval_batch(A.ravel(), B.ravel())
-    sup_phi = float(np.max(pv))
-    premises.append(_bool_premise(
-        "phi bounded above by K on sampled value pairs",
-        bool(np.all(np.isfinite(pv))) and sup_phi <= K + cfg.threshold(K),
-        cfg.seed, f"sampled sup {sup_phi!r} vs K={K!r}",
-    ))
-    premises.append(_labeled(check_geodesic_phiE_convex_fn(inst, cfg), "convexity"))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
 
-    L = K / eps
-    n = cfg.samples
-    max_viol = -np.inf
-    witness = None
-    violated = False
-    admissible = 0
-    # chart image box from samples, inset by eps
+
+def verify_chart_continuity(inst: Instance, K: float, eps: float,
+                            cfg: CheckConfig) -> TheoremReport:
+    """Continuity read through a chart (stereographic on Sphere(2), the
+    identity otherwise): the transported function h o inv must satisfy the
+    same bound in chart coordinates, inside the sampled chart-image box
+    inset by eps."""
+    m = inst.manifold
+    chart = (stereographic_diffeo() if m.kind is ManifoldKind.SPHERE and m.dim == 2
+             else identity_diffeo(m))
+    U = _aux_members(inst, cfg)
     with np.errstate(all="ignore"):
-        sampleY = chart.fwd(U)
-    lo = np.min(sampleY, axis=0) + eps
-    hi = np.max(sampleY, axis=0) - eps
-    for i0, i1 in _chunk_ranges(n, 1):
-        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-        U1, ok1 = sample_members(inst.domain, bases, region=0, on_fail="mask")
-        U2, ok2 = sample_members(inst.domain, bases, region=1, on_fail="mask")
-        W1, okw1 = _clean_images(inst.manifold, inst.E.eval_batch(U1))
-        W2, okw2 = _clean_images(inst.manifold, inst.E.eval_batch(U2))
-        with np.errstate(all="ignore"):
-            Y1 = chart.fwd(W1)
-            Y2 = chart.fwd(W2)
-            h1 = inst.h.eval_batch(chart.inv(Y1))
-            h2 = inst.h.eval_batch(chart.inv(Y2))
-        inner = (
-            np.all(Y1 >= lo[None, :], axis=1) & np.all(Y1 <= hi[None, :], axis=1)
-            & np.all(Y2 >= lo[None, :], axis=1) & np.all(Y2 <= hi[None, :], axis=1)
-        )
-        ok = ok1 & ok2 & okw1 & okw2 & inner & np.isfinite(h1) & np.isfinite(h2)
-        admissible += int(np.sum(ok))
-        with np.errstate(all="ignore"):
-            gap = row_norm(Y1 - Y2)
-            lhs = np.abs(h1 - h2)
-            rhs = L * gap
-            viol = lhs - rhs
-        thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
-        masked = np.where(ok & np.isfinite(viol), viol, -np.inf)
-        if np.any(np.isfinite(masked)):
-            k = int(np.argmax(masked))
-            if masked[k] > max_viol:
-                max_viol = float(masked[k])
-                witness = Witness(
-                    points=(Point(tuple(Y1[k])), Point(tuple(Y2[k]))), t=None,
-                    lhs=float(lhs[k]), rhs=float(rhs[k]), violation=float(viol[k]),
-                )
-            violated = violated or bool(np.any(masked > thr))
-    if admissible == 0:
-        premises.append(_bool_premise("pairs exist inside the chart inset", False, cfg.seed))
-        return _assemble(tid, premises, None)
-    note = (f"chart {chart.name}; L = K/eps = {L!r}; {admissible} admissible pairs",)
-    if violated:
-        conclusion = Report(Verdict.VIOLATED, max_viol, witness, n, cfg.seed, notes=note)
-    else:
-        mv = None if not math.isfinite(max_viol) else max_viol
-        conclusion = Report(Verdict.HOLDS_ON_SAMPLES, mv, None, n, cfg.seed, notes=note)
-    return _assemble(tid, premises, conclusion)
+        Y = chart.fwd.eval_batch(U)
+    return _verify_lipschitz(
+        TheoremId.CHART_CONTINUITY, inst, K, eps, cfg, chart,
+        np.min(Y, axis=0) + eps, np.max(Y, axis=0) - eps,
+        premises=[_roundtrip_premise(chart, U, cfg.seed)],
+    )
 
 
 # ---------------------------------------------------------------------------
 # local minimum necessary condition
+
+@dataclass
+class _LocalMinScan(_InstanceScan, _UntimedScan):
+    """Rows mu of one sampled member each: phi(h(E(mu)), h(E(mu*))) >= -tol."""
+
+    inst: Instance
+    cfg: CheckConfig
+    w_star: Point
+    h_star: float
+
+    notes = {**_PAIR_NOTES, _VAL_BAD: "h or phi non-finite at an E-image (pair {i})"}
+
+    def sample(self, bases):
+        return sample_members(self.domain, bases, region=0, on_fail="mask")
+
+    def probe_rows(self, rows):
+        U, ok = _on_manifold(self.manifold, rows)
+        return U, ok & member_mask_batch(self.domain, U)
+
+    def intervals(self):
+        return list(self.domain.box)
+
+    def lanes(self, rows, T):
+        inst = self.inst
+        W, ok = _clean_images(inst.manifold, inst.E.eval_batch(rows))
+        pv = inst.phi.eval_batch(inst.h.eval_batch(W), np.full(rows.shape[0], self.h_star))
+        code = np.where(ok, np.where(np.isfinite(pv), _OK, _VAL_BAD), _E_BAD).astype(np.int8)
+        return -pv[:, None], self.cfg.tol_abs + self.cfg.tol_rel, code[:, None]
+
+    def witness(self, z) -> Witness | None:
+        inst = self.inst
+        u = self.probe_rows(np.asarray(z, dtype=np.float64)[None, :])[0][0]
+        try:
+            W, ok = _clean_images(inst.manifold, np.array([inst.E(tuple(u))]))
+            v = -inst.phi(inst.h(tuple(W[0])), self.h_star)
+        except EvalDomainError:
+            return None
+        return _margin_witness((Point(tuple(u)), self.w_star), None, v) if ok[0] else None
+
 
 def verify_local_min(inst: Instance, mu_star: Point, cfg: CheckConfig) -> TheoremReport:
     """At a sampled local minimum E(mu*), phi(h(E(mu)), h(E(mu*))) must be
@@ -871,34 +831,7 @@ def verify_local_min(inst: Instance, mu_star: Point, cfg: CheckConfig) -> Theore
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None)
 
-    n = cfg.samples
-    max_viol = -np.inf
-    witness = None
-    violated = False
-    thr = cfg.threshold(0.0)
-    for i0, i1 in _chunk_ranges(n, 1):
-        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-        U, okU = sample_members(inst.domain, bases, region=0, on_fail="mask")
-        W, okW = _clean_images(m, inst.E.eval_batch(U))
-        hW = inst.h.eval_batch(W)
-        pv = inst.phi.eval_batch(hW, np.full(hW.shape, h_star))
-        viol = -pv
-        ok = okU & okW & np.isfinite(viol)
-        masked = np.where(ok, viol, -np.inf)
-        if np.any(np.isfinite(masked)):
-            k = int(np.argmax(masked))
-            if masked[k] > max_viol:
-                max_viol = float(masked[k])
-                witness = Witness(
-                    points=(Point(tuple(U[k])), w_star), t=None,
-                    lhs=float(viol[k]), rhs=0.0, violation=float(viol[k]),
-                )
-            violated = violated or bool(masked[k] > thr)
-    if violated:
-        conclusion = Report(Verdict.VIOLATED, max_viol, witness, n, cfg.seed)
-    else:
-        mv = None if not math.isfinite(max_viol) else max_viol
-        conclusion = Report(Verdict.HOLDS_ON_SAMPLES, mv, None, n, cfg.seed)
+    conclusion = _finish_scan(_LocalMinScan(inst, cfg, w_star, h_star), cfg)
     return _assemble(tid, premises, conclusion)
 
 
@@ -923,9 +856,13 @@ def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
             members.append(add_bifunctions(phis[: i + 1]))
     else:
         members = phis
+    # every member changes phi only, so all checks share one set premise
+    set_report = check_geodesic_E_convex_set(
+        inst_base.manifold, inst_base.E, inst_base.domain, cfg
+    )
     for i, phi_i in enumerate(members):
         premises.append(_labeled(
-            check_geodesic_phiE_convex_fn(inst_base.with_phi(phi_i), cfg),
+            _fn_check_given_set(inst_base.with_phi(phi_i), cfg, set_report),
             f"convexity under member {i}",
         ))
     _, _, H = _sampled_image_values(inst_base, cfg, 256, _R_AUX1)
@@ -947,18 +884,64 @@ def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
     )
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None, notes=notes)
-    conclusion = check_geodesic_phiE_convex_fn(inst_base, cfg)
-    conclusion = Report(
-        conclusion.verdict, conclusion.max_violation, conclusion.witness,
-        conclusion.samples_used, conclusion.seed,
-        flags={**conclusion.flags, "phi_sequence_converged": converged},
-        notes=conclusion.notes,
-    )
+    conclusion = _fn_check_given_set(inst_base, cfg, set_report)
+    conclusion = replace(conclusion, flags={**conclusion.flags, "phi_sequence_converged": converged})
     return _assemble(tid, premises, conclusion, notes=notes)
 
 
 # ---------------------------------------------------------------------------
 # strict differential separation
+
+@dataclass
+class _StrictDifferentialScan(_InstanceScan, _UntimedScan, _PairScan):
+    """The directional derivatives of h at the two curve endpoints, along
+    the curve's velocity, must differ by more than tol_strict on pairs with
+    separated E-images."""
+
+    inst: Instance
+    cfg: CheckConfig
+    tol_strict: float
+
+    notes = {**_PAIR_NOTES, _VAL_BAD: "directional derivative of h non-finite at an E-image (pair {i})"}
+
+    def _separated(self, W1, W2):
+        # the strict convexity scan's floor: derivative gaps of smooth
+        # functions shrink with the image gap and would otherwise dip under
+        # tol_strict for arbitrarily close sampled pairs
+        return distance_batch(self.manifold, W1, W2) > STRICT_SEP_FRACTION * self.domain.scale()
+
+    def lanes(self, rows, T):
+        m = self.manifold
+        h = self.inst.h
+        d = m.ambient_dim
+        W, code = _pair_images(m, self.E, rows[:, :d], rows[:, d:])
+        W1, W2 = _halves(W)
+        with np.errstate(all="ignore"):
+            # velocities at t = 1 (base W1) and at t = 0 (base W2)
+            d_end = directional_derivative_batch(h, W1, -log_batch(m, W1, W2))
+            d_start = directional_derivative_batch(h, W2, log_batch(m, W2, W1))
+            diff = np.abs(d_end - d_start)
+            separated = self._separated(W1, W2)
+        code[(code == _OK) & ~np.isfinite(diff)] = _VAL_BAD
+        viol = np.where(separated, self.tol_strict - diff, -np.inf)
+        thr = self.cfg.tol_abs + self.cfg.tol_rel * np.maximum(1.0, diff)
+        return viol[:, None], thr[:, None], code[:, None]
+
+    def witness(self, z) -> Witness | None:
+        u1, u2, _, images = self._witness_images(z)
+        if images is None:
+            return None
+        m = self.manifold
+        W1, W2 = (w[None, :] for w in images)
+        if not self._separated(W1, W2)[0]:
+            return None
+        try:
+            d_end = differentiate_numeric(self.inst.h, images[0], -log_batch(m, W1, W2)[0])
+            d_start = differentiate_numeric(self.inst.h, images[1], log_batch(m, W2, W1)[0])
+        except EvalDomainError:
+            return None
+        return _pair_witness(u1, u2, self.tol_strict, abs(d_end - d_start))
+
 
 def verify_strict_differential(inst: Instance, cfg: CheckConfig,
                                tol_strict: float = STRICT_DERIVATIVE_TOL) -> TheoremReport:
@@ -966,58 +949,16 @@ def verify_strict_differential(inst: Instance, cfg: CheckConfig,
     directional derivatives of h at the two curve endpoints (along the
     curve's velocity) must differ by more than tol_strict."""
     tid = TheoremId.STRICT_DIFFERENTIAL
-    premises = []
-    premises.append(_labeled(check_geodesic_phiE_convex_fn(inst, cfg, strict=True),
-                             "strict convexity"))
-    premises.append(_labeled(
-        check_antisymmetric(inst.phi, min(cfg.samples, 20_000), cfg.seed, cfg),
-        "phi antisymmetric",
-    ))
+    premises = [
+        _labeled(check_geodesic_phiE_convex_fn(inst, cfg, strict=True), "strict convexity"),
+        _labeled(check_antisymmetric(inst.phi, min(cfg.samples, 20_000), cfg.seed, cfg),
+                 "phi antisymmetric"),
+    ]
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None)
-
-    m = inst.manifold
-    n = cfg.samples
-    max_viol = -np.inf
-    witness = None
-    violated = False
-    thr = cfg.threshold(tol_strict)
-    # same separation floor as the strict convexity scan: derivative gaps of
-    # smooth functions shrink with the image gap and would otherwise dip
-    # under tol_strict for arbitrarily close sampled pairs
-    sep_floor = 0.01 * inst.domain.scale()
-    for i0, i1 in _chunk_ranges(n, 1):
-        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-        U1, ok1 = sample_members(inst.domain, bases, region=0, on_fail="mask")
-        U2, ok2 = sample_members(inst.domain, bases, region=1, on_fail="mask")
-        W1, okw1 = _clean_images(m, inst.E.eval_batch(U1))
-        W2, okw2 = _clean_images(m, inst.E.eval_batch(U2))
-        with np.errstate(all="ignore"):
-            sep = distance_batch(m, W1, W2)
-            v_at_start = log_batch(m, W2, W1)   # velocity at t=0 (base W2)
-            v_at_end = -log_batch(m, W1, W2)    # velocity at t=1 (base W1)
-            d_end = directional_derivative_batch(inst.h, W1, v_at_end)
-            d_start = directional_derivative_batch(inst.h, W2, v_at_start)
-            diff = np.abs(d_end - d_start)
-        ok = ok1 & ok2 & okw1 & okw2 & (sep > sep_floor) & np.isfinite(diff)
-        viol = tol_strict - diff
-        masked = np.where(ok, viol, -np.inf)
-        if np.any(np.isfinite(masked)):
-            k = int(np.argmax(masked))
-            if masked[k] > max_viol:
-                max_viol = float(masked[k])
-                witness = Witness(
-                    points=(Point(tuple(U1[k])), Point(tuple(U2[k]))), t=None,
-                    lhs=float(tol_strict), rhs=float(diff[k]),
-                    violation=float(viol[k]),
-                )
-            violated = violated or bool(masked[k] > thr)
-    note = (f"endpoint directional derivatives must differ by more than {tol_strict!r}",)
-    if violated:
-        conclusion = Report(Verdict.VIOLATED, max_viol, witness, n, cfg.seed, notes=note)
-    else:
-        mv = None if not math.isfinite(max_viol) else max_viol
-        conclusion = Report(Verdict.HOLDS_ON_SAMPLES, mv, None, n, cfg.seed, notes=note)
+    conclusion = _finish_scan(_StrictDifferentialScan(inst, cfg, tol_strict), cfg, notes=(
+        f"endpoint directional derivatives must differ by more than {tol_strict!r}",
+    ))
     return _assemble(tid, premises, conclusion)
 
 
@@ -1043,17 +984,12 @@ def _phi_combination_monotone_premise(phi: Bifunction, H: np.ndarray,
         np.all(np.isfinite(da)) and np.all(np.isfinite(db))
         and np.all(da >= -tol) and np.all(db >= -delta - tol)
     )
-    rep = _bool_premise(
+    return _bool_premise(
         "phi non-decreasing (combination-monotone probe)", ok, cfg.seed,
         f"min forward differences {float(np.min(da))!r}, {float(np.min(db))!r} "
         f"at step {delta!r}",
-    )
-    return Report(
-        rep.verdict, rep.max_violation, rep.witness, rep.samples_used, rep.seed,
-        notes=rep.notes + (
-            "interpretation: non-decreasing read as d(phi)/da >= 0 and "
-            "d(phi)/db >= -1, i.e. v2 + t*phi(v1,v2) monotone",
-        ),
+        "interpretation: non-decreasing read as d(phi)/da >= 0 and "
+        "d(phi)/db >= -1, i.e. v2 + t*phi(v1,v2) monotone",
     )
 
 
@@ -1096,14 +1032,12 @@ def verify_epigraph_equiv(inst: Instance, cfg: CheckConfig) -> TheoremReport:
         premises.append(_bool_premise("value range sampleable", False, cfg.seed))
         return _assemble(tid, premises, None)
     premises.append(_phi_combination_monotone_premise(inst.phi, H, cfg))
-    premises.append(_labeled(
-        check_geodesic_E_convex_set(inst.manifold, inst.E, inst.domain, cfg),
-        "domain geodesic E-convex",
-    ))
+    set_report = check_geodesic_E_convex_set(inst.manifold, inst.E, inst.domain, cfg)
+    premises.append(_labeled(set_report, "domain geodesic E-convex"))
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None)
 
-    fn_report = check_geodesic_phiE_convex_fn(inst, cfg)
+    fn_report = _fn_check_given_set(inst, cfg, set_report)
     epi = epigraph_product_set(inst, cfg)
     set_report = check_geodesic_phiE_convex_set(
         inst.manifold, inst.E, inst.phi, epi, cfg
@@ -1185,14 +1119,8 @@ def verify_sup_epigraph(insts: Sequence[Instance], cfg: CheckConfig) -> TheoremR
     tid = TheoremId.SUP_EPIGRAPH_COR
     insts = list(insts)
     first = insts[0]
-    premises = []
-    shared = all(
-        i.manifold == first.manifold and i.E == first.E
-        and i.phi == first.phi and i.domain == first.domain
-        for i in insts
-    )
-    premises.append(_bool_premise("family shares manifold, E, phi, domain", shared, cfg.seed))
-    if not shared:
+    premises = [_shared_family_premise(insts, cfg.seed)]
+    if not premises[0].holds:
         return _assemble(tid, premises, None)
     _, _, H = _sampled_image_values(first, cfg, 256, _R_AUX1)
     if H.size < 2:

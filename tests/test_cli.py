@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from geoconvex.cli import list_builtins, main
 
 HOLDS_JOB = {
@@ -240,3 +242,48 @@ def test_verify_theorem_flag(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["reports"][0]["id"] == "EpigraphEquiv"
+
+
+@pytest.mark.parametrize("theorem", [
+    {"id": "ContinuityBound", "eps": 0.2},
+    {"id": "ChartContinuity", "K": 1.0},
+    {"id": "LocalMin"},
+    {"id": "LocalMin", "mu_star": [0.0, 1.0]},
+    {"id": "MeanValue31", "u1": 0.5},
+    {"id": "ThreePoint32", "mu1": 0.1, "mu2": 0.5},
+    {"id": "StrictDifferential", "tol_strict": "tight"},
+])
+def test_verify_missing_or_bad_key_exit_three(tmp_path, capsys, theorem):
+    job = {
+        "manifold": {"kind": "Euclidean", "dim": 1},
+        "domain": {"box": [[-1, 1]]},
+        "h": "x1^2",
+        "phi": "a - b",
+        "theorem": theorem,
+        "cfg": {"seed": 3, "samples": 200},
+    }
+    cfgp = _write(tmp_path, "job.json", job)
+    code = main(["verify", "--config", cfgp])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["kind"] == "config"
+
+
+def test_verify_too_deep_transport_exit_three(tmp_path, capsys):
+    # each expression is within the depth limit, h o Hinv o H is not
+    def nest(op):
+        return "(" * 25 + "x1" + f" {op} 1)" * 25
+
+    job = {
+        "manifold": {"kind": "Euclidean", "dim": 1},
+        "domain": {"box": [[-1, 1]]},
+        "h": nest("+"),
+        "phi": "a - b",
+        "theorem": {"id": "DiffeoInvariance", "H": nest("+"), "Hinv": nest("-")},
+        "cfg": {"seed": 3, "samples": 200},
+    }
+    cfgp = _write(tmp_path, "job.json", job)
+    code = main(["verify", "--config", cfgp])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["kind"] == "ExprDepthError"

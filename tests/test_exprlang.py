@@ -24,6 +24,7 @@ from geoconvex.exprlang import (
     Var,
     _compare,
     compile_batch,
+    compose_endomaps,
     compose_scalar,
     differentiate_numeric,
     evaluate,
@@ -198,6 +199,22 @@ def test_endomap_and_composition():
     outer = ScalarFn.from_source("x1^2", 1)
     comp = compose_scalar(outer, inner)
     assert comp((2.0,)) == 9.0
+
+
+def test_compose_endomaps_changes_coordinate_count():
+    # 3 -> 2 -> 3: stereographic projection and back is the identity on the sphere
+    fwd = EndoMap.from_source(["x1/(1 + x3)", "x2/(1 + x3)"], 3)
+    inv = EndoMap.from_source(
+        ["2*x1/(1 + x1^2 + x2^2)", "2*x2/(1 + x1^2 + x2^2)", "(1 - x1^2 - x2^2)/(1 + x1^2 + x2^2)"],
+        2,
+    )
+    roundtrip = compose_endomaps(inv, fwd)
+    assert roundtrip.nvars == 3 and len(roundtrip.exprs) == 3
+    assert roundtrip((0.6, 0.0, 0.8)) == pytest.approx((0.6, 0.0, 0.8), abs=1e-15)
+    h = compose_scalar(ScalarFn.from_source("x1 + 2*x2 + 3*x3", 3), roundtrip)
+    assert h((0.0, 0.6, 0.8)) == pytest.approx(3.6, abs=1e-14)
+    with pytest.raises(ValueError):
+        compose_endomaps(fwd, fwd)
 
 
 def test_depth_limit():

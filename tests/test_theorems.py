@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from geoconvex import (
@@ -12,15 +13,19 @@ from geoconvex import (
     euclidean,
     sphere,
 )
-from geoconvex.exprlang import parse, point_vars
+from geoconvex.checker import _ConvexityScan, _finish_scan, check_geodesic_phiE_convex_fn
+from geoconvex.exprlang import differentiate_numeric, parse, point_vars
 from geoconvex.instances import (
     closure_family,
     intersection_case,
     quad_epigraph_set,
     sphere_cap_instance,
 )
+from geoconvex.manifold import GeodesicSpec, geodesic, log_map
 from geoconvex.theorems import (
     TheoremId,
+    _LipschitzScan,
+    _LocalMinScan,
     diffeo_from_endomaps,
     identity_diffeo,
     stereographic_diffeo,
@@ -141,8 +146,6 @@ def test_composition_exp_of_affine():
 def test_composition_identity_outer():
     inner = _inst("x1^2")
     rep = verify_composition(inner, ScalarFn.from_source("x1", 1), CFG)
-    from geoconvex.checker import check_geodesic_phiE_convex_fn
-
     assert rep.conclusion_report.verdict == check_geodesic_phiE_convex_fn(inner, CFG).verdict
 
 
@@ -164,9 +167,11 @@ def test_diffeo_affine():
 def test_diffeo_identity_matches_plain_check():
     inst = _inst("x1^2", E="0.4*x1 + 0.1")
     rep = verify_diffeo_invariance(inst, identity_diffeo(E1), CFG)
-    from geoconvex.checker import check_geodesic_phiE_convex_fn
-
-    assert rep.conclusion_report.verdict == check_geodesic_phiE_convex_fn(inst, CFG).verdict
+    got = rep.conclusion_report.to_dict()
+    want = check_geodesic_phiE_convex_fn(inst, CFG).to_dict()
+    got.pop("notes")
+    want.pop("notes")
+    assert got == want
 
 
 def test_diffeo_stereographic_sphere_cap():
@@ -234,8 +239,6 @@ def test_phi_limit_decreasing_offsets():
 def test_phi_limit_constant_sequence_matches_base():
     inst = _inst("x1^2")
     rep = verify_phi_limit(inst, [inst.phi] * 4, "Pointwise", CFG)
-    from geoconvex.checker import check_geodesic_phiE_convex_fn
-
     assert rep.conclusion_report.verdict == check_geodesic_phiE_convex_fn(inst, CFG).verdict
 
 
@@ -349,3 +352,103 @@ def test_theorem_report_serializes():
     assert d["id"] == TheoremId.MEAN_VALUE_31.value
     assert d["verdict"] == "HoldsOnSamples"
     assert isinstance(d["premises"], list) and d["conclusion"]
+
+
+# conclusions driven to Violated ----------------------------------------------
+#
+# Each witness is re-evaluated here through the scalar h, E and phi and
+# must stay above threshold.  Conclusions that follow from passing premises
+# cannot be violated through their verifier, so those scans run directly.
+
+def _witnesses(report):
+    assert report.verdict is Verdict.VIOLATED
+    return (report.witness,) + report.refined
+
+
+def test_diffeo_conclusion_violated_witness_rechecks():
+    inst = _inst("-(x1^2)", E="0.4*x1 + 0.1")
+    diffeo = diffeo_from_endomaps(E1, EndoMap.from_source("2*x1 + 1", 1),
+                                  EndoMap.from_source("(x1 - 1)/2", 1))
+    rep = _finish_scan(_ConvexityScan(diffeo.transport(inst), CFG), CFG)
+
+    def R(x):
+        return diffeo.inv(diffeo.fwd(tuple(x)))
+
+    for w in _witnesses(rep):
+        w1, w2 = (inst.E(R(p.coords)) for p in w.points)
+        h1, h2 = inst.h(R(w1)), inst.h(R(w2))
+        curve = geodesic(GeodesicSpec(E1, Point(w1), Point(w2)), w.t)
+        lhs = inst.h(R(curve.coords))
+        rhs = h2 + w.t * inst.phi(h1, h2)
+        assert lhs - rhs > CFG.threshold(rhs)
+
+
+def test_continuity_conclusion_violated_witness_rechecks():
+    inst = _inst("x1^2", E="0.8*x1")
+    L = 0.1
+    rep = _finish_scan(_LipschitzScan(inst, CFG, identity_diffeo(E1), L,
+                                      np.array([-1.5]), np.array([1.5])), CFG)
+    for w in _witnesses(rep):
+        (e1,), (e2,) = (inst.E(p.coords) for p in w.points)
+        assert -1.5 <= e1 <= 1.5 and -1.5 <= e2 <= 1.5
+        rhs = L * abs(e1 - e2)
+        assert abs(inst.h((e1,)) - inst.h((e2,))) - rhs > CFG.threshold(rhs)
+
+
+def test_chart_continuity_conclusion_violated_witness_rechecks():
+    inst = sphere_cap_instance(0)
+    chart = stereographic_diffeo()
+    L = 0.01
+    rep = _finish_scan(_LipschitzScan(inst, CFG, chart, L, np.array([-0.5, -0.5]),
+                                      np.array([0.5, 0.5])), CFG)
+    for w in _witnesses(rep):
+        y1, y2 = (np.array(chart.fwd(inst.E(p.coords))) for p in w.points)
+        h1, h2 = (inst.h(chart.inv(tuple(y))) for y in (y1, y2))
+        rhs = L * float(np.linalg.norm(y1 - y2))
+        assert abs(h1 - h2) - rhs > CFG.threshold(rhs)
+
+
+def test_local_min_conclusion_violated_witness_rechecks():
+    inst = _inst("x1^2")
+    w_star = Point((0.5,))
+    h_star = inst.h(w_star.coords)
+    rep = _finish_scan(_LocalMinScan(inst, CFG, w_star, h_star), CFG)
+    for w in _witnesses(rep):
+        u, star = w.points
+        assert star == w_star
+        assert -inst.phi(inst.h(inst.E(u.coords)), h_star) > CFG.threshold(0.0)
+
+
+def test_strict_differential_violated_witness_rechecks():
+    # close pairs of x^2 have derivative gaps 2*|e1 - e2|^2, far below 1
+    inst = _inst("x1^2")
+    tol = 1.0
+    rep = verify_strict_differential(inst, CFG, tol_strict=tol)
+    assert all(p.holds for p in rep.premise_reports)
+    assert rep.verdict is Verdict.VIOLATED
+    for w in _witnesses(rep.conclusion_report):
+        e1, e2 = (Point(inst.E(p.coords)) for p in w.points)
+        d_end = differentiate_numeric(inst.h, e1, [-c for c in log_map(E1, e1, e2)])
+        d_start = differentiate_numeric(inst.h, e2, log_map(E1, e2, e1))
+        diff = abs(d_end - d_start)
+        assert tol - diff > CFG.threshold(diff)
+
+
+def test_local_min_conclusion_reports_domain_error():
+    dom = DomainSet(E1, ((-1.0, 1.0),))
+    inst = Instance(E1, ScalarFn.from_source("if(x1 < -0.5, log(x1), x1^2)", 1),
+                    EndoMap.identity(1), Bifunction.from_source("a - b"), dom)
+    rep = verify_local_min(inst, Point((0.0,)), CFG.replace(samples=2000))
+    assert all(p.holds for p in rep.premise_reports)
+    assert rep.verdict is Verdict.DOMAIN_ERROR
+    assert any("(pair " in n for n in rep.conclusion_report.notes)
+
+
+def test_conclusion_same_report_at_any_worker_count():
+    inst = _inst("x1^2", E="0.4*x1 + 0.1")
+    diffeo = diffeo_from_endomaps(E1, EndoMap.from_source("2*x1 + 1", 1),
+                                  EndoMap.from_source("(x1 - 1)/2", 1))
+    one = verify_diffeo_invariance(inst, diffeo, CFG.replace(workers=1))
+    two = verify_diffeo_invariance(inst, diffeo, CFG.replace(workers=2))
+    assert one.holds
+    assert one.to_dict() == two.to_dict()
