@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -84,7 +85,8 @@ STRICT_SEP_FRACTION = 0.01
 # slope triples need separated E-values: the difference quotients lose
 # digits as 1/gap, and refinement would otherwise climb into rounding noise
 SLOPE_SEP_FRACTION = 1e-5
-# chunk cap keeps per-chunk scratch matrices modest
+# rows per chunk of a single scan; a pass of k scans holds the lanes of all
+# k at once and takes MAX_CHUNK // k rows, keeping per-chunk scratch modest
 MAX_CHUNK = 1 << 16
 # accepted preimage distance for epigraph membership
 INVERSE_TOL = 1e-6
@@ -111,17 +113,41 @@ class _ChunkScan:
     extra: dict
 
 
-def _chunk_ranges(n: int, workers: int):
-    size = min(MAX_CHUNK, max(1, math.ceil(n / workers)))
-    return [(i, min(i + size, n)) for i in range(0, n, size)]
+def _chunk_ranges(n: int, workers: int, cap: int = MAX_CHUNK):
+    """Row ranges covering 0..n: as few as keep every range within `cap`
+    rows, rounded up to a multiple of `workers` so that each worker gets an
+    equal share, with sizes differing by at most one."""
+    needed = -(-n // cap)
+    k = min(n, -(-needed // workers) * workers)
+    size, extra = divmod(n, k)
+    bounds = [i * size + min(i, extra) for i in range(k + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _run_chunks(n: int, cfg: CheckConfig, chunk_fn) -> list[_ChunkScan]:
-    ranges = _chunk_ranges(n, cfg.workers)
+def _run_chunks(n: int, cfg: CheckConfig, chunk_fn, cap: int = MAX_CHUNK) -> list:
+    ranges = _chunk_ranges(n, cfg.workers, cap)
     if cfg.workers == 1 or len(ranges) == 1:
         return [chunk_fn(i0, i1) for i0, i1 in ranges]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(lambda r: chunk_fn(*r), ranges))
+
+
+def _run_pass(scans, cfg: CheckConfig) -> list[list[_ChunkScan]]:
+    """One sampled pass over `scans`, which share sampled rows (the first
+    scan draws them), per chunk the bulk lanes of all and the reduction of
+    each.  Chunks hold the lanes of every scan at once, so their rows are
+    capped at MAX_CHUNK / len(scans).  Returns each scan's chunks."""
+
+    def chunk(i0, i1):
+        lead = scans[0]
+        bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
+        rows, ok = lead.sample(bases)
+        T = lead.bulk_grid()
+        outs = lead.pass_lanes(scans, rows, ok, T)
+        return [s.reduce(i0, rows, ok, T, *out) for s, out in zip(scans, outs)]
+
+    per_chunk = _run_chunks(cfg.samples, cfg, chunk, max(1, MAX_CHUNK // len(scans)))
+    return [list(c) for c in zip(*per_chunk)]
 
 
 def _merge_chunks(chunks: list[_ChunkScan], lanes_per_pair: int, top_k: int):
@@ -143,9 +169,9 @@ def _merge_chunks(chunks: list[_ChunkScan], lanes_per_pair: int, top_k: int):
     return err_flat, err_note, cands[:top_k], max_viol, violated, extras
 
 
-def _select_candidates(masked: np.ndarray, flats: np.ndarray, k: int):
-    """Top-k (violation, flat, position) among the finite lanes of `masked`,
-    best first.  Ties go to the least position, which is the least flat."""
+def _select_candidates(masked: np.ndarray, k: int):
+    """Top-k (violation, position) among the finite lanes of `masked`, best
+    first.  Ties go to the least position, which is the least flat."""
     v = masked.ravel()
     if v.size > k:
         kth = v[np.argpartition(v, v.size - k)[v.size - k:]].min()
@@ -154,8 +180,7 @@ def _select_candidates(masked: np.ndarray, flats: np.ndarray, k: int):
     else:
         idx = np.arange(v.size)
     idx = idx[np.lexsort((idx, -v[idx]))]
-    flat_view = flats.ravel()
-    return [(float(v[p]), int(flat_view[p]), int(p)) for p in idx if np.isfinite(v[p])]
+    return [(float(v[p]), int(p)) for p in idx if np.isfinite(v[p])]
 
 
 def _line_refine(f, z0, intervals, steps: int):
@@ -206,7 +231,7 @@ def _pair_images(m: Manifold, E: EndoMap, U1: np.ndarray, U2: np.ndarray):
     """Clean E-images of both endpoints, stacked as one (2N, d) array whose
     halves image U1 and U2, and a row code: _E_BAD for an invalid image,
     _ANTI for antipodal images on the sphere."""
-    W, ok = _clean_images(m, E.eval_batch(np.vstack([U1, U2])))
+    W, ok = _clean_images(m, E.eval_batch(np.concatenate((U1, U2))))
     ok1, ok2 = _halves(ok)
     code = np.where(ok1 & ok2, _OK, _E_BAD).astype(np.int8)
     if m.kind is ManifoldKind.SPHERE:
@@ -260,7 +285,8 @@ class _Scan:
 
     Pair i owns the flat lane indices i*L .. i*L + L - 1 with
     L = lanes_per_pair(): slot i*L marks errors of the whole row, and
-    lane j of the bulk grid sits at i*L + first_lane + j.
+    column c of the bulk grid sits at i*L + 1 + c.  The bulk lanes start
+    at column first_lane - 1; the flats of skipped columns stay reserved.
     """
 
     has_t = True
@@ -274,40 +300,37 @@ class _Scan:
     def bulk_grid(self):
         return np.linspace(0.0, 1.0, self.cfg.t_grid)[None, :]
 
-    def chunk(self, i0: int, i1: int) -> _ChunkScan:
-        n = i1 - i0
+    def pass_lanes(self, scans, rows, ok, T):
+        """Bulk lanes `(viol, thr, err, extra)` of each of `scans` on rows
+        this scan sampled, `extra` holding the chunk's own counters; a scan
+        that shares no pass runs alone."""
+        return [(*self.lanes(rows, T), {})]
+
+    def reduce(self, i0: int, rows, ok, T, viol, thr, err, extra) -> _ChunkScan:
+        """The chunk's first domain error, candidates, maximum and counters
+        from its bulk lanes, which it overwrites."""
+        n, G = viol.shape
         L = self.lanes_per_pair()
-        gidx = np.arange(i0, i1, dtype=np.int64)
-        bases = rng.base_array(self.cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-        rows, ok = self.sample(bases)
-        T = self.bulk_grid()
-        viol, thr, err, more = self.bulk_lanes(rows, ok, T)
         err[~ok] = _OK if self.skips_unsampled else _PAIR_BAD
-        G = viol.shape[1]
-        flats = gidx[:, None] * L + self.first_lane + np.arange(G, dtype=np.int64)[None, :]
+        counted = ok[:, None] & (err == _OK) & np.isfinite(viol)
         err_flat, err_note = _BIG, None
         if np.any(err):
-            at = np.where(err == _OK, _BIG, np.where(err == _LANE, flats, gidx[:, None] * L))
-            pos = int(np.argmin(at))
-            err_flat = int(at.ravel()[pos])
-            err_note = self.notes[int(err.ravel()[pos])].format(i=int(gidx[pos // G]))
-        counted = ok[:, None] & (err == _OK) & np.isfinite(viol) & (flats < err_flat)
-        masked = np.where(counted, viol, -np.inf)
+            # lanes run in flat order, a row's error slot before its lanes
+            p = int(np.argmax(err.ravel() != _OK))
+            r, j = divmod(p, G)
+            code = int(err[r, j])
+            err_flat = (i0 + r) * L + (self.first_lane + j if code == _LANE else 0)
+            err_note = self.notes[code].format(i=i0 + r)
+            counted.ravel()[p:] = False
+        violated = bool(np.any(counted & (viol > thr)))
+        viol[~counted] = -np.inf
         cands = []
-        for v, flat, pos in _select_candidates(masked, flats, k=8):
-            pi, j = divmod(pos, G)
-            z0 = rows[pi] if T is None else np.append(rows[pi], T[0, j])
-            cands.append((v, flat, z0))
-        extra = {"n": n, "unsampled": int(np.sum(~ok)), "counted": int(np.sum(counted))}
-        extra.update(more)
-        return _ChunkScan(
-            i0, i1, err_flat, err_note, cands, float(masked.max()),
-            bool(np.any(counted & (viol > thr))), extra,
-        )
-
-    def bulk_lanes(self, rows, ok, T):
-        """`lanes` over a sampled chunk, plus the chunk's extra counters."""
-        return (*self.lanes(rows, T), {})
+        for v, p in _select_candidates(viol, k=8):
+            r, j = divmod(p, G)
+            z0 = rows[r] if T is None else np.append(rows[r], T[0, self.first_lane - 1 + j])
+            cands.append((v, (i0 + r) * L + self.first_lane + j, z0))
+        extra = {"n": n, "unsampled": int(np.sum(~ok)), "counted": int(np.sum(counted)), **extra}
+        return _ChunkScan(i0, i0 + n, err_flat, err_note, cands, float(viol.max()), violated, extra)
 
     def merge_extras(self, extras) -> dict:
         return {}
@@ -375,9 +398,9 @@ class _PairScan(_Scan):
 
     def probe_rows(self, rows):
         d = self.manifold.ambient_dim
-        U, ok = _on_manifold(self.manifold, np.vstack([rows[:, :d], rows[:, d:]]))
+        U, ok = _on_manifold(self.manifold, np.concatenate((rows[:, :d], rows[:, d:])))
         ok &= member_mask_batch(self.domain, U)
-        return np.hstack(_halves(U)), np.logical_and(*_halves(ok))
+        return np.concatenate(_halves(U), axis=1), np.logical_and(*_halves(ok))
 
     def intervals(self):
         box = list(self.domain.box)
@@ -399,11 +422,75 @@ class _PairScan(_Scan):
         return u1, u2, t, _scalar_images(self.manifold, self.E, u1, u2)
 
 
+class _CurveScan(_PairScan):
+    """A pair scan along the curve between the E-images of its row's two
+    domain points.  A subclass supplies
+
+    * `prelude(rows, W, code)`: per-row state from the stacked images W
+      (halves E(u1), E(u2)); it may mark rows in `code`;
+    * `lane(state, P, t) -> (viol, tau, bad)` at the curve points P of t:
+      thresholds tau (None for a margin test, whose rhs is 0) and the
+      lanes that failed to evaluate.
+
+    Scans over the same manifold, E and sampled rows share one pass
+    (`_curve_lanes`)."""
+
+    margin_test = True
+
+    def endpoints(self, rows):
+        d = self.manifold.ambient_dim
+        return rows[:, :d], rows[:, d:]
+
+    def pass_extra(self, rows, ok, W, code) -> dict:
+        return {}
+
+    def pass_lanes(self, scans, rows, ok, T):
+        outs, W, code = _curve_lanes(scans, rows, T, [s.first_lane - 1 for s in scans])
+        return [(*out, s.pass_extra(rows, ok, W, code)) for s, out in zip(scans, outs)]
+
+    def lanes(self, rows, T):
+        return _curve_lanes([self], rows, T, [0])[0][0]
+
+
+def _curve_lanes(scans, rows, T, offsets):
+    """Lanes `(viol, thr, err)` of curve scans that share manifold, E and row
+    layout, scan k over the t-columns T[:, offsets[k]:].  The E-images, their
+    row codes and the geodesic fan are computed once, and each curve point
+    once per t-column.  Also returns the stacked images and row codes."""
+    lead = scans[0]
+    m = lead.manifold
+    n, G = rows.shape[0], T.shape[1]
+    with np.errstate(all="ignore"):
+        W, code = _pair_images(m, lead.E, *lead.endpoints(rows))
+        lanes, per_scan = [], []
+        for s, off in zip(scans, offsets):
+            c = code.copy()
+            state = s.prelude(rows, W, c)
+            shape = (n, G - off)
+            thr = s.cfg.tol_abs + s.cfg.tol_rel if s.margin_test else np.empty(shape)
+            out = (np.empty(shape), thr, np.repeat(c[:, None], G - off, axis=1))
+            lanes.append(out)
+            per_scan.append((s, off, state, c == _OK, *out))
+        curve = geodesic_fan(m, *_halves(W))
+        for j in range(G):
+            t = T[:, j]
+            P = curve(t)
+            for s, off, state, ok_rows, viol, thr, err in per_scan:
+                if j < off:
+                    continue
+                v, tau, bad = s.lane(state, P, t)
+                viol[:, j - off] = v
+                if tau is not None:
+                    thr[:, j - off] = tau
+                np.copyto(err[:, j - off], _LANE, where=ok_rows & bad)
+    return lanes, W, code
+
+
 # ---------------------------------------------------------------------------
 # convexity of h along curves between E-images
 
 @dataclass
-class _ConvexityScan(_InstanceScan, _PairScan):
+class _ConvexityScan(_InstanceScan, _CurveScan):
     inst: Instance
     cfg: CheckConfig
     strict: bool = False
@@ -411,46 +498,34 @@ class _ConvexityScan(_InstanceScan, _PairScan):
     # lane t = 0 compares h(E(mu2)) with itself, so the bulk grid skips it;
     # its flat index stays reserved so sample positions do not move
     first_lane = 2
+    margin_test = False
     notes = {
         **_PAIR_NOTES,
         _VAL_BAD: "h or phi non-finite at an E-image (pair {i})",
         _LANE: "curve point left h's evaluable domain (pair {i})",
     }
 
-    def bulk_grid(self):
-        return super().bulk_grid()[:, 1:]
-
-    def lanes(self, rows, T):
+    def prelude(self, rows, W, code):
         inst = self.inst
-        cfg = self.cfg
-        m = inst.manifold
-        d = m.ambient_dim
-        W, code = _pair_images(m, inst.E, rows[:, :d], rows[:, d:])
-        W1, W2 = _halves(W)
         h1, h2 = _halves(inst.h.eval_batch(W))
         p12 = inst.phi.eval_batch(h1, h2)
         code[(code == _OK) & ~_finite(h1, h2, p12)] = _VAL_BAD
-        shape = (rows.shape[0], T.shape[1])
-        viol = np.empty(shape)
-        thr = np.empty(shape)
-        err = np.repeat(code[:, None], T.shape[1], axis=1)
-        with np.errstate(all="ignore"):
-            if self.strict:
-                sep = distance_batch(m, W1, W2)
-                elig = sep > STRICT_SEP_FRACTION * inst.domain.scale()
-            curve = geodesic_fan(m, W1, W2)
-            for j in range(T.shape[1]):
-                t = T[:, j]
-                lhs = inst.h.eval_batch(curve(t))
-                rhs = h2 + t * p12
-                v = lhs - rhs
-                tau = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
-                if self.strict:
-                    v = np.where(elig & (t > 0.0) & (t < 1.0), v + STRICT_MARGIN_FACTOR * tau, v)
-                viol[:, j] = v
-                thr[:, j] = tau
-                err[(code == _OK) & ~np.isfinite(lhs), j] = _LANE
-        return viol, thr, err
+        elig = None
+        if self.strict:
+            sep = distance_batch(inst.manifold, *_halves(W))
+            elig = sep > STRICT_SEP_FRACTION * inst.domain.scale()
+        return h2, p12, elig
+
+    def lane(self, state, P, t):
+        h2, p12, elig = state
+        cfg = self.cfg
+        lhs = self.inst.h.eval_batch(P)
+        rhs = h2 + t * p12
+        v = lhs - rhs
+        tau = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
+        if self.strict:
+            v = np.where(elig & (t > 0.0) & (t < 1.0), v + STRICT_MARGIN_FACTOR * tau, v)
+        return v, tau, ~np.isfinite(lhs)
 
     def intervals(self):
         iv = super().intervals()
@@ -509,10 +584,13 @@ def _emitted_witness(scan, cfg: CheckConfig, zs, origin: int) -> Witness | None:
 
 
 def _finish_scan(scan, cfg: CheckConfig, notes=(), flags=None, top_k: int = 1,
-                 force_refine: bool = False) -> Report:
+                 force_refine: bool = False, chunks=None) -> Report:
+    """The report of `scan` from its chunks (scanned here when None): merge,
+    refinement of the best candidates and scalar re-validation."""
     n = cfg.samples
     L = scan.lanes_per_pair()
-    chunks = _run_chunks(n, cfg, scan.chunk)
+    if chunks is None:
+        (chunks,) = _run_pass([scan], cfg)
     err_flat, err_note, cands, max_viol, violated, extras = _merge_chunks(chunks, L, top_k)
     flags = dict(flags or {})
     flags.update(scan.merge_extras(extras))
@@ -563,31 +641,39 @@ def check_geodesic_phiE_convex_fn(
     budget; otherwise the premise fails.  Strict mode additionally demands
     a > tol margin whenever the E-images differ and t is interior.
     """
-    set_report = check_geodesic_E_convex_set(inst.manifold, inst.E, inst.domain, cfg)
-    return _fn_check_given_set(inst, cfg, set_report, strict)
+    _, (report,) = _fn_checks([inst], cfg, strict)
+    return report()
 
 
-def _fn_check_given_set(
-    inst: Instance, cfg: CheckConfig, set_report: Report, strict: bool = False
-) -> Report:
-    """The function check on a set premise already scanned: `set_report` is
-    the set check of inst's manifold, E and domain at cfg, so verifiers whose
-    checks share those reuse one scan."""
-    if not set_report.holds:
-        return Report(
-            Verdict.PREMISE_FAILED,
-            set_report.max_violation,
-            None,
-            set_report.samples_used,
-            cfg.seed,
-            flags=dict(set_report.flags),
-            notes=(
-                f"domain is not geodesic E-convex on samples ({set_report.verdict.value})",
-            )
-            + set_report.notes,
-        )
+def _fn_checks(insts, cfg: CheckConfig, strict: bool = False):
+    """The set premise and the function check of each of `insts`, which
+    share manifold, E and domain, from one sampled pass.  Returns the set
+    report and, per instance, a callable giving its function report: a
+    check whose report is never asked for is never refined."""
+    first = insts[0]
+    set_scan = _SetScan(first.manifold, first.E, first.domain, cfg)
+    scans = [_ConvexityScan(inst, cfg, strict) for inst in insts]
+    set_chunks, *fn_chunks = _run_pass([set_scan, *scans], cfg)
+    set_report = _set_report(set_scan, cfg, set_chunks)
     notes = ("strict margin of 2*tol folded into rhs",) if strict else ()
-    return _finish_scan(_ConvexityScan(inst, cfg, strict), cfg, notes=notes)
+
+    def fn_report(scan, chunks) -> Report:
+        if not set_report.holds:
+            return Report(
+                Verdict.PREMISE_FAILED,
+                set_report.max_violation,
+                None,
+                set_report.samples_used,
+                cfg.seed,
+                flags=dict(set_report.flags),
+                notes=(
+                    f"domain is not geodesic E-convex on samples ({set_report.verdict.value})",
+                )
+                + set_report.notes,
+            )
+        return _finish_scan(scan, cfg, notes=notes, chunks=chunks)
+
+    return set_report, [partial(fn_report, s, c) for s, c in zip(scans, fn_chunks)]
 
 
 def check_phiE_convex_interval(inst: Instance, cfg: CheckConfig) -> Report:
@@ -716,7 +802,7 @@ def check_slope_inequality(inst: Instance, cfg: CheckConfig) -> Report:
 # geodesic E-convex sets
 
 @dataclass
-class _SetScan(_PairScan):
+class _SetScan(_CurveScan):
     manifold: Manifold
     E: EndoMap
     B: DomainSet
@@ -731,27 +817,18 @@ class _SetScan(_PairScan):
     def domain(self) -> DomainSet:
         return self.B
 
-    def lanes(self, rows, T, images=None):
-        d = self.manifold.ambient_dim
-        W, code = images or _pair_images(self.manifold, self.E, rows[:, :d], rows[:, d:])
-        viol = np.empty((rows.shape[0], T.shape[1]))
-        err = np.repeat(code[:, None], T.shape[1], axis=1)
-        with np.errstate(all="ignore"):
-            curve = geodesic_fan(self.manifold, *_halves(W))
-            for j in range(T.shape[1]):
-                margin = outside_margin_batch(self.B, curve(T[:, j]))
-                viol[:, j] = margin
-                err[(code == _OK) & ~np.isfinite(margin), j] = _LANE
-        return viol, self.cfg.tol_abs + self.cfg.tol_rel, err  # rhs of a margin test is 0
+    def prelude(self, rows, W, code):
+        return None
 
-    def bulk_lanes(self, rows, ok, T):
-        # the length-discrepancy counters reuse the lanes' E-images
+    def lane(self, state, P, t):
+        margin = outside_margin_batch(self.B, P)
+        return margin, None, ~np.isfinite(margin)
+
+    def pass_extra(self, rows, ok, W, code):
+        # length-discrepancy counters from the pass's E-images
         cfg = self.cfg
         m = self.manifold
-        d = m.ambient_dim
-        U1, U2 = rows[:, :d], rows[:, d:]
-        images = _pair_images(m, self.E, U1, U2)
-        W, code = images
+        U1, U2 = self.endpoints(rows)
         W1, W2 = _halves(W)
         ok_rows = ok & (code == _OK)
         with np.errstate(all="ignore"):
@@ -759,10 +836,10 @@ class _SetScan(_PairScan):
             d_base = distance_batch(m, U1, U2)
         len_disc = np.where(ok_rows, np.abs(d_im - d_base), 0.0)
         len_thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(d_base))
-        return (*self.lanes(rows, T, images), {
+        return {
             "len_bad": int(np.sum(ok_rows & (len_disc > len_thr))),
             "max_len_disc": float(np.max(len_disc, initial=0.0)),
-        })
+        }
 
     def merge_extras(self, extras):
         len_bad = sum(e["len_bad"] for e in extras)
@@ -791,8 +868,11 @@ def check_geodesic_E_convex_set(
     distance is reported as the separate flag `length_matches_base_distance`
     and never folds into the verdict.
     """
-    scan = _SetScan(m, E, B, cfg)
-    report = _finish_scan(scan, cfg)
+    return _set_report(_SetScan(m, E, B, cfg), cfg)
+
+
+def _set_report(scan: _SetScan, cfg: CheckConfig, chunks=None) -> Report:
+    report = _finish_scan(scan, cfg, chunks=chunks)
     return replace(report, notes=report.notes + (scan._length_note,))
 
 
@@ -800,7 +880,7 @@ def check_geodesic_E_convex_set(
 # product-space sets
 
 @dataclass
-class _ProductSetScan(_PairScan):
+class _ProductSetScan(_CurveScan):
     """Rows (u1, v1, u2, v2) of two sampled product-set members."""
 
     manifold: Manifold
@@ -824,22 +904,20 @@ class _ProductSetScan(_PairScan):
         (U2, V2), ok2 = sample_product_members(self.S, bases, region=1, on_fail="mask")
         return np.hstack([U1, V1[:, None], U2, V2[:, None]]), ok1 & ok2
 
-    def lanes(self, rows, T):
-        m = self.manifold
-        U1, V1, U2, V2 = self._split(rows)
-        W, code = _pair_images(m, self.E, U1, U2)
+    def endpoints(self, rows):
+        U1, _, U2, _ = self._split(rows)
+        return U1, U2
+
+    def prelude(self, rows, W, code):
+        _, V1, _, V2 = self._split(rows)
         pv = self.phi.eval_batch(V1, V2)
         code[(code == _OK) & ~np.isfinite(pv)] = _VAL_BAD
-        viol = np.empty((rows.shape[0], T.shape[1]))
-        err = np.repeat(code[:, None], T.shape[1], axis=1)
-        with np.errstate(all="ignore"):
-            curve = geodesic_fan(m, *_halves(W))
-            for j in range(T.shape[1]):
-                t = T[:, j]
-                margin = self.S.outside_margin(curve(t), V2 + t * pv)
-                viol[:, j] = margin
-                err[(code == _OK) & ~np.isfinite(margin), j] = _LANE
-        return viol, self.cfg.tol_abs + self.cfg.tol_rel, err
+        return V2, pv
+
+    def lane(self, state, P, t):
+        V2, pv = state
+        margin = self.S.outside_margin(P, V2 + t * pv)
+        return margin, None, ~np.isfinite(margin)
 
     def probe_rows(self, rows):
         m = self.manifold
@@ -922,10 +1000,8 @@ class EpigraphMembership:
         inst = self.inst
         cfg = self.cfg
         target = np.asarray(getattr(u, "coords", u), dtype=np.float64)
-        n = cfg.samples
-        best_d = np.inf
-        best_mu = None
-        for i0, i1 in _chunk_ranges(n, 1):
+
+        def nearest(i0, i1):
             bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
             U, ok = sample_members(inst.domain, bases, region=5, on_fail="mask")
             W = inst.E.eval_batch(U)
@@ -933,10 +1009,11 @@ class EpigraphMembership:
                 dist = row_norm(W - target[None, :])
             dist = np.where(ok & np.isfinite(dist), dist, np.inf)
             k = int(np.argmin(dist))
-            if dist[k] < best_d:
-                best_d = float(dist[k])
-                best_mu = tuple(U[k])
-        if best_mu is None:
+            return float(dist[k]), i0 + k, tuple(U[k])
+
+        # least distance, ties to the least sample index, at any worker count
+        best_d, _, best_mu = min(_run_chunks(cfg.samples, cfg, nearest), key=lambda c: c[:2])
+        if best_d == np.inf:
             raise InverseSearchFailedError("no domain sample could be drawn")
 
         def objective(Z):

@@ -100,7 +100,9 @@ def _require(cond: bool, msg: str):
 
 
 def _build_cfg(raw: dict, args) -> CheckConfig:
-    data = dict(raw.get("cfg") or {})
+    data = raw.get("cfg") or {}
+    _require(isinstance(data, dict), "cfg must be an object")
+    data = dict(data)
     env_seed = os.environ.get("GEOCONVEX_SEED")
     if env_seed is not None:
         data["seed"] = int(env_seed)
@@ -116,34 +118,53 @@ def _build_cfg(raw: dict, args) -> CheckConfig:
         raise ConfigError(f"bad cfg block: {exc}") from exc
 
 
-def _build_domain(raw: dict, manifold) -> DomainSet:
-    _require(isinstance(raw, dict) and "box" in raw, "domain needs a box")
-    box = tuple(tuple(axis) for axis in raw["box"])
+def _source(value, key: str) -> str:
+    _require(isinstance(value, str), f"{key} must be an expression string")
+    return value
+
+
+def _build_domain(raw: dict, manifold, key: str = "domain") -> DomainSet:
+    _require(isinstance(raw, dict) and "box" in raw, f"{key} needs a box")
     membership = None
     if raw.get("membership"):
-        membership = parse(raw["membership"], point_vars(manifold.ambient_dim))
+        membership = parse(_source(raw["membership"], f"{key}.membership"),
+                           point_vars(manifold.ambient_dim))
     try:
+        box = tuple(tuple(axis) for axis in raw["box"])
         return DomainSet(manifold, box, membership)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}.box: {exc}") from exc
 
 
 def _build_instance(raw: dict) -> Instance:
     _require("manifold" in raw, "config needs a manifold")
     mspec = raw["manifold"]
-    manifold = manifold_from_name(mspec.get("kind", "Euclidean"), int(mspec.get("dim", 1)))
+    _require(isinstance(mspec, dict), "manifold must be an object")
+    try:
+        dim = int(mspec.get("dim", 1))
+    except (TypeError, ValueError):
+        raise ConfigError("manifold.dim must be an integer") from None
+    kind = mspec.get("kind", "Euclidean")
+    _require(isinstance(kind, str), "manifold.kind must be a string")
+    try:
+        manifold = manifold_from_name(kind, dim)
+    except ValueError as exc:
+        raise ConfigError(f"manifold: {exc}") from exc
     domain = _build_domain(raw.get("domain", {}), manifold)
     amb = manifold.ambient_dim
     _require("h" in raw, "config needs h")
-    h = ScalarFn.from_source(raw["h"], amb)
+    h = ScalarFn.from_source(_source(raw["h"], "h"), amb)
     e_raw = raw.get("E", None)
     if e_raw is None:
         E = EndoMap.identity(amb)
     else:
+        _require(isinstance(e_raw, str) or (
+            isinstance(e_raw, list) and all(isinstance(c, str) for c in e_raw)
+        ), "E must be an expression string or a list of them")
         E = EndoMap.from_source(e_raw, amb)
         _require(len(E.exprs) == amb, f"E needs {amb} component(s)")
     _require("phi" in raw, "config needs phi")
-    phi = Bifunction.from_source(raw["phi"])
+    phi = Bifunction.from_source(_source(raw["phi"], "phi"))
     return Instance(manifold, h, E, phi, domain)
 
 
@@ -152,7 +173,7 @@ def _build_product_set(raw: dict, inst: Instance) -> ProductSet:
     _require(isinstance(spec, dict), "config needs a product_set block")
     base = inst.domain
     if "base" in spec:
-        base = _build_domain(spec["base"], inst.manifold)
+        base = _build_domain(spec["base"], inst.manifold, "product_set.base")
     _require("graph_bound" in spec, "product_set needs graph_bound")
     names = point_vars(inst.manifold.ambient_dim) + ("v",)
     graph = parse(spec["graph_bound"], names)
@@ -425,10 +446,13 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "config"}), file=sys.stderr)
         return 3
-    if getattr(args, "theorem", None):
-        raw.setdefault("theorem", {})["id"] = args.theorem
     start = time.monotonic()
     try:
+        _require(isinstance(raw, dict), "top level of the job must be a JSON object")
+        if getattr(args, "theorem", None):
+            theorem = raw.setdefault("theorem", {})
+            _require(isinstance(theorem, dict), "theorem must be an object")
+            theorem["id"] = args.theorem
         cfg = _build_cfg(raw, args)
         reports = run_job(raw, _COMMANDS[args.command], cfg)
     except ConfigError as exc:

@@ -109,18 +109,18 @@ Node = Union[Const, Var, Unary, Binary, Call, IfExpr]
 def node_depth(node: Node) -> int:
     if isinstance(node, (Const, Var)):
         return 1
+    return 1 + max(node_depth(c) for c in _parts(node)[1])
+
+
+def _parts(node) -> tuple:
+    """A non-leaf node's operator and its operand subtrees."""
     if isinstance(node, Unary):
-        return 1 + node_depth(node.operand)
+        return node.op, (node.operand,)
     if isinstance(node, Binary):
-        return 1 + max(node_depth(node.lhs), node_depth(node.rhs))
+        return node.op, (node.lhs, node.rhs)
     if isinstance(node, Call):
-        return 1 + max(node_depth(a) for a in node.args)
-    return 1 + max(
-        node_depth(node.lhs),
-        node_depth(node.rhs),
-        node_depth(node.then),
-        node_depth(node.orelse),
-    )
+        return node.fn, node.args
+    return node.cmp, (node.lhs, node.rhs, node.then, node.orelse)
 
 
 @dataclass(frozen=True)
@@ -480,21 +480,101 @@ def compile_batch(node: Node) -> Callable:
     Non-finite lanes are returned as-is for the caller to mask, without
     floating-point warnings.  Lanes whose if-condition operands are
     non-finite are poisoned with NaN so a bad condition cannot silently
-    select a branch.
+    select a branch.  A subtree that occurs more than once is evaluated
+    once per call.
     """
-    fn = _compile(node)
+    shared = _repeated_subtrees((node,))
+    f = _compile(node, shared)
 
+    # not compile_batch_all((node,)): its list costs calls on every probe
     def run(env):
+        if shared:
+            env = {**env, _MEMO: {}}
         with np.errstate(all="ignore"):
-            return fn(env)
+            return f(env)
 
     return run
+
+
+def compile_batch_all(nodes) -> Callable:
+    """Compile several trees into one closure returning the list of their
+    arrays; a subtree repeated within or across the trees is evaluated once
+    per call."""
+    shared = _repeated_subtrees(nodes)
+    fns = [_compile(n, shared) for n in nodes]
+
+    def run(env):
+        if shared:
+            env = {**env, _MEMO: {}}
+        with np.errstate(all="ignore"):
+            return [f(env) for f in fns]
+
+    return run
+
+
+# env key of the per-call memo of repeated subtrees (variable names are str)
+_MEMO = 0
+
+
+def _repeated_subtrees(nodes) -> dict:
+    """id(node) -> memo slot for every non-leaf subtree that evaluating
+    `nodes` reaches more than once.  Subtrees are equal when their structure
+    and the bits of their constants are (0.0 and -0.0 differ), and a repeat
+    is not descended into, so its own subtrees count once."""
+    numbers = {}  # structural key -> number
+    of_id = {}  # id(node) -> (number, node), keeping the node alive
+    count = {}
+
+    def number(node) -> int:
+        if id(node) in of_id:
+            return of_id[id(node)][0]
+        if isinstance(node, Const):
+            key = ("c", float(node.value).hex())
+        elif isinstance(node, Var):
+            key = ("v", node.name)
+        else:
+            label, children = _parts(node)
+            key = (type(node).__name__, label, *(number(c) for c in children))
+        k = numbers.setdefault(key, len(numbers))
+        of_id[id(node)] = (k, node)
+        return k
+
+    def visit(node):
+        if isinstance(node, (Const, Var)):
+            return
+        k = number(node)
+        count[k] = count.get(k, 0) + 1
+        if count[k] == 1:
+            for c in _parts(node)[1]:
+                visit(c)
+
+    for n in nodes:
+        visit(n)
+    return {i: k for i, (k, _) in of_id.items() if count.get(k, 0) > 1}
+
+
+def _memoized(f: Callable, slot: int) -> Callable:
+    def g(env):
+        memo = env[_MEMO]
+        if slot not in memo:
+            memo[slot] = f(env)
+        return memo[slot]
+
+    return g
 
 
 _NP_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
 
-def _compile(node: Node) -> Callable:
+def _compile(node: Node, shared: dict) -> Callable:
+    """The closure of `node`, memoized per call when `shared` gives it a
+    slot."""
+    f = _compile_node(node, shared)
+    slot = shared.get(id(node))
+    return f if slot is None else _memoized(f, slot)
+
+
+def _compile_node(node: Node, shared: dict) -> Callable:
     if isinstance(node, Const):
         c = node.value
         return lambda env: c
@@ -502,11 +582,11 @@ def _compile(node: Node) -> Callable:
         name = node.name
         return lambda env: env[name]
     if isinstance(node, Unary):
-        f = _compile(node.operand)
+        f = _compile(node.operand, shared)
         return lambda env: -f(env)
     if isinstance(node, Binary):
-        fl = _compile(node.lhs)
-        fr = _compile(node.rhs)
+        fl = _compile(node.lhs, shared)
+        fr = _compile(node.rhs, shared)
         op = node.op
         if op in _NP_ARITH:
             uf = _NP_ARITH[op]
@@ -525,7 +605,7 @@ def _compile(node: Node) -> Callable:
 
         return _pow
     if isinstance(node, Call):
-        fns = [_compile(a) for a in node.args]
+        fns = [_compile(a, shared) for a in node.args]
         if node.fn == "min":
             return lambda env: np.minimum(fns[0](env), fns[1](env))
         if node.fn == "max":
@@ -539,10 +619,10 @@ def _compile(node: Node) -> Callable:
 
             return _artanh
         return lambda env: uf(f0(env))
-    fl = _compile(node.lhs)
-    fr = _compile(node.rhs)
-    ft = _compile(node.then)
-    fe = _compile(node.orelse)
+    fl = _compile(node.lhs, shared)
+    fr = _compile(node.rhs, shared)
+    ft = _compile(node.then, shared)
+    fe = _compile(node.orelse, shared)
     cmp = _NP_CMP[node.cmp]
 
     def _ifexpr(env):
@@ -645,6 +725,10 @@ class EndoMap:
     def nvars(self) -> int:
         return len(self.exprs[0].variables)
 
+    @cached_property
+    def _batch_fn(self) -> Callable:
+        return compile_batch_all(tuple(e.root for e in self.exprs))
+
     def __call__(self, coords) -> tuple[float, ...]:
         env = _env_from_coords(self.exprs[0].variables, coords)
         return tuple(evaluate(e, env) for e in self.exprs)
@@ -652,8 +736,8 @@ class EndoMap:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         env = _batch_env(self.exprs[0].variables, X)
         cols = [
-            np.asarray(e._batch_fn(env), dtype=np.float64) + np.zeros(X.shape[0])
-            for e in self.exprs
+            np.asarray(col, dtype=np.float64) + np.zeros(X.shape[0])
+            for col in self._batch_fn(env)
         ]
         return np.stack(cols, axis=1)
 

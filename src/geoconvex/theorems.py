@@ -44,16 +44,15 @@ from .checker import (
     _finish_scan,
     _margin_witness,
     _finite,
-    _fn_check_given_set,
+    _fn_checks,
     _halves,
     _on_manifold,
     _pair_images,
-    check_geodesic_E_convex_set,
     check_geodesic_phiE_convex_fn,
     check_geodesic_phiE_convex_set,
     check_phiE_convex_interval,
 )
-from .errors import EvalDomainError
+from .errors import EvalDomainError, GeoconvexError
 from .exprlang import (
     Bifunction,
     Binary,
@@ -413,11 +412,13 @@ def verify_closure(kind: str, insts: Sequence[Instance],
     premises = [_shared_family_premise(insts, cfg.seed)]
     if not premises[0].holds:
         return _assemble(tid, premises, None)
-    # the family shares manifold, E and domain, hence one set premise
-    set_report = check_geodesic_E_convex_set(first.manifold, first.E, first.domain, cfg)
-    for k, sub in enumerate(insts):
-        premises.append(_labeled(_fn_check_given_set(sub, cfg, set_report),
-                                 f"member {k} convexity"))
+    # the family and its combination share manifold, E and domain, hence
+    # one set premise and one sampled pass
+    combined = _built(lambda: first.with_h(_closure_combination(kind, insts, weights),
+                                           f"{kind} combination"))
+    _, checks = _fn_checks(insts + _if_built(combined), cfg)
+    for k in range(len(insts)):
+        premises.append(_labeled(checks[k](), f"member {k} convexity"))
     if kind in ("Scaling", "Sum", "WeightedSum"):
         budget = min(cfg.samples, 20_000)
         premises.append(_labeled(check_nonneg_homogeneous(first.phi, budget, cfg.seed, cfg),
@@ -451,20 +452,43 @@ def verify_closure(kind: str, insts: Sequence[Instance],
         ))
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None)
+    return _assemble(tid, premises, _built_check(combined, checks))
 
+
+def _closure_combination(kind: str, insts: Sequence[Instance], weights) -> ScalarFn:
     if kind == "Scaling":
-        combined = scale_fn(weights[0], first.h)
-    elif kind == "Sum":
+        return scale_fn(weights[0], insts[0].h)
+    if kind == "Sum":
         combined = insts[0].h
         for sub in insts[1:]:
             combined = add_fns(combined, sub.h)
-    elif kind == "WeightedSum":
-        combined = weighted_sum_fns([i.h for i in insts], list(weights))
-    else:
-        combined = max_fns([i.h for i in insts])
-    conclusion = _fn_check_given_set(first.with_h(combined, f"{kind} combination"), cfg,
-                                     set_report)
-    return _assemble(tid, premises, conclusion)
+        return combined
+    if kind == "WeightedSum":
+        return weighted_sum_fns([i.h for i in insts], list(weights))
+    return max_fns([i.h for i in insts])
+
+
+def _built(build):
+    """`build()`, or the exception it raised.  A conclusion is built before
+    its premises are checked so that its scan can share their sampled pass;
+    one that cannot be built joins no pass, and its error is raised only
+    where the verifier reaches the conclusion (`_built_check`)."""
+    try:
+        return build()
+    except (GeoconvexError, LookupError, TypeError, ValueError) as exc:
+        return exc
+
+
+def _if_built(inst) -> list:
+    return [] if isinstance(inst, Exception) else [inst]
+
+
+def _built_check(inst, checks) -> Report:
+    """The function report of a conclusion built by `_built`, the last of
+    `checks` when it was built."""
+    if isinstance(inst, Exception):
+        raise inst
+    return checks[-1]()
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +497,10 @@ def verify_closure(kind: str, insts: Sequence[Instance],
 def verify_composition(h1_inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> TheoremReport:
     tid = TheoremId.COMPOSITION
     premises = []
-    set_report = check_geodesic_E_convex_set(h1_inst.manifold, h1_inst.E, h1_inst.domain, cfg)
+    composed = _built(lambda: h1_inst.with_h(compose_scalar(h2, h1_inst.h), "composition"))
     diff_inst = h1_inst.with_phi(Bifunction.difference())
-    premises.append(_labeled(_fn_check_given_set(diff_inst, cfg, set_report),
-                             "inner function geodesic E-convex (difference gap)"))
+    _, checks = _fn_checks([diff_inst] + _if_built(composed), cfg)
+    premises.append(_labeled(checks[0](), "inner function geodesic E-convex (difference gap)"))
     try:
         _, _, H = _sampled_image_values(h1_inst, cfg, 512, _R_AUX1)
     except EvalDomainError as exc:
@@ -506,9 +530,7 @@ def verify_composition(h1_inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> The
                              "outer function combination-convex on the sampled range"))
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None)
-    composed = compose_scalar(h2, h1_inst.h)
-    conclusion = _fn_check_given_set(h1_inst.with_h(composed, "composition"), cfg, set_report)
-    return _assemble(tid, premises, conclusion)
+    return _assemble(tid, premises, _built_check(composed, checks))
 
 
 # ---------------------------------------------------------------------------
@@ -856,15 +878,11 @@ def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
             members.append(add_bifunctions(phis[: i + 1]))
     else:
         members = phis
-    # every member changes phi only, so all checks share one set premise
-    set_report = check_geodesic_E_convex_set(
-        inst_base.manifold, inst_base.E, inst_base.domain, cfg
-    )
-    for i, phi_i in enumerate(members):
-        premises.append(_labeled(
-            _fn_check_given_set(inst_base.with_phi(phi_i), cfg, set_report),
-            f"convexity under member {i}",
-        ))
+    # every member changes phi only and the conclusion is inst_base, so all
+    # checks share one set premise and one sampled pass
+    _, checks = _fn_checks([inst_base.with_phi(phi_i) for phi_i in members] + [inst_base], cfg)
+    for i in range(len(members)):
+        premises.append(_labeled(checks[i](), f"convexity under member {i}"))
     _, _, H = _sampled_image_values(inst_base, cfg, 256, _R_AUX1)
     devs = []
     if H.size >= 2:
@@ -884,7 +902,7 @@ def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
     )
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None, notes=notes)
-    conclusion = _fn_check_given_set(inst_base, cfg, set_report)
+    conclusion = checks[-1]()
     conclusion = replace(conclusion, flags={**conclusion.flags, "phi_sequence_converged": converged})
     return _assemble(tid, premises, conclusion, notes=notes)
 
@@ -1032,12 +1050,12 @@ def verify_epigraph_equiv(inst: Instance, cfg: CheckConfig) -> TheoremReport:
         premises.append(_bool_premise("value range sampleable", False, cfg.seed))
         return _assemble(tid, premises, None)
     premises.append(_phi_combination_monotone_premise(inst.phi, H, cfg))
-    set_report = check_geodesic_E_convex_set(inst.manifold, inst.E, inst.domain, cfg)
+    set_report, (fn_check,) = _fn_checks([inst], cfg)
     premises.append(_labeled(set_report, "domain geodesic E-convex"))
     if any(not p.holds for p in premises):
         return _assemble(tid, premises, None)
 
-    fn_report = _fn_check_given_set(inst, cfg, set_report)
+    fn_report = fn_check()
     epi = epigraph_product_set(inst, cfg)
     set_report = check_geodesic_phiE_convex_set(
         inst.manifold, inst.E, inst.phi, epi, cfg

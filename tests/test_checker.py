@@ -368,22 +368,20 @@ def test_batch_finite_where_scalar_raises():
 def test_select_candidates_ties_straddle_kth():
     from geoconvex.checker import _select_candidates
 
-    # four lanes tie at the 3rd-best value; the two with the least flat win
+    # four lanes tie at the 3rd-best value; the two with the least position win
     masked = np.array([[0.5, 2.0, -np.inf], [2.0, 3.0, 2.0], [1.0, 2.0, -np.inf]])
-    flats = np.arange(9).reshape(3, 3) * 10 + 7
-    got = _select_candidates(masked, flats, k=3)
-    assert got == [(3.0, 47, 4), (2.0, 17, 1), (2.0, 37, 3)]
+    got = _select_candidates(masked, k=3)
+    assert got == [(3.0, 4), (2.0, 1), (2.0, 3)]
     # against a full stable sort, on data full of ties
     rng_ = np.random.default_rng(5)
     for _ in range(50):
         m = rng_.integers(-3, 3, size=(40, 7)).astype(float)
         m[m == -3] = -np.inf
-        f = np.arange(m.size).reshape(m.shape)
         for k in (1, 8, 300):
             order = np.argsort(-m.ravel(), kind="stable")[:k]
-            want = [(float(m.ravel()[p]), int(p), int(p)) for p in order
+            want = [(float(m.ravel()[p]), int(p)) for p in order
                     if np.isfinite(m.ravel()[p])]
-            assert _select_candidates(m, f, k) == want
+            assert _select_candidates(m, k) == want
 
 
 def test_line_refine_pins_a_smooth_maximum():
@@ -403,3 +401,180 @@ def test_line_refine_pins_a_smooth_maximum():
     assert v == pytest.approx(0.0, abs=1e-15)
     # the first step finds no admissible probe and stops after one round
     assert calls == [1, LINE_PROBES] + [LINE_PROBES] * (3 * LINE_ROUNDS)
+
+
+def _fn_check_two_scans(inst, cfg, strict=False):
+    """Reference for the one-pass function check: the set check and the
+    convexity scan run as two separate scans."""
+    from geoconvex.checker import _ConvexityScan, _finish_scan
+    from geoconvex.reports import Report
+
+    set_report = check_geodesic_E_convex_set(inst.manifold, inst.E, inst.domain, cfg)
+    if not set_report.holds:
+        return Report(
+            Verdict.PREMISE_FAILED, set_report.max_violation, None,
+            set_report.samples_used, cfg.seed, flags=dict(set_report.flags),
+            notes=(f"domain is not geodesic E-convex on samples ({set_report.verdict.value})",)
+            + set_report.notes,
+        )
+    notes = ("strict margin of 2*tol folded into rhs",) if strict else ()
+    return _finish_scan(_ConvexityScan(inst, cfg, strict), cfg, notes=notes)
+
+
+def _shared_pass_cases():
+    e2, s2, b2 = euclidean(2), sphere(2), poincare_ball(2)
+    diff = Bifunction.from_source("a - b")
+    disk = DomainSet(e2, ((-1.0, 1.0),) * 2, parse("1 - x1^2 - x2^2", point_vars(2)))
+    cap = DomainSet(s2, ((-2.0, 2.0),) * 3, parse("x3 - 0.5", point_vars(3)))
+    ball_box = DomainSet(b2, ((-0.5, 0.5),) * 2)
+    lobes = DomainSet(E1, ((-2.0, 2.0),), parse("x1^2 - 1", point_vars(1)))
+    # curve points between the shifted images leave log's domain
+    shifted = DomainSet(E1, ((-2.0, 2.0),), parse("log(x1 + 1.5)", point_vars(1)))
+
+    def inst(m, h, dom, E=None):
+        return Instance(m, ScalarFn.from_source(h, m.ambient_dim),
+                        E or EndoMap.identity(m.ambient_dim), diff, dom)
+
+    return {
+        "euclid_bowl": inst(e2, "x1^2 + x2^2", disk),
+        "euclid_cap": inst(e2, "-(x1^2) - x2^2", disk),
+        "sphere_cap": inst(s2, "2 - 2*x3", cap),
+        "ball_box": inst(b2, "1 - x1^2 - x2^2", ball_box),
+        "ball_distance": inst(b2, "(2*artanh(sqrt(x1^2 + x2^2 + 1e-30)))^2", ball_box),
+        "set_violated": inst(E1, "x1^2", lobes),
+        "set_domain_error": inst(E1, "x1^2", shifted, EndoMap.from_source("x1 - 3", 1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shared_pass_cases()))
+@pytest.mark.parametrize("strict", [False, True])
+def test_one_pass_fn_check_matches_two_scans(name, strict):
+    inst = _shared_pass_cases()[name]
+    cfg = CheckConfig(seed=11, samples=1500)
+    got = check_geodesic_phiE_convex_fn(inst, cfg, strict=strict)
+    assert got.to_dict() == _fn_check_two_scans(inst, cfg, strict).to_dict()
+    if name.startswith("set_"):
+        assert got.verdict is Verdict.PREMISE_FAILED
+        want_set = "DomainError" if name == "set_domain_error" else "Violated"
+        assert f"({want_set})" in got.notes[0]
+
+
+def test_shared_pass_serves_several_instances():
+    from geoconvex.checker import _fn_checks
+
+    cases = _shared_pass_cases()
+    base = cases["euclid_bowl"]
+    insts = [base, cases["euclid_cap"], base.with_phi(Bifunction.from_source("2*(a - b)"))]
+    cfg = CheckConfig(seed=5, samples=1200)
+    set_report, checks = _fn_checks(insts, cfg)
+    want_set = check_geodesic_E_convex_set(base.manifold, base.E, base.domain, cfg)
+    assert set_report.to_dict() == want_set.to_dict()
+    for inst, check in zip(insts, checks):
+        assert check().to_dict() == _fn_check_two_scans(inst, cfg).to_dict()
+
+
+@pytest.mark.parametrize("name", ["euclid_cap", "sphere_cap", "ball_box", "set_domain_error"])
+def test_one_pass_fn_check_same_at_any_worker_count(name):
+    inst = _shared_pass_cases()[name]
+    cfg = CheckConfig(seed=3, samples=2001)
+    reports = [check_geodesic_phiE_convex_fn(inst, cfg.replace(workers=w)).to_dict()
+               for w in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_chunk_ranges_split_evenly_within_the_cap():
+    from geoconvex.checker import _chunk_ranges
+
+    for n in (1, 2, 3, 7, 100, 1000, 65537, 100_000):
+        for workers in (1, 2, 3, 4):
+            for cap in (1, 3, 1000, 32768, 65536):
+                ranges = _chunk_ranges(n, workers, cap)
+                sizes = [i1 - i0 for i0, i1 in ranges]
+                assert ranges[0][0] == 0 and ranges[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+                assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+                assert max(sizes) <= cap
+                assert len(ranges) % workers == 0 or len(ranges) == n
+    # 100k samples at two workers, as a two-scan pass
+    assert [i1 - i0 for i0, i1 in _chunk_ranges(100_000, 2, 32768)] == [25_000] * 4
+
+
+def test_preimage_distance_same_at_any_worker_count():
+    from geoconvex import rng
+    from geoconvex.algebra import sample_members
+
+    inst = _inst1d("x1^2", "a - b", (-1.0, 1.0), E="x1^3")
+    cfg = CheckConfig(seed=9, samples=3001)
+    got = [epigraph_membership(inst, cfg.replace(workers=w)).preimage_distance((0.2,))
+           for w in (1, 2, 3)]
+    assert got[0] == got[1] == got[2]
+    # a constant remap ties every sample: the least sample index wins
+    flat = _inst1d("x1^2", "a - b", (-1.0, 1.0), E="0.25")
+    first = tuple(sample_members(flat.domain, rng.base_array(cfg.seed, np.arange(1, dtype=np.uint64)),
+                                 region=5)[0])
+    for w in (1, 2, 3):
+        dist, mu = epigraph_membership(flat, cfg.replace(workers=w)).preimage_distance((0.5,))
+        assert dist == 0.25 and mu == first
+
+
+def _reduce_with_flats(i0, L, first_lane, viol, thr, err, ok, skips_unsampled):
+    """Reference for `_Scan.reduce`: the chunk reduction over an explicit
+    (N, G) matrix of flat lane indices."""
+    from geoconvex.checker import _BIG, _LANE, _OK, _PAIR_BAD
+
+    n, G = viol.shape
+    gidx = np.arange(i0, i0 + n, dtype=np.int64)
+    err = err.copy()
+    err[~ok] = _OK if skips_unsampled else _PAIR_BAD
+    flats = gidx[:, None] * L + first_lane + np.arange(G, dtype=np.int64)[None, :]
+    err_flat, err_at = _BIG, None
+    if np.any(err):
+        at = np.where(err == _OK, _BIG, np.where(err == _LANE, flats, gidx[:, None] * L))
+        pos = int(np.argmin(at))
+        err_flat = int(at.ravel()[pos])
+        err_at = (int(err.ravel()[pos]), int(gidx[pos // G]))
+    counted = ok[:, None] & (err == _OK) & np.isfinite(viol) & (flats < err_flat)
+    masked = np.where(counted, viol, -np.inf)
+    order = sorted((-v, f) for v, f in zip(masked.ravel(), flats.ravel()) if np.isfinite(v))
+    cands = [(-nv, int(f)) for nv, f in order[:8]]
+    return (err_flat, err_at, cands, float(masked.max()),
+            bool(np.any(counted & (viol > thr))), int(np.sum(counted)))
+
+
+@pytest.mark.parametrize("skips_unsampled", [False, True])
+def test_chunk_reduce_matches_flat_index_reference(skips_unsampled):
+    from geoconvex.checker import _ANTI, _E_BAD, _LANE, _OK, _VAL_BAD, _Scan
+
+    class Lanes(_Scan):
+        cfg = CheckConfig(t_grid=6)
+        first_lane = 2
+        notes = {c: f"{c}:{{i}}" for c in range(1, 6)}
+
+    scan = Lanes()
+    scan.skips_unsampled = skips_unsampled
+    gen = np.random.default_rng(7)
+    n, G, L = 50, 5, 7
+    for trial in range(200):
+        i0 = int(gen.integers(0, 1000))
+        viol = gen.normal(size=(n, G))
+        viol[gen.random((n, G)) < 0.05] = np.nan
+        viol[gen.random((n, G)) < 0.05] = np.inf
+        viol[gen.random((n, G)) < 0.3] = 0.7  # ties
+        p_err = (0.0, 0.002, 0.02)[trial % 3]
+        row_code = np.where(gen.random(n) < p_err, gen.choice([_E_BAD, _ANTI, _VAL_BAD], n), _OK)
+        err = np.repeat(row_code[:, None].astype(np.int8), G, axis=1)
+        err[(row_code[:, None] == _OK) & (gen.random((n, G)) < p_err)] = _LANE
+        ok = gen.random(n) > p_err
+        thr = 0.5 if trial % 2 else np.abs(gen.normal(size=(n, G)))
+        T = np.linspace(0.0, 1.0, 6)[None, :]
+        rows = np.arange(n, dtype=float)[:, None]
+        want = _reduce_with_flats(i0, L, scan.first_lane, viol, thr, err, ok, skips_unsampled)
+        got = scan.reduce(i0, rows, ok, T, viol.copy(), thr, err.copy(), {})
+        assert got.err_flat == want[0]
+        if want[1] is not None:
+            assert got.err_note == f"{want[1][0]}:{want[1][1]}"
+        assert [(v, f) for v, f, _ in got.cands] == want[2]
+        for v, f, z0 in got.cands:
+            pair, lane = divmod(f, L)
+            assert z0.tolist() == [pair - i0, T[0, lane - 1]]
+        assert (got.max_viol, got.violated, got.extra["counted"]) == want[3:]

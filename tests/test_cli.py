@@ -287,3 +287,33 @@ def test_verify_too_deep_transport_exit_three(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert code == 3
     assert err["kind"] == "ExprDepthError"
+
+
+def _malformed(**changes):
+    job = {k: v for k, v in HOLDS_JOB.items() if k != "form"}
+    job.update(changes)
+    return job
+
+
+@pytest.mark.parametrize("job, key", [
+    (_malformed(manifold={"kind": "Euclidean", "dim": "x"}), "manifold.dim"),
+    (_malformed(manifold=[1]), "manifold"),
+    (_malformed(h=3), "h"),
+    (_malformed(E=3), "E"),
+    (_malformed(E=["x1", 2]), "E"),
+    (_malformed(phi=["a - b"]), "phi"),
+    (_malformed(domain={"box": 5}), "domain.box"),
+    (_malformed(domain={"box": [[0, "low"]]}), "domain.box"),
+    (_malformed(domain={"box": [[-1, 1]], "membership": 2}), "domain.membership"),
+    (_malformed(cfg=[["seed", 3]]), "cfg"),
+    ([HOLDS_JOB], "top level"),
+])
+def test_malformed_job_type_exit_three(tmp_path, capsys, job, key):
+    cfgp = _write(tmp_path, "job.json", job)
+    code = main(["check", "--config", cfgp])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in out + err
+    payload = json.loads(err)
+    assert payload["kind"] == "config"
+    assert payload["error"].startswith(key)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from geoconvex import exprlang
 from geoconvex.errors import (
     ArityMismatchError,
     EvalDomainError,
@@ -310,3 +311,64 @@ def test_batch_finite_where_scalar_raises():
     assert f.eval_batch(np.array([[800.0]]))[0] == 0.0
     with pytest.raises(EvalDomainError):
         f((800.0,))
+
+
+def _plain_batch(root):
+    """The compiled closure of `root` without the memo of repeated subtrees."""
+    f = exprlang._compile(root, {})
+
+    def run(env):
+        with np.errstate(all="ignore"):
+            return f(env)
+
+    return run
+
+
+_X = np.linspace(-3.0, 3.0, 41)
+_ENV = {"x1": _X, "x2": _X[::-1].copy()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(_leaf, _nodes, max_leaves=8), st.recursive(_leaf, _nodes, max_leaves=6))
+def test_memoized_batch_is_bit_identical(t, u):
+    # t occurs three times, once inside a repeat of its own parent
+    root = Binary("+", Binary("*", t, u), Binary("-", Binary("*", t, u), t))
+    got = compile_batch(root)(_ENV)
+    want = _plain_batch(root)(_ENV)
+    assert np.asarray(got, dtype=np.float64).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+def test_repeated_subtree_evaluates_once(monkeypatch):
+    calls = []
+
+    def counted_exp(x):
+        calls.append(1)
+        return np.exp(x)
+
+    monkeypatch.setitem(exprlang._NP_UNARY_FN, "exp", counted_exp)
+    X = np.stack([_X, _ENV["x2"]], axis=1)
+    f = ScalarFn.from_source("exp(x1 + 1)*x2 + exp(x1 + 1)/(1 + exp(x1 + 1))", 2)
+    out = f.eval_batch(X)
+    assert len(calls) == 1
+    calls.clear()
+    want = _plain_batch(f.expr.root)(_ENV)
+    assert len(calls) == 3
+    assert out.tobytes() == want.tobytes()
+    # across the components of one remap
+    calls.clear()
+    E = EndoMap.from_source(["exp(x1 + 1)", "2*exp(x1 + 1)", "x2"], 2)
+    W = E.eval_batch(X)
+    assert len(calls) == 1
+    assert W[:, 1].tobytes() == (2 * np.exp(_X + 1)).tobytes()
+    # constants of different sign bits are different subtrees
+    calls.clear()
+    g = ScalarFn(Expr(Binary("+", Call("exp", (Binary("*", Var("x1"), Const(0.0)),)),
+                             Call("exp", (Binary("*", Var("x1"), Const(-0.0)),))),
+                      ("x1", "x2")))
+    g.eval_batch(X)
+    assert len(calls) == 2
+
+
+def test_tree_without_repeats_has_no_memo():
+    e = parse("exp(x1) + x1*x2 - sin(x2)", ("x1", "x2"))
+    assert exprlang._repeated_subtrees((e.root,)) == {}

@@ -116,6 +116,26 @@ def test_closure_negative_weight_fails():
     assert rep.verdict is Verdict.PREMISE_FAILED
 
 
+def test_closure_conclusion_that_cannot_be_built():
+    from geoconvex.errors import ExprDepthError
+
+    # no weights: the weights premise fails before the combination is needed
+    insts, _ = closure_family("Scaling", 3)
+    for weights in (None, []):
+        rep = verify_closure("Scaling", insts, weights, CFG)
+        assert rep.verdict is Verdict.PREMISE_FAILED
+        assert rep.conclusion_report is None
+    # every member is within the depth limit, their sum is not: it raises
+    # once the premises hold
+    deep = "(" * 62 + "x1" + " + 1)" * 62 + "^2"
+    E1 = euclidean(1)
+    dom = DomainSet(E1, ((-1.0, 1.0),))
+    family = [Instance(E1, ScalarFn.from_source(deep, 1), EndoMap.identity(1),
+                       Bifunction.from_source("a - b"), dom)] * 2
+    with pytest.raises(ExprDepthError):
+        verify_closure("Sum", family, None, CFG)
+
+
 def test_sup_family_difference_gap_premise_fails():
     dom = DomainSet(E1, ((-2.0, 2.0),))
     phi = Bifunction.from_source("a - b")
