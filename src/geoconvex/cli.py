@@ -5,10 +5,11 @@
                [--witness-csv PATH] [--seed N] [--samples N] [--workers N]
 
 Exit codes: 0 holds on samples, 1 violated, 2 premise failed or domain
-error, 3 malformed configuration.  GEOCONVEX_SEED overrides the config
-seed; an explicit --seed wins over both.  Reports serialize with sorted
-keys and shortest round-trip floats so equal jobs produce byte-identical
-files.  Run with no arguments to print the builtin catalog.
+error, 3 malformed job or arguments, 4 internal error (a bug).  Every key
+is read and type-checked before the first check runs.  GEOCONVEX_SEED
+overrides the config seed; an explicit --seed wins over both.  Reports
+have sorted keys and shortest round-trip floats, so equal jobs produce
+byte-identical files.  Run with no arguments to print the catalog.
 """
 
 from __future__ import annotations
@@ -19,458 +20,455 @@ import json
 import os
 import sys
 import time
+import traceback
+from collections import namedtuple
 
 from .algebra import (
-    DomainSet,
-    Instance,
-    ProductSet,
-    check_additive,
-    check_antisymmetric,
-    check_nonneg_homogeneous,
-    check_nonneg_linear,
-    check_seq_upper_bounded,
+    DomainSet, Instance, ProductSet, check_additive, check_antisymmetric,
+    check_nonneg_homogeneous, check_nonneg_linear, check_seq_upper_bounded,
 )
 from .checker import (
-    CheckConfig,
-    Verdict,
-    check_geodesic_E_convex_set,
-    check_geodesic_phiE_convex_fn,
-    check_geodesic_phiE_convex_set,
-    check_phiE_convex_interval,
-    check_slope_inequality,
-    epigraph_membership,
-    search_counterexample,
+    CheckConfig, Verdict, check_geodesic_E_convex_set, check_geodesic_phiE_convex_fn,
+    check_geodesic_phiE_convex_set, check_phiE_convex_interval, check_slope_inequality,
+    epigraph_membership, search_counterexample,
 )
 from .errors import ConfigError, GeoconvexError, InverseSearchFailedError
 from .exprlang import BUILTIN_ARITY, Bifunction, EndoMap, ScalarFn, parse, point_vars
-from .manifold import ManifoldKind, Point, manifold_from_name
+from .instances import quad_epigraph_set
+from .manifold import ManifoldKind, Point, euclidean, manifold_from_name
 from .theorems import (
-    BUILTIN_DIFFEOS,
-    CLOSURE_KINDS,
-    TheoremId,
-    diffeo_from_endomaps,
-    stereographic_diffeo,
-    verify_chart_continuity,
-    verify_closure,
-    verify_composition,
-    verify_continuity_bound,
-    verify_diffeo_invariance,
-    verify_epigraph_equiv,
-    verify_intersection,
-    verify_local_min,
-    verify_mean_value,
-    verify_phi_limit,
-    verify_strict_differential,
-    verify_sup_epigraph,
-    verify_three_point,
+    BUILTIN_DIFFEOS, CLOSURE_KINDS, STRICT_DERIVATIVE_TOL, TheoremId, diffeo_from_endomaps,
+    stereographic_diffeo, verify_chart_continuity, verify_closure, verify_composition,
+    verify_continuity_bound, verify_diffeo_invariance, verify_epigraph_equiv,
+    verify_intersection, verify_local_min, verify_mean_value, verify_phi_limit,
+    verify_strict_differential, verify_sup_epigraph, verify_three_point,
 )
 
 SCHEMA_VERSION = "1"
 
-_COMMANDS = {
-    "check": "CheckFunction",
-    "check-set": "CheckSet",
-    "check-product-set": "CheckProductSet",
-    "check-epigraph": "CheckEpigraph",
-    "verify": "VerifyTheorem",
-    "search": "SearchCounterexample",
-    "check-phi": "CheckBifunction",
-}
-
-
 def list_builtins() -> str:
-    lines = ["manifolds:"]
-    for kind in ManifoldKind:
-        lines.append(f"  {kind.value}")
-    lines.append("diffeomorphism pairs:")
-    for name, desc in sorted(BUILTIN_DIFFEOS.items()):
-        lines.append(f"  {name}: {desc}")
-    lines.append("theorem ids:")
-    for tid in TheoremId:
-        lines.append(f"  {tid.value}")
-    lines.append("expression builtins:")
-    lines.append("  " + ", ".join(sorted(BUILTIN_ARITY)) + ", if(cond, then, else)")
-    lines.append("comparison operators: <, <=, >, >=, ==")
-    return "\n".join(lines)
+    return "\n".join([
+        "manifolds:", *(f"  {kind.value}" for kind in ManifoldKind),
+        "diffeomorphism pairs:",
+        *(f"  {name}: {desc}" for name, desc in sorted(BUILTIN_DIFFEOS.items())),
+        "theorem ids:", *(f"  {tid.value}" for tid in TheoremId),
+        "expression builtins:", "  " + ", ".join(sorted(BUILTIN_ARITY)) + ", if(cond, then, else)",
+        "comparison operators: <, <=, >, >=, ==",
+    ])
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ConfigError(msg)
+# ---------------------------------------------------------------------------
+# the job reader: every key is read through _get, against one of these kinds
 
 
-def _build_cfg(raw: dict, args) -> CheckConfig:
-    data = raw.get("cfg") or {}
-    _require(isinstance(data, dict), "cfg must be an object")
-    data = dict(data)
-    env_seed = os.environ.get("GEOCONVEX_SEED")
-    if env_seed is not None:
-        data["seed"] = int(env_seed)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.samples is not None:
-        data["samples"] = args.samples
-    if args.workers is not None:
-        data["workers"] = args.workers
-    try:
-        return CheckConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cfg block: {exc}") from exc
+_Kind = namedtuple("_Kind", "what ok")  # a description and a predicate
 
 
-def _source(value, key: str) -> str:
-    _require(isinstance(value, str), f"{key} must be an expression string")
+def _is_list(v, item: _Kind, n: int | None = None) -> bool:
+    return isinstance(v, list) and (n is None or len(v) == n) and all(item.ok(x) for x in v)
+
+
+EXPR = _Kind("an expression string", lambda v: isinstance(v, str))
+EXPRS = _Kind("a nonempty list of expression strings", lambda v: _is_list(v, EXPR) and v != [])
+EXPR_LIST = _Kind("a list of expression strings", lambda v: _is_list(v, EXPR))
+# a JSON number, not a boolean, that is finite as a float
+NUMBER = _Kind("a finite number",
+               lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+NUMBERS = _Kind("a list of finite numbers", lambda v: _is_list(v, NUMBER))
+BOOL = _Kind("a boolean", lambda v: isinstance(v, bool))
+OBJECT = _Kind("an object", lambda v: isinstance(v, dict))
+LIST = _Kind("a nonempty list", lambda v: isinstance(v, list) and len(v) > 0)
+DIM = _Kind("an integer >= 1", lambda v: type(v) is int and v >= 1)
+RANGE = _Kind("[lo, hi] with lo < hi", lambda v: _is_list(v, NUMBER, n=2) and v[0] < v[1])
+AXIS = _Kind("[lo, hi] with lo <= hi", lambda v: _is_list(v, NUMBER, n=2) and v[0] <= v[1])
+
+
+def _endo(n: int) -> _Kind:
+    return _Kind(f"a list of {n} expression strings" + (" or one string" if n == 1 else ""),
+                 lambda v: (n == 1 and isinstance(v, str)) or _is_list(v, EXPR, n=n))
+
+
+def _list(n: int, item: _Kind, items: str) -> _Kind:
+    return _Kind(f"a list of {n} {items}", lambda v: _is_list(v, item, n=n))
+
+
+def _one_of(*names: str) -> _Kind:
+    return _Kind("one of " + ", ".join(names), lambda v: isinstance(v, str) and v in names)
+
+
+_MANIFOLD_NAMES = {k.value.lower() for k in ManifoldKind}
+MANIFOLD_KIND = _Kind("one of " + ", ".join(k.value for k in ManifoldKind) + " (any case)",
+                      lambda v: isinstance(v, str) and v.lower() in _MANIFOLD_NAMES)
+
+_REQUIRED = object()
+
+
+def _where(path: str, key) -> str:
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+
+
+def _get(block, path: str, key, kind: _Kind, default=_REQUIRED):
+    """block[key] checked against kind; a missing key or a null is the
+    default when one is given.  Errors start with the full key path."""
+    where = _where(path, key)
+    value = block[key] if isinstance(block, list) else block.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: required, {kind.what}")
+        return default
+    if not kind.ok(value):
+        raise ConfigError(f"{where}: must be {kind.what}, not {json.dumps(value)[:60]}")
     return value
 
 
-def _build_domain(raw: dict, manifold, key: str = "domain") -> DomainSet:
-    _require(isinstance(raw, dict) and "box" in raw, f"{key} needs a box")
-    membership = None
-    if raw.get("membership"):
-        membership = parse(_source(raw["membership"], f"{key}.membership"),
-                           point_vars(manifold.ambient_dim))
-    try:
-        box = tuple(tuple(axis) for axis in raw["box"])
-        return DomainSet(manifold, box, membership)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}.box: {exc}") from exc
+def _reject_non_finite(raw: dict):
+    """json.load reads NaN, Infinity and 1e400 as floats; no key takes them."""
+    stack = [("", raw)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, float) and not NUMBER.ok(value):
+            raise ConfigError(f"{path}: must be finite, not {value}")
+        items = value.items() if isinstance(value, dict) else (
+            enumerate(value) if isinstance(value, list) else ())
+        stack.extend((_where(path, k), v) for k, v in items)
 
 
-def _build_instance(raw: dict) -> Instance:
-    _require("manifold" in raw, "config needs a manifold")
-    mspec = raw["manifold"]
-    _require(isinstance(mspec, dict), "manifold must be an object")
+def _cfg(raw: dict, args) -> CheckConfig:
+    data = dict(_get(raw, "", "cfg", OBJECT, {}))
+    env_seed = os.environ.get("GEOCONVEX_SEED")
+    if env_seed is not None:
+        try:
+            data["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"GEOCONVEX_SEED: must be an integer, not {env_seed!r}") from None
+    data.update((k, getattr(args, k)) for k in ("seed", "samples", "workers")
+                if getattr(args, k) is not None)
+    unknown = sorted(set(data) - set(CheckConfig.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"cfg.{unknown[0]}: unknown field")
     try:
-        dim = int(mspec.get("dim", 1))
-    except (TypeError, ValueError):
-        raise ConfigError("manifold.dim must be an integer") from None
-    kind = mspec.get("kind", "Euclidean")
-    _require(isinstance(kind, str), "manifold.kind must be a string")
-    try:
-        manifold = manifold_from_name(kind, dim)
-    except ValueError as exc:
-        raise ConfigError(f"manifold: {exc}") from exc
-    domain = _build_domain(raw.get("domain", {}), manifold)
+        return CheckConfig(**data)
+    except ValueError as exc:  # CheckConfig names the field first
+        raise ConfigError(f"cfg.{exc}") from None
+
+
+def _domain(block: dict, path: str, manifold) -> DomainSet:
     amb = manifold.ambient_dim
-    _require("h" in raw, "config needs h")
-    h = ScalarFn.from_source(_source(raw["h"], "h"), amb)
-    e_raw = raw.get("E", None)
-    if e_raw is None:
-        E = EndoMap.identity(amb)
-    else:
-        _require(isinstance(e_raw, str) or (
-            isinstance(e_raw, list) and all(isinstance(c, str) for c in e_raw)
-        ), "E must be an expression string or a list of them")
-        E = EndoMap.from_source(e_raw, amb)
-        _require(len(E.exprs) == amb, f"E needs {amb} component(s)")
-    _require("phi" in raw, "config needs phi")
-    phi = Bifunction.from_source(_source(raw["phi"], "phi"))
-    return Instance(manifold, h, E, phi, domain)
+    box = _get(block, path, "box", _list(amb, AXIS, "[lo, hi] axes with lo <= hi"))
+    membership = _get(block, path, "membership", EXPR, None)
+    return DomainSet(manifold, tuple(tuple(axis) for axis in box),
+                     parse(membership, point_vars(amb)) if membership else None)
 
 
-def _build_product_set(raw: dict, inst: Instance) -> ProductSet:
-    spec = raw.get("product_set")
-    _require(isinstance(spec, dict), "config needs a product_set block")
-    base = inst.domain
-    if "base" in spec:
-        base = _build_domain(spec["base"], inst.manifold, "product_set.base")
-    _require("graph_bound" in spec, "product_set needs graph_bound")
-    names = point_vars(inst.manifold.ambient_dim) + ("v",)
-    graph = parse(spec["graph_bound"], names)
-    _require("v_range" in spec, "product_set needs v_range")
-    vr = tuple(spec["v_range"])
-    return ProductSet(base, graph, vr)
+def _space(raw: dict):
+    """The manifold, E and domain of a job."""
+    spec = _get(raw, "", "manifold", OBJECT)
+    manifold = manifold_from_name(_get(spec, "manifold", "kind", MANIFOLD_KIND, "Euclidean"),
+                                  _get(spec, "manifold", "dim", DIM, 1))
+    amb = manifold.ambient_dim
+    domain = _domain(_get(raw, "", "domain", OBJECT), "domain", manifold)
+    return manifold, _endomap(raw, "", "E", amb), domain
 
 
-def _epigraph_reports(raw: dict, inst: Instance, cfg: CheckConfig) -> list[dict]:
-    queries = raw.get("queries")
-    _require(isinstance(queries, list) and queries, "check-epigraph needs queries")
+def _endomap(block: dict, path: str, key: str, amb: int, required: bool = False) -> EndoMap:
+    src = _get(block, path, key, _endo(amb), _REQUIRED if required else None)
+    return EndoMap.identity(amb) if src is None else EndoMap.from_source(src, amb)
+
+
+def _phi(raw: dict) -> Bifunction:
+    return Bifunction.from_source(_get(raw, "", "phi", EXPR))
+
+
+def _instance(raw: dict) -> Instance:
+    manifold, E, domain = _space(raw)
+    h = ScalarFn.from_source(_get(raw, "", "h", EXPR), manifold.ambient_dim)
+    return Instance(manifold, h, E, _phi(raw), domain)
+
+
+# ---------------------------------------------------------------------------
+# commands: each reads its whole job, then runs it
+
+
+def _each(raw: dict, key: str, item: _Kind) -> list:
+    """A nonempty list at raw[key], each item read as `item`."""
+    items = _get(raw, "", key, LIST)
+    return [_get(items, key, k, item) for k in range(len(items))]
+
+
+def _check_function(raw: dict, cfg: CheckConfig):
+    inst = _instance(raw)
+    strict = _get(raw, "", "strict", BOOL, False)
+    form = _get(raw, "", "form", _one_of("interval", "slope"), None)
+    if form == "interval" and inst.manifold != euclidean(1):
+        raise ConfigError("form: interval needs the Euclidean(1) manifold")
+    check = {"interval": check_phiE_convex_interval, "slope": check_slope_inequality}.get(form)
+    return check(inst, cfg) if check else check_geodesic_phiE_convex_fn(inst, cfg, strict=strict)
+
+
+def _check_product_set(raw: dict, cfg: CheckConfig):
+    manifold, E, domain = _space(raw)
+    phi = _phi(raw)
+    spec = _get(raw, "", "product_set", OBJECT)
+    base = _get(spec, "product_set", "base", OBJECT, None)
+    base = domain if base is None else _domain(base, "product_set.base", manifold)
+    graph = parse(_get(spec, "product_set", "graph_bound", EXPR),
+                  point_vars(manifold.ambient_dim) + ("v",))
+    v_range = tuple(_get(spec, "product_set", "v_range", RANGE))
+    return check_geodesic_phiE_convex_set(manifold, E, phi, ProductSet(base, graph, v_range), cfg)
+
+
+def _check_epigraph(raw: dict, cfg: CheckConfig) -> list[dict]:
+    inst = _instance(raw)
+    point = _list(inst.manifold.ambient_dim, NUMBER, "finite numbers")
+    queries = _each(raw, "queries", _Kind(
+        f"a query [point, v], the point {point.what}",
+        lambda q: isinstance(q, list) and len(q) == 2 and point.ok(q[0]) and NUMBER.ok(q[1])))
     member = epigraph_membership(inst, cfg)
     out = []
     for coords, v in queries:
         entry = {"kind": "epigraph_membership", "point": list(coords), "v": v}
         try:
             is_member = member(tuple(coords), float(v))
-            entry["member"] = is_member
-            entry["verdict"] = (
-                Verdict.HOLDS_ON_SAMPLES.value if is_member else Verdict.VIOLATED.value
-            )
+            verdict = Verdict.HOLDS_ON_SAMPLES if is_member else Verdict.VIOLATED
+            entry.update(member=is_member, verdict=verdict.value)
         except InverseSearchFailedError as exc:
-            entry["member"] = None
-            entry["verdict"] = Verdict.DOMAIN_ERROR.value
-            entry["error"] = str(exc)
+            entry.update(member=None, verdict=Verdict.DOMAIN_ERROR.value, error=str(exc))
         out.append(entry)
     return out
 
 
-def _phi_reports(raw: dict, cfg: CheckConfig) -> list[dict]:
-    _require("phi" in raw, "config needs phi")
-    phi = Bifunction.from_source(raw["phi"])
-    properties = raw.get("properties") or [
-        "nonneg_homogeneous", "additive", "antisymmetric",
-    ]
-    out = []
-    for prop in properties:
-        if prop == "nonneg_homogeneous":
-            rep = check_nonneg_homogeneous(phi, cfg.samples, cfg.seed, cfg)
-        elif prop == "additive":
-            rep = check_additive(phi, cfg.samples, cfg.seed, cfg)
-        elif prop == "antisymmetric":
-            rep = check_antisymmetric(phi, cfg.samples, cfg.seed, cfg)
-        elif prop == "nonneg_linear":
-            rep = check_nonneg_linear(phi, cfg.samples, cfg.seed, cfg)
-        elif prop == "seq_upper_bounded":
-            seqs = raw.get("sequences")
-            _require(seqs, "seq_upper_bounded needs a sequences block")
-            e_raw = raw.get("E")
-            E = EndoMap.from_source(e_raw, 1) if e_raw else EndoMap.identity(1)
-            rep = check_seq_upper_bounded(phi, E, seqs, cfg.seed, cfg)
-        else:
-            raise ConfigError(f"unknown bifunction property {prop!r}")
-        d = rep.to_dict()
-        d["property"] = prop
-        out.append(d)
-    return out
+# bifunction properties: each entry reads what its check needs, then checks a phi
+def _sampled(check):
+    return lambda raw, cfg: lambda phi: check(phi, cfg.samples, cfg.seed, cfg)
 
 
-def _theorem_report(raw: dict, cfg: CheckConfig) -> dict:
-    spec = raw.get("theorem")
-    _require(isinstance(spec, dict) and "id" in spec, "verify needs a theorem block with id")
-    tid = None
-    for cand in TheoremId:
-        if cand.value == spec["id"]:
-            tid = cand
-    _require(tid is not None, f"unknown theorem id {spec['id']!r}")
-    inst = _build_instance(raw)
+def _seq_upper_bounded(raw: dict, cfg: CheckConfig):
+    seqs = _each(raw, "sequences", _Kind(
+        "a pair [u, v] of nonempty, equal-length lists of finite numbers",
+        lambda p: _is_list(p, NUMBERS, n=2) and len(p[0]) == len(p[1]) > 0))
+    E = _endomap(raw, "", "E", 1)
+    return lambda phi: check_seq_upper_bounded(phi, E, seqs, cfg.seed, cfg)
 
-    def _family():
-        h_list = spec.get("h_list")
-        _require(isinstance(h_list, list) and h_list, f"{tid.value} needs h_list")
-        return [
-            inst.with_h(ScalarFn.from_source(src, inst.manifold.ambient_dim))
-            for src in h_list
-        ]
 
-    def num(key):
-        _require(key in spec, f"{tid.value} needs {key}")
+_PHI_CHECKS = {
+    "nonneg_homogeneous": _sampled(check_nonneg_homogeneous),
+    "additive": _sampled(check_additive),
+    "antisymmetric": _sampled(check_antisymmetric),
+    "nonneg_linear": _sampled(check_nonneg_linear),
+    "seq_upper_bounded": _seq_upper_bounded,
+}
+
+
+def _check_phi(raw: dict, cfg: CheckConfig) -> list[dict]:
+    phi = _phi(raw)
+    props = _get(raw, "", "properties", _Kind(
+        "a list of " + ", ".join(_PHI_CHECKS), lambda v: _is_list(v, _one_of(*_PHI_CHECKS))),
+        None) or ["nonneg_homogeneous", "additive", "antisymmetric"]
+    checks = [(prop, _PHI_CHECKS[prop](raw, cfg)) for prop in props]
+    return [dict(check(phi).to_dict(), property=prop) for prop, check in checks]
+
+
+# statements: each entry reads its keys of the theorem block t, then verifies
+def _float(t: dict, key: str) -> float:
+    return float(_get(t, "theorem", key, NUMBER))
+
+
+def _h_list(t: dict, inst: Instance) -> list[Instance]:
+    return [inst.with_h(ScalarFn.from_source(src, inst.manifold.ambient_dim))
+            for src in _get(t, "theorem", "h_list", EXPRS)]
+
+
+def _diffeo(t: dict, inst: Instance):
+    if _get(t, "theorem", "diffeo", _one_of(*BUILTIN_DIFFEOS), None) == "stereographic":
+        if inst.manifold != stereographic_diffeo().src:
+            raise ConfigError("theorem.diffeo: stereographic needs the Sphere(2) manifold")
+        return stereographic_diffeo()
+    amb = inst.manifold.ambient_dim
+    return diffeo_from_endomaps(inst.manifold, _endomap(t, "theorem", "H", amb, required=True),
+                                _endomap(t, "theorem", "Hinv", amb, required=True))
+
+
+def _phis(t: dict) -> list[Bifunction]:
+    return [Bifunction.from_source(p) for p in _get(t, "theorem", "phis", EXPR_LIST, [])]
+
+
+def _epigraph_sets(t: dict, inst: Instance) -> list[ProductSet]:
+    if inst.manifold.ambient_dim != 1:
+        raise ConfigError("manifold: Intersection52 via the CLI builds 1-D epigraph sets")
+    sets = []
+    for k, member in enumerate(_h_list(t, inst)):
         try:
-            return float(spec[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{tid.value}: {key} must be a number") from None
+            sets.append(quad_epigraph_set(member.h, inst.domain))
+        except ValueError as exc:  # h is not finite on the domain grid
+            raise ConfigError(f"theorem.h_list[{k}]: {exc}") from None
+    return sets
 
-    if tid is TheoremId.MEAN_VALUE_31:
-        rep = verify_mean_value(inst, num("u1"), num("u2"), cfg)
-    elif tid is TheoremId.THREE_POINT_32:
-        rep = verify_three_point(inst, num("mu1"), num("mu2"), num("mu3"), cfg)
-    elif tid in CLOSURE_KINDS:
-        rep = verify_closure(CLOSURE_KINDS[tid], _family(), spec.get("weights"), cfg)
-    elif tid is TheoremId.COMPOSITION:
-        _require("h2" in spec, "Composition needs h2")
-        rep = verify_composition(inst, ScalarFn.from_source(spec["h2"], 1), cfg)
-    elif tid is TheoremId.DIFFEO_INVARIANCE:
-        if spec.get("diffeo") == "stereographic":
-            diffeo = stereographic_diffeo()
-        else:
-            _require("H" in spec and "Hinv" in spec,
-                     "DiffeoInvariance needs H and Hinv (or diffeo: stereographic)")
-            amb = inst.manifold.ambient_dim
-            diffeo = diffeo_from_endomaps(
-                inst.manifold,
-                EndoMap.from_source(spec["H"], amb),
-                EndoMap.from_source(spec["Hinv"], amb),
-            )
-        rep = verify_diffeo_invariance(inst, diffeo, cfg)
-    elif tid is TheoremId.CONTINUITY_BOUND:
-        rep = verify_continuity_bound(inst, num("K"), num("eps"), cfg)
-    elif tid is TheoremId.CHART_CONTINUITY:
-        rep = verify_chart_continuity(inst, num("K"), num("eps"), cfg)
-    elif tid is TheoremId.LOCAL_MIN:
-        mu_star = spec.get("mu_star")
-        amb = inst.manifold.ambient_dim
-        _require(isinstance(mu_star, list) and len(mu_star) == amb
-                 and all(isinstance(c, (int, float)) for c in mu_star),
-                 f"LocalMin needs mu_star, a list of {amb} numbers")
-        rep = verify_local_min(inst, Point(tuple(float(c) for c in mu_star)), cfg)
-    elif tid in (TheoremId.PHI_LIMIT, TheoremId.PHI_SERIES_LIMIT):
-        phis = [Bifunction.from_source(p) for p in spec.get("phis", [])]
-        mode = "Pointwise" if tid is TheoremId.PHI_LIMIT else "PartialSums"
-        rep = verify_phi_limit(inst, phis, mode, cfg)
-    elif tid is TheoremId.STRICT_DIFFERENTIAL:
-        kwargs = {}
-        if "tol_strict" in spec:
-            kwargs["tol_strict"] = num("tol_strict")
-        rep = verify_strict_differential(inst, cfg, **kwargs)
-    elif tid is TheoremId.EPIGRAPH_EQUIV:
-        rep = verify_epigraph_equiv(inst, cfg)
-    elif tid is TheoremId.INTERSECTION_52:
-        _require(inst.manifold.ambient_dim == 1,
-                 "Intersection52 via the CLI builds 1-D epigraph sets")
-        from .instances import quad_epigraph_set
 
-        sets = [
-            quad_epigraph_set(ScalarFn.from_source(src, 1), inst.domain)
-            for src in spec.get("h_list", [])
-        ]
-        _require(len(sets) >= 1, "Intersection52 needs h_list")
-        rep = verify_intersection(inst.manifold, inst.E, inst.phi, sets, cfg)
-    else:  # SUP_EPIGRAPH_COR
-        rep = verify_sup_epigraph(_family(), cfg)
-    return rep.to_dict()
+_THEOREMS = {
+    TheoremId.MEAN_VALUE_31: lambda t, inst, cfg: verify_mean_value(
+        inst, _float(t, "u1"), _float(t, "u2"), cfg),
+    TheoremId.THREE_POINT_32: lambda t, inst, cfg: verify_three_point(
+        inst, _float(t, "mu1"), _float(t, "mu2"), _float(t, "mu3"), cfg),
+    **{tid: lambda t, inst, cfg, kind=kind: verify_closure(
+        kind, _h_list(t, inst), _get(t, "theorem", "weights", NUMBERS, None), cfg)
+       for tid, kind in CLOSURE_KINDS.items()},
+    TheoremId.COMPOSITION: lambda t, inst, cfg: verify_composition(
+        inst, ScalarFn.from_source(_get(t, "theorem", "h2", EXPR), 1), cfg),
+    TheoremId.DIFFEO_INVARIANCE: lambda t, inst, cfg: verify_diffeo_invariance(
+        inst, _diffeo(t, inst), cfg),
+    TheoremId.CONTINUITY_BOUND: lambda t, inst, cfg: verify_continuity_bound(
+        inst, _float(t, "K"), _float(t, "eps"), cfg),
+    TheoremId.CHART_CONTINUITY: lambda t, inst, cfg: verify_chart_continuity(
+        inst, _float(t, "K"), _float(t, "eps"), cfg),
+    TheoremId.LOCAL_MIN: lambda t, inst, cfg: verify_local_min(
+        inst, Point(_get(t, "theorem", "mu_star",
+                         _list(inst.manifold.ambient_dim, NUMBER, "finite numbers"))), cfg),
+    TheoremId.PHI_LIMIT: lambda t, inst, cfg: verify_phi_limit(inst, _phis(t), "Pointwise", cfg),
+    TheoremId.PHI_SERIES_LIMIT: lambda t, inst, cfg: verify_phi_limit(
+        inst, _phis(t), "PartialSums", cfg),
+    TheoremId.STRICT_DIFFERENTIAL: lambda t, inst, cfg: verify_strict_differential(
+        inst, cfg, float(_get(t, "theorem", "tol_strict", NUMBER, STRICT_DERIVATIVE_TOL))),
+    TheoremId.EPIGRAPH_EQUIV: lambda t, inst, cfg: verify_epigraph_equiv(inst, cfg),
+    TheoremId.INTERSECTION_52: lambda t, inst, cfg: verify_intersection(
+        inst.manifold, inst.E, inst.phi, _epigraph_sets(t, inst), cfg),
+    TheoremId.SUP_EPIGRAPH_COR: lambda t, inst, cfg: verify_sup_epigraph(_h_list(t, inst), cfg),
+}
+
+
+def _verify(raw: dict, cfg: CheckConfig):
+    t = _get(raw, "", "theorem", OBJECT)
+    tid = TheoremId(_get(t, "theorem", "id", _one_of(*(k.value for k in TheoremId))))
+    return _THEOREMS[tid](t, _instance(raw), cfg)
+
+
+# CLI command -> (command name in the report, reader)
+_COMMANDS = {
+    "check": ("CheckFunction", _check_function),
+    "check-set": ("CheckSet", lambda raw, cfg: check_geodesic_E_convex_set(*_space(raw), cfg)),
+    "check-product-set": ("CheckProductSet", _check_product_set),
+    "check-epigraph": ("CheckEpigraph", _check_epigraph),
+    "verify": ("VerifyTheorem", _verify),
+    "search": ("SearchCounterexample", lambda raw, cfg: search_counterexample(
+        _instance(raw), cfg, strict=_get(raw, "", "strict", BOOL, False))),
+    "check-phi": ("CheckBifunction", _check_phi),
+}
 
 
 def run_job(raw: dict, command: str, cfg: CheckConfig) -> list[dict]:
-    if command == "CheckFunction":
-        inst = _build_instance(raw)
-        if inst.manifold.kind is ManifoldKind.EUCLIDEAN and inst.manifold.dim == 1 \
-                and raw.get("form") == "interval":
-            rep = check_phiE_convex_interval(inst, cfg)
-        elif raw.get("form") == "slope":
-            rep = check_slope_inequality(inst, cfg)
-        else:
-            rep = check_geodesic_phiE_convex_fn(inst, cfg, strict=bool(raw.get("strict")))
-        return [rep.to_dict()]
-    if command == "CheckSet":
-        inst_raw = dict(raw)
-        inst_raw.setdefault("h", "0")
-        inst_raw.setdefault("phi", "a - b")
-        inst = _build_instance(inst_raw)
-        rep = check_geodesic_E_convex_set(inst.manifold, inst.E, inst.domain, cfg)
-        return [rep.to_dict()]
-    if command == "CheckProductSet":
-        inst_raw = dict(raw)
-        inst_raw.setdefault("h", "0")
-        inst = _build_instance(inst_raw)
-        ps = _build_product_set(raw, inst)
-        rep = check_geodesic_phiE_convex_set(inst.manifold, inst.E, inst.phi, ps, cfg)
-        return [rep.to_dict()]
-    if command == "CheckEpigraph":
-        inst = _build_instance(raw)
-        return _epigraph_reports(raw, inst, cfg)
-    if command == "VerifyTheorem":
-        return [_theorem_report(raw, cfg)]
-    if command == "SearchCounterexample":
-        inst = _build_instance(raw)
-        rep = search_counterexample(inst, cfg, strict=bool(raw.get("strict")))
-        return [rep.to_dict()]
-    if command == "CheckBifunction":
-        return _phi_reports(raw, cfg)
-    raise ConfigError(f"unknown command {command!r}")
+    """The reports of CLI `command` on the job raw."""
+    out = _COMMANDS[command][1](raw, cfg)
+    return out if isinstance(out, list) else [out.to_dict()]
 
 
 def exit_code_for(reports: list[dict]) -> int:
-    verdicts = [rep.get("verdict") for rep in reports]
-    if any(v == Verdict.VIOLATED.value for v in verdicts):
+    verdicts = {rep.get("verdict") for rep in reports}
+    if Verdict.VIOLATED.value in verdicts:
         return 1
-    if any(v in (Verdict.PREMISE_FAILED.value, Verdict.DOMAIN_ERROR.value)
-           for v in verdicts):
-        return 2
-    return 0
-
-
-def _witness_rows(reports: list[dict]) -> list[list]:
-    rows = []
-    for rep in reports:
-        witnesses = list(rep.get("refined_witnesses") or [])
-        if not witnesses and rep.get("witness"):
-            witnesses.append(rep["witness"])
-        conclusion = rep.get("conclusion")
-        if conclusion:
-            witnesses.extend(conclusion.get("refined_witnesses") or [])
-            if not conclusion.get("refined_witnesses") and conclusion.get("witness"):
-                witnesses.append(conclusion["witness"])
-        for w in witnesses:
-            coords = [c for p in w["points"] for c in p]
-            rows.append(
-                [w.get("origin_index", "")] + coords
-                + [w["t"], w["lhs"], w["rhs"], w["violation"]]
-            )
-    return rows
+    return 2 if verdicts & {Verdict.PREMISE_FAILED.value, Verdict.DOMAIN_ERROR.value} else 0
 
 
 def write_witness_csv(path: str, reports: list[dict]):
-    rows = _witness_rows(reports)
+    """One row per refined witness (or else the witness) of each report and its conclusion."""
+    rows = []
+    for rep in reports:
+        for part in (rep, rep.get("conclusion") or {}):
+            witnesses = part.get("refined_witnesses") or (
+                [part["witness"]] if part.get("witness") else [])
+            rows += [([w.get("origin_index", "")], [c for p in w["points"] for c in p],
+                      [w["t"], w["lhs"], w["rhs"], w["violation"]]) for w in witnesses]
+    ncoords = max((len(coords) for _, coords, _ in rows), default=0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        ncoords = max((len(r) - 5 for r in rows), default=0)
-        writer.writerow(
-            ["sample_index"] + [f"coord_{i}" for i in range(ncoords)]
-            + ["t", "lhs", "rhs", "violation"]
-        )
-        for r in rows:
-            pad = [""] * (ncoords - (len(r) - 5))
-            writer.writerow(r[:1] + r[1:-4] + pad + r[-4:])
+        writer.writerow(["sample_index"] + [f"coord_{i}" for i in range(ncoords)]
+                        + ["t", "lhs", "rhs", "violation"])
+        for index, coords, tail in rows:
+            writer.writerow(index + coords + [""] * (ncoords - len(coords)) + tail)
 
 
 def render_report(raw: dict, command: str, cfg: CheckConfig,
                   reports: list[dict], wall_ms: int) -> str:
-    job = dict(raw)
-    job["command"] = command
-    job["cfg"] = cfg.to_dict()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "job": job,
-        "reports": reports,
-        "wall_time_ms": wall_ms,
-    }
+    payload = {"schema_version": SCHEMA_VERSION, "reports": reports, "wall_time_ms": wall_ms,
+               "job": dict(raw, command=command, cfg=cfg.to_dict())}
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="geoconvex",
-        description="sampled convexity checks and statement verification",
-    )
+    parser = _Parser(prog="geoconvex",
+                     description="sampled convexity checks and statement verification")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="print the builtin catalog")
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out")
-        p.add_argument("--witness-csv", dest="witness_csv")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--workers", type=int)
+        for flag in ("--out", "--witness-csv"):
+            p.add_argument(flag)
+        for flag in ("--seed", "--samples", "--workers"):
+            p.add_argument(flag, type=int)
         if name == "verify":
             p.add_argument("--theorem", help="statement id; overrides theorem.id")
     return parser
 
 
-def main(argv=None) -> int:
+def _load(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"--config: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("top level of the job must be a JSON object")
+    _reject_non_finite(raw)
+    return raw
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     if args.command is None or args.command == "list":
         print(list_builtins())
         return 0
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "config"}), file=sys.stderr)
-        return 3
+    raw = _load(args.config)
     start = time.monotonic()
-    try:
-        _require(isinstance(raw, dict), "top level of the job must be a JSON object")
-        if getattr(args, "theorem", None):
-            theorem = raw.setdefault("theorem", {})
-            _require(isinstance(theorem, dict), "theorem must be an object")
-            theorem["id"] = args.theorem
-        cfg = _build_cfg(raw, args)
-        reports = run_job(raw, _COMMANDS[args.command], cfg)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc), "kind": "config"}), file=sys.stderr)
-        return 3
-    except GeoconvexError as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
-        return 3
+    if getattr(args, "theorem", None):
+        raw["theorem"] = dict(_get(raw, "", "theorem", OBJECT, {}), id=args.theorem)
+    cfg = _cfg(raw, args)
+    reports = run_job(raw, args.command, cfg)
     wall_ms = int((time.monotonic() - start) * 1000)
-    text = render_report(raw, _COMMANDS[args.command], cfg, reports, wall_ms)
+    text = render_report(raw, _COMMANDS[args.command][0], cfg, reports, wall_ms)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from None
     else:
         sys.stdout.write(text)
     if args.witness_csv:
-        write_witness_csv(args.witness_csv, reports)
+        try:
+            write_witness_csv(args.witness_csv, reports)
+        except OSError as exc:
+            raise ConfigError(f"--witness-csv: {exc}") from None
     return exit_code_for(reports)
+
+
+def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except GeoconvexError as exc:
+        kind = "config" if isinstance(exc, ConfigError) else type(exc).__name__
+        print(json.dumps({"error": str(exc), "kind": kind}), file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug: report it and where it was raised, not a traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        error = f"{type(exc).__name__}: {exc} ({os.path.basename(frame.filename)}:{frame.lineno})"
+        print(json.dumps({"error": error, "kind": "internal"}), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral, Real
 
 from .manifold import Point
 
@@ -26,16 +28,18 @@ class CheckConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.t_grid < 3:
-            raise ValueError("t_grid must be >= 3")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.refine_steps < 0:
-            raise ValueError("refine_steps must be >= 0")
+        # each message starts with the field it names
+        for name, least in (("seed", None), ("samples", 1), ("refine_steps", 0),
+                            ("t_grid", 3), ("workers", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or (
+                    least is not None and v < least):
+                bound = "" if least is None else f" >= {least}"
+                raise ValueError(f"{name}: must be an integer{bound}, not {v!r}")
+        for name in ("tol_abs", "tol_rel"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v < math.inf:
+                raise ValueError(f"{name}: must be a finite number > 0, not {v!r}")
 
     def threshold(self, rhs: float) -> float:
         """Violation threshold: tol_abs + tol_rel * max(1, |rhs|)."""

@@ -24,8 +24,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _U_GOLDEN = np.uint64(GOLDEN)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
 
 #: scale turning the top 53 bits of a u64 into a float in [0, 1)
 _UNIT = 2.0 ** -53
@@ -51,10 +49,6 @@ def value_at(seed: int, index: int, pos: int) -> int:
     return mix64((stream_base(seed, index) + (pos + 1) * GOLDEN) & _MASK)
 
 
-def unit_at(seed: int, index: int, pos: int) -> float:
-    return (value_at(seed, index, pos) >> 11) * _UNIT
-
-
 def _mix64_np(x: np.ndarray) -> np.ndarray:
     x = x ^ (x >> np.uint64(30))
     x = x * _MIX1
@@ -75,14 +69,6 @@ def unit_array(bases: np.ndarray, pos: int) -> np.ndarray:
     step = np.uint64(((pos + 1) * GOLDEN) & _MASK)
     u = _mix64_np(bases + step)
     return (u >> np.uint64(11)).astype(np.float64) * _UNIT
-
-
-def unit_block(bases: np.ndarray, pos0: int, count: int) -> np.ndarray:
-    """(len(bases), count) matrix of uniforms at positions pos0..pos0+count-1."""
-    out = np.empty((bases.shape[0], count), dtype=np.float64)
-    for j in range(count):
-        out[:, j] = unit_array(bases, pos0 + j)
-    return out
 
 
 class Stream:

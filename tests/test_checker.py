@@ -578,3 +578,21 @@ def test_chunk_reduce_matches_flat_index_reference(skips_unsampled):
             pair, lane = divmod(f, L)
             assert z0.tolist() == [pair - i0, T[0, lane - 1]]
         assert (got.max_viol, got.violated, got.extra["counted"]) == want[3:]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("samples", 1.5), ("samples", True), ("samples", 0), ("samples", "100"),
+    ("workers", 2.5), ("workers", False), ("seed", 1.0), ("seed", None),
+    ("t_grid", 2), ("refine_steps", -1),
+    ("tol_abs", float("nan")), ("tol_rel", float("inf")), ("tol_abs", 0.0),
+    ("tol_rel", -1e-9), ("tol_abs", True), ("tol_abs", "1e-9"),
+])
+def test_check_config_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        CheckConfig(**{field: value})
+
+
+def test_check_config_accepts_numpy_and_integer_values():
+    cfg = CheckConfig(seed=np.int64(-3), samples=np.int32(10), tol_abs=1, tol_rel=np.float64(1e-6))
+    assert (cfg.seed, cfg.samples, cfg.tol_abs) == (-3, 10, 1)
+    assert cfg.replace(workers=2).workers == 2

@@ -1,8 +1,13 @@
+import copy
 import csv
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import geoconvex.cli
 from geoconvex.cli import list_builtins, main
 
 HOLDS_JOB = {
@@ -26,8 +31,9 @@ VIOLATED_JOB = {
 
 
 def _write(tmp_path, name, payload):
+    """payload as JSON; a string is written as is (raw job text)."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -264,9 +270,10 @@ def test_verify_missing_or_bad_key_exit_three(tmp_path, capsys, theorem):
     }
     cfgp = _write(tmp_path, "job.json", job)
     code = main(["verify", "--config", cfgp])
-    err = json.loads(capsys.readouterr().err)
+    out, err = capsys.readouterr()
     assert code == 3
-    assert err["kind"] == "config"
+    assert "Traceback" not in out + err
+    assert json.loads(err)["kind"] == "config"
 
 
 def test_verify_too_deep_transport_exit_three(tmp_path, capsys):
@@ -295,6 +302,21 @@ def _malformed(**changes):
     return job
 
 
+_INSTANCE = {k: HOLDS_JOB[k] for k in ("manifold", "domain", "h", "phi")}
+_CFG = {"seed": 3, "samples": 200, "refine_steps": 2}
+
+
+def _theorem(**theorem):
+    return dict(_INSTANCE, theorem=theorem, cfg=_CFG)
+
+
+def _raw(job: dict, key: str, text: str) -> str:
+    """job as JSON text with the value of top-level `key` replaced by text,
+    for the non-finite literals json.dumps cannot write (1e400)."""
+    return json.dumps(dict(job, **{key: 0.0})).replace(f'"{key}": 0.0', f'"{key}": {text}')
+
+
+# a plain job runs `check`; a (command, job) pair names its command
 @pytest.mark.parametrize("job, key", [
     (_malformed(manifold={"kind": "Euclidean", "dim": "x"}), "manifold.dim"),
     (_malformed(manifold=[1]), "manifold"),
@@ -307,13 +329,180 @@ def _malformed(**changes):
     (_malformed(domain={"box": [[-1, 1]], "membership": 2}), "domain.membership"),
     (_malformed(cfg=[["seed", 3]]), "cfg"),
     ([HOLDS_JOB], "top level"),
+    (("verify", _theorem(id="Composition", h2=3)), "theorem.h2"),
+    (("verify", _theorem(id="PhiLimit", phis=[3])), "theorem.phis"),
+    (("verify", _theorem(id="Sum41b", h_list=[3, 4])), "theorem.h_list"),
+    (("verify", _theorem(id="Intersection52", h_list=[3, 4])), "theorem.h_list"),
+    (("verify", _theorem(id="DiffeoInvariance", H=3, Hinv=4)), "theorem.H"),
+    (("verify", _theorem(id="WeightedSum", h_list=["x1^2"], weights="x")), "theorem.weights"),
+    (("verify", _theorem(id="ContinuityBound", K=math.nan, eps=0.2)), "theorem.K"),
+    (("verify", _theorem(id="NoSuchTheorem")), "theorem.id"),
+    (("verify", _theorem(id="DiffeoInvariance", diffeo="stereographic")), "theorem.diffeo"),
+    (("verify", _theorem(id="Intersection52", h_list=["x1^2", "log(x1)"])), "theorem.h_list[1]"),
+    (("check-product-set", dict(_INSTANCE, product_set={"graph_bound": 3, "v_range": [0, 3]})),
+     "product_set.graph_bound"),
+    (("check-product-set", dict(_INSTANCE, product_set={"graph_bound": "v - x1^2",
+                                                        "v_range": [0]})),
+     "product_set.v_range"),
+    (("check-epigraph", dict(_INSTANCE, queries=[[0.0]])), "queries[0]"),
+    (("check-epigraph", dict(_INSTANCE, queries=[[[0.5], 0.25], [[0.0], 1.0, 3]])), "queries[1]"),
+    (("check-epigraph", dict(_INSTANCE, queries=[[[0.0], "x"]])), "queries[0]"),
+    (("check-phi", {"phi": 3}), "phi"),
+    (("check-phi", {"phi": "a - b", "properties": ["seq_upper_bounded"], "sequences": 3}),
+     "sequences"),
+    (_malformed(cfg={"samples": 1.5}), "cfg.samples"),
+    (_malformed(cfg={"workers": 2.5}), "cfg.workers"),
+    (_malformed(cfg={"tol_abs": math.nan}), "cfg.tol_abs"),
+    (_malformed(cfg={"seed": True}), "cfg.seed"),
+    (_malformed(cfg={"sample": 100}), "cfg.sample"),
+    (_raw(_malformed(), "note", "1e400"), "note"),
+    # values that used to be misread rather than rejected
+    (_malformed(strict="false"), "strict"),
+    (_malformed(form="intervall"), "form"),
+    (_malformed(form="interval", manifold={"kind": "Euclidean", "dim": 2},
+                domain={"box": [[-1, 1], [-1, 1]]}, E=["x2", "x1"]), "form"),
+    (("check-phi", {"phi": "a - b", "properties": "additive"}), "properties"),
 ])
 def test_malformed_job_type_exit_three(tmp_path, capsys, job, key):
+    command, job = job if isinstance(job, tuple) else ("check", job)
     cfgp = _write(tmp_path, "job.json", job)
-    code = main(["check", "--config", cfgp])
+    code = main([command, "--config", cfgp])
     out, err = capsys.readouterr()
     assert code == 3
     assert "Traceback" not in out + err
     payload = json.loads(err)
     assert payload["kind"] == "config"
     assert payload["error"].startswith(key)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["check"], "--config"),
+    (["check", "--config", "{job}", "--samples", "x"], "--samples"),
+    (["no-such-command", "--config", "{job}"], "no-such-command"),
+    (["check", "--config", "{job}", "--out", "{tmp}/missing/report.json"], "--out"),
+    (["check", "--config", "{job}", "--witness-csv", "{tmp}/missing/w.csv"], "--witness-csv"),
+])
+def test_bad_arguments_exit_three(tmp_path, capsys, argv, names):
+    job = _write(tmp_path, "job.json", VIOLATED_JOB)
+    code = main([a.format(job=job, tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in out + err
+    payload = json.loads(err)
+    assert payload["kind"] == "config" and names in payload["error"]
+
+
+def test_bad_seed_variable_exit_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GEOCONVEX_SEED", "abc")
+    code = main(["check", "--config", _write(tmp_path, "job.json", HOLDS_JOB)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["error"].startswith("GEOCONVEX_SEED")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("verifier bug")
+
+    monkeypatch.setattr(geoconvex.cli, "verify_epigraph_equiv", broken)
+    code = main(["verify", "--config", _write(tmp_path, "job.json", _theorem(id="EpigraphEquiv"))])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "Traceback" not in out + err
+    payload = json.loads(err)
+    assert payload["kind"] == "internal" and "verifier bug" in payload["error"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: one valid job per command, mutated
+
+_FUZZ_CFG = {"seed": 1, "samples": 120, "refine_steps": 1, "t_grid": 5}
+_FUZZ_BASE = {k: HOLDS_JOB[k] for k in ("manifold", "h", "E", "phi")}
+_FUZZ_BASE.update(domain={"box": [[-1, 1]], "membership": "1 - x1^2"}, cfg=_FUZZ_CFG)
+_FUZZ_JOB_SPACE = {k: _FUZZ_BASE[k] for k in ("manifold", "domain", "E", "cfg")}
+# every key of these jobs is read by its command
+_FUZZ_JOBS = {
+    "check": dict(_FUZZ_BASE, form="slope", strict=False),
+    "check-set": _FUZZ_JOB_SPACE,
+    "check-product-set": dict(_FUZZ_JOB_SPACE, phi="a - b", product_set={
+        "graph_bound": "v - x1^2", "v_range": [0, 3], "base": {"box": [[-0.5, 0.5]]}}),
+    "check-epigraph": dict(_FUZZ_BASE, queries=[[[0.5], 0.25]]),
+    "verify": dict(_FUZZ_BASE, theorem={"id": "WeightedSum", "h_list": ["x1^2", "abs(x1)"],
+                                        "weights": [0.5, 2]}),
+    "search": dict(_FUZZ_BASE, strict=True),
+    "check-phi": {"phi": "a - b", "E": "x1", "properties": ["additive", "seq_upper_bounded"],
+                  "sequences": [[[1, 0], [0, 1]]], "cfg": _FUZZ_CFG},
+}
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+def _parent(job, path):
+    for k in path[:-1]:
+        job = job[k]
+    return job
+
+
+def _class(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+# a value of each JSON type; swapping in one of another type breaks any key
+_SWAPS = ("x", 1.5, True, [[]], {"k": 1})
+
+
+def _mutate(data, job, op):
+    path = data.draw(st.sampled_from(list(_paths(job))[1:]))
+    parent, key = _parent(job, path), path[-1]
+    value = parent[key]
+    if op == "drop":
+        del parent[key]
+    elif op == "arity" and isinstance(value, list):
+        parent[key] = value[:-1] if data.draw(st.booleans()) else value + value[:1]
+    elif op in ("arity", "nest"):
+        parent[key] = data.draw(st.sampled_from([[value], {"v": value}, [[value, None]]]))
+    elif op == "garbage":
+        parent[key] = data.draw(st.sampled_from([None, [], {}, "", -1, 0, [None, {"a": []}]]))
+    elif op == "swap":
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(
+            [v for v in _SWAPS if _class(v) != _class(value)])))
+    else:  # non-finite
+        parent[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=70, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_jobs_exit_cleanly(tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_JOBS)))
+    job = copy.deepcopy(_FUZZ_JOBS[command])
+    free = data.draw(st.lists(st.sampled_from(["drop", "arity", "nest", "garbage"]), max_size=2))
+    for op in free:
+        if len(list(_paths(job))) > 1:
+            _mutate(data, job, op)
+    breaking = data.draw(st.sampled_from([None, "swap", "non-finite"]))
+    if breaking and len(list(_paths(job))) > 1:
+        _mutate(data, job, breaking)
+    else:
+        breaking = None
+    code = main([command, "--config", _write(tmp_path, "job.json", job)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert code in (0, 1, 2, 3), err
+    # every key of the base jobs is read, so a lone type swap is caught;
+    # a non-finite number is rejected wherever it sits
+    if breaking == "non-finite" or (breaking == "swap" and not free):
+        assert code == 3, job
