@@ -10,11 +10,12 @@ the given budget, never a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import rng
-from .errors import EmptySequenceError, EvalDomainError, SamplingError
+from .errors import EmptySequenceError, SamplingError
 from .exprlang import Bifunction, EndoMap, Expr, ScalarFn, _batch_env
 from .manifold import Manifold, ManifoldKind, Point, row_finite, row_norm
 from .reports import CheckConfig, Report, Verdict, Witness
@@ -23,6 +24,18 @@ from .reports import CheckConfig, Report, Verdict, Witness
 # stream so draws never depend on how work is chunked across workers.
 REGION_SIZE = 1 << 20
 MAX_REJECTION_ROUNDS = 4096
+
+# Every stream region that is drawn from.  Member k of a scan row (a pair,
+# a triple or one point) comes from REGION_ROWS[k]; the preimage search of
+# epigraph membership and the premises' auxiliary draws own the others.
+REGION_ROWS = (0, 1, 2)
+REGION_PREIMAGE = 5
+REGION_AUX1 = 8
+REGION_AUX2 = 9
+# Not a region but a stream index: LocalMin draws its probe directions from
+# rng.Stream(seed, STREAM_DIRS), which reads the same u64s as region 0 of
+# sample 10.  The value is kept because changing it moves reports.
+STREAM_DIRS = 10
 
 # Gap-function arguments are sampled from this fixed window.
 PHI_ARG_RANGE = (-10.0, 10.0)
@@ -48,8 +61,8 @@ class DomainSet:
                 f"box has {len(box)} axes, manifold needs {self.manifold.ambient_dim}"
             )
         for lo, hi in box:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ValueError(f"empty or non-finite box axis ({lo}, {hi})")
+            if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= hi - lo < np.inf):
+                raise ValueError(f"empty, non-finite or overflowing box axis ({lo}, {hi})")
 
     def lows(self) -> np.ndarray:
         return np.array([lo for lo, _ in self.box])
@@ -107,12 +120,9 @@ def outside_margin_batch(domain: DomainSet, X: np.ndarray) -> np.ndarray:
 
 
 def _draw_box_uniform(domain: DomainSet, bases: np.ndarray, pos0: int) -> np.ndarray:
-    lo = domain.lows()
-    hi = domain.highs()
-    d = len(domain.box)
-    out = np.empty((bases.shape[0], d))
-    for j in range(d):
-        out[:, j] = lo[j] + (hi[j] - lo[j]) * rng.unit_array(bases, pos0 + j)
+    out = np.empty((bases.shape[0], len(domain.box)))
+    for j, (lo, hi) in enumerate(domain.box):
+        out[:, j] = lo + (hi - lo) * rng.unit_array(bases, pos0 + j)
     return out
 
 
@@ -130,47 +140,54 @@ def _draw_sphere(bases: np.ndarray, pos0: int, d: int) -> np.ndarray:
     return unit
 
 
+def _draw(domain: DomainSet, bases: np.ndarray, pos0: int) -> np.ndarray:
+    """One candidate point per base from positions pos0.. of its stream."""
+    if domain.manifold.kind is ManifoldKind.SPHERE:
+        return _draw_sphere(bases, pos0, len(domain.box))
+    return _draw_box_uniform(domain, bases, pos0)
+
+
 def _attempt_stride(domain: DomainSet) -> int:
     d = len(domain.box)
     return 2 * d if domain.manifold.kind is ManifoldKind.SPHERE else d
 
 
-def sample_members(
-    domain: DomainSet, bases: np.ndarray, region: int, on_fail: str = "raise"
-):
-    """Rejection-sample one member point per stream base.
-
-    Row i consumes positions region*REGION_SIZE + attempt*stride + j of its
-    own stream, so results are independent of batching.  With
-    on_fail="mask" the return value is (coords, ok) instead of raising when
-    some rows exhaust their rejection budget.
-    """
+def _rejection_sample(bases: np.ndarray, region: int, stride: int, width: int, draw, accept):
+    """One accepted row of `width` values per stream base.  Attempt a of a
+    row draws `draw(bases, pos0)` at pos0 = region*REGION_SIZE + a*stride of
+    its own stream, so results are independent of batching, until
+    `accept(rows)` takes it.  Returns (rows, ok), ok False where a row
+    exhausted MAX_REJECTION_ROUNDS."""
     n = bases.shape[0]
-    d = len(domain.box)
-    stride = _attempt_stride(domain)
-    base_pos = region * REGION_SIZE
-    coords = np.zeros((n, d))
+    rows = np.zeros((n, width))
     active = np.ones(n, dtype=bool)
-    sphere = domain.manifold.kind is ManifoldKind.SPHERE
     for attempt in range(MAX_REJECTION_ROUNDS):
         if not np.any(active):
             break
         idx = np.nonzero(active)[0]
-        sub = bases[idx]
-        pos0 = base_pos + attempt * stride
-        if sphere:
-            draw = _draw_sphere(sub, pos0, d)
-        else:
-            draw = _draw_box_uniform(domain, sub, pos0)
-        # ball draws keep clear of the boundary by more than members must
-        ok = member_mask_batch(domain, draw, ball_radius=BALL_SAMPLE_RADIUS)
-        coords[idx[ok]] = draw[ok]
+        cand = draw(bases[idx], region * REGION_SIZE + attempt * stride)
+        ok = accept(cand)
+        rows[idx[ok]] = cand[ok]
         active[idx[ok]] = False
+    return rows, ~active
+
+
+def sample_members(
+    domain: DomainSet, bases: np.ndarray, region: int, on_fail: str = "raise"
+):
+    """Rejection-sample one member point per stream base.  With
+    on_fail="mask" the return value is (coords, ok) instead of raising when
+    some rows exhaust their rejection budget."""
+    coords, ok = _rejection_sample(
+        bases, region, _attempt_stride(domain), len(domain.box), partial(_draw, domain),
+        # ball draws keep clear of the boundary by more than members must
+        lambda X: member_mask_batch(domain, X, ball_radius=BALL_SAMPLE_RADIUS),
+    )
     if on_fail == "mask":
-        return coords, ~active
-    if np.any(active):
+        return coords, ok
+    if not np.all(ok):
         raise SamplingError(
-            f"no member found for {int(np.sum(active))} of {n} draws after "
+            f"no member found for {int(np.sum(~ok))} of {ok.size} draws after "
             f"{MAX_REJECTION_ROUNDS} rejection rounds"
         )
     return coords
@@ -220,6 +237,11 @@ class ProductSet:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"empty v_range ({lo}, {hi})")
 
+    @property
+    def box(self) -> tuple[tuple[float, float], ...]:
+        """The sampling box of a member (u, v): the base box, then v_range."""
+        return self.base.box + (self.v_range,)
+
     def graph_values(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
         env = _batch_env(self.graph_bound.variables[:-1], X)
         env["v"] = v
@@ -237,43 +259,19 @@ class ProductSet:
         return np.where(np.isfinite(g), margin, np.nan)
 
 
-def sample_product_members(
-    ps: ProductSet, bases: np.ndarray, region: int, on_fail: str = "raise"
-):
-    """One (u, v) member per stream base; returns ((coords, v), ok) with
-    on_fail="mask", else (coords, v), raising on exhaustion."""
-    n = bases.shape[0]
+def sample_product_members(ps: ProductSet, bases: np.ndarray, region: int):
+    """One (u, v) member of `ps` per stream base, as rows [u | v], and which
+    rows found one."""
     d = len(ps.base.box)
     stride = _attempt_stride(ps.base) + 1
-    base_pos = region * REGION_SIZE
-    coords = np.zeros((n, d))
-    vs = np.zeros(n)
-    active = np.ones(n, dtype=bool)
     lo, hi = ps.v_range
-    sphere = ps.base.manifold.kind is ManifoldKind.SPHERE
-    for attempt in range(MAX_REJECTION_ROUNDS):
-        if not np.any(active):
-            break
-        idx = np.nonzero(active)[0]
-        sub = bases[idx]
-        pos0 = base_pos + attempt * stride
-        if sphere:
-            draw = _draw_sphere(sub, pos0, d)
-        else:
-            draw = _draw_box_uniform(ps.base, sub, pos0)
-        v = lo + (hi - lo) * rng.unit_array(sub, pos0 + stride - 1)
-        ok = ps.member_mask(draw, v)
-        coords[idx[ok]] = draw[ok]
-        vs[idx[ok]] = v[ok]
-        active[idx[ok]] = False
-    if on_fail == "mask":
-        return (coords, vs), ~active
-    if np.any(active):
-        raise SamplingError(
-            f"no product-set member found for {int(np.sum(active))} of {n} draws "
-            f"after {MAX_REJECTION_ROUNDS} rejection rounds"
-        )
-    return coords, vs
+
+    def draw(sub, pos0):
+        u = _draw(ps.base, sub, pos0)
+        return np.hstack([u, (lo + (hi - lo) * rng.unit_array(sub, pos0 + stride - 1))[:, None]])
+
+    return _rejection_sample(bases, region, stride, d + 1, draw,
+                             lambda R: ps.member_mask(R[:, :d], R[:, d]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +292,10 @@ def _equation_report(
     bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise EvalDomainError(
+        return Report(Verdict.DOMAIN_ERROR, None, None, k, seed, notes=notes + (
             f"{label}: non-finite value at sample {k} "
-            f"(args {[float(w[k]) for w in witness_points]})"
-        )
+            f"(args {[float(w[k]) for w in witness_points]})",
+        ))
     viol = np.abs(lhs - rhs)
     thresholds = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
     max_violation = float(np.max(viol))
@@ -376,11 +374,13 @@ def check_nonneg_linear(
     hom = check_nonneg_homogeneous(phi, budget, seed, cfg)
     add = check_additive(phi, budget, seed, cfg)
     both = hom.holds and add.holds
-    verdict = Verdict.HOLDS_ON_SAMPLES if both else Verdict.VIOLATED
-    witness = None if both else (hom.witness or add.witness)
+    witness = hom.witness or add.witness
+    # a part that neither holds nor has a witness met a domain error
+    verdict = (Verdict.VIOLATED if witness else
+               Verdict.HOLDS_ON_SAMPLES if both else Verdict.DOMAIN_ERROR)
     return Report(
         verdict,
-        max(hom.max_violation, add.max_violation),
+        max((r.max_violation for r in (hom, add) if r.max_violation is not None), default=None),
         witness,
         budget,
         seed,

@@ -24,6 +24,8 @@ import numpy as np
 
 from . import rng
 from .algebra import (
+    REGION_PREIMAGE,
+    REGION_ROWS,
     DomainSet,
     Instance,
     ProductSet,
@@ -271,17 +273,18 @@ def _finite(*arrays) -> np.ndarray:
 
 
 class _Scan:
-    """One check's sampled scan.  A subclass supplies
+    """One check's sampled scan.  A row is `members` seeded members of
+    `domain` side by side, member k drawn from REGION_ROWS[k]; refinement
+    probes append t when the scan has one.  A subclass supplies
 
-    * `sample(bases) -> (rows, ok)`: one parameter row per stream base;
     * `lanes(rows, T) -> (viol, thr, err)`: violations, thresholds
       (broadcastable to viol) and error codes per lane, where T is a
       t-grid of shape (1, G) in the bulk scan and (N, 1) in refinement
       (None for checks without t);
-    * `probe_rows(rows) -> (rows, ok)`: refinement probes mapped onto the
-      manifold and masked to domain members;
-    * `intervals()`, the admissible range of each refined coordinate,
-      and `witness(z)`, the scalar re-evaluation of a point (or None).
+    * `witness(z)`, the scalar re-evaluation of a point (or None);
+
+    and may replace how one member is drawn (`draw`) and mapped onto the
+    manifold and masked (`member_rows`).
 
     Pair i owns the flat lane indices i*L .. i*L + L - 1 with
     L = lanes_per_pair(): slot i*L marks errors of the whole row, and
@@ -289,10 +292,36 @@ class _Scan:
     at column first_lane - 1; the flats of skipped columns stay reserved.
     """
 
+    members = 2
     has_t = True
     first_lane = 1
     skips_unsampled = False  # rows that found no member are skipped, not errors
     notes = {}  # error code -> note template with the pair index {i}
+
+    def draw(self, bases, region):
+        """One member per stream base from `region`, and which were found."""
+        return sample_members(self.domain, bases, region, on_fail="mask")
+
+    def member_rows(self, X):
+        """Members as manifold coordinates, and which are domain members."""
+        U, ok = _on_manifold(self.manifold, X)
+        return U, ok & member_mask_batch(self.domain, U)
+
+    def sample(self, bases):
+        parts, oks = zip(*(self.draw(bases, r) for r in REGION_ROWS[: self.members]))
+        return np.hstack(parts), np.logical_and.reduce(oks)
+
+    def probe_rows(self, rows):
+        """Refinement probes mapped onto the manifold, and which rows hold
+        only domain members."""
+        n = rows.shape[0]
+        X, ok = self.member_rows(rows.reshape(n * self.members, -1))
+        return X.reshape(n, -1), ok.reshape(n, self.members).all(axis=1)
+
+    def intervals(self):
+        """The admissible range of each refined coordinate."""
+        iv = list(self.domain.box) * self.members
+        return iv + [(0.0, 1.0)] if self.has_t else iv
 
     def lanes_per_pair(self) -> int:
         return self.cfg.t_grid + 1
@@ -334,6 +363,25 @@ class _Scan:
 
     def merge_extras(self, extras) -> dict:
         return {}
+
+    def endpoints(self, rows):
+        """The two members of each pair row."""
+        d = self.manifold.ambient_dim
+        return rows[:, :d], rows[:, d:]
+
+    def _probe_point(self, z):
+        """A point of refinement as the row its lanes saw, and its t (None
+        for a scan without t)."""
+        z = np.asarray(z, dtype=np.float64)
+        row, t = (z[:-1], float(z[-1])) if self.has_t else (z, None)
+        return self.probe_rows(row[None, :])[0][0], t
+
+    def _witness_images(self, z):
+        """The members u1, u2 of the pair behind a refinement point, its t,
+        and their scalar E-images (None when they fail)."""
+        row, t = self._probe_point(z)
+        u1, u2 = np.split(row, 2)
+        return u1, u2, t, _scalar_images(self.manifold, self.E, u1, u2)
 
     def objective(self, Z: np.ndarray) -> np.ndarray:
         """Refinement objective over a probe matrix; -inf off the admissible
@@ -387,42 +435,7 @@ _PAIR_NOTES = {
 }
 
 
-class _PairScan(_Scan):
-    """Rows (u1, u2) of two sampled domain members; probes append t when
-    the scan has one."""
-
-    def sample(self, bases):
-        U1, ok1 = sample_members(self.domain, bases, region=0, on_fail="mask")
-        U2, ok2 = sample_members(self.domain, bases, region=1, on_fail="mask")
-        return np.hstack([U1, U2]), ok1 & ok2
-
-    def probe_rows(self, rows):
-        d = self.manifold.ambient_dim
-        U, ok = _on_manifold(self.manifold, np.concatenate((rows[:, :d], rows[:, d:])))
-        ok &= member_mask_batch(self.domain, U)
-        return np.concatenate(_halves(U), axis=1), np.logical_and(*_halves(ok))
-
-    def intervals(self):
-        box = list(self.domain.box)
-        return box + box + [(0.0, 1.0)] if self.has_t else box + box
-
-    def _probe_point(self, z):
-        """A point of refinement as the row its lanes saw, and its t (None
-        for a scan without t)."""
-        z = np.asarray(z, dtype=np.float64)
-        if not self.has_t:
-            return self.probe_rows(z[None, :])[0][0], None
-        return self.probe_rows(z[None, :-1])[0][0], float(z[-1])
-
-    def _witness_images(self, z):
-        """The halves u1, u2 of the row behind a refinement point, its t, and
-        the scalar E-images of the halves (None when they fail)."""
-        row, t = self._probe_point(z)
-        u1, u2 = np.split(row, 2)
-        return u1, u2, t, _scalar_images(self.manifold, self.E, u1, u2)
-
-
-class _CurveScan(_PairScan):
+class _CurveScan(_Scan):
     """A pair scan along the curve between the E-images of its row's two
     domain points.  A subclass supplies
 
@@ -436,10 +449,6 @@ class _CurveScan(_PairScan):
     (`_curve_lanes`)."""
 
     margin_test = True
-
-    def endpoints(self, rows):
-        d = self.manifold.ambient_dim
-        return rows[:, :d], rows[:, d:]
 
     def pass_extra(self, rows, ok, W, code) -> dict:
         return {}
@@ -700,22 +709,16 @@ def search_counterexample(inst: Instance, cfg: CheckConfig, strict: bool = False
 # slope form on Euclidean(1)
 
 @dataclass
-class _SlopeScan(_UntimedScan):
+class _SlopeScan(_InstanceScan, _UntimedScan):
     """Rows (mu1, mu, mu2) of three sampled points; one lane per row."""
 
     inst: Instance
     cfg: CheckConfig
 
+    members = 3
     notes = dict.fromkeys(
         (_PAIR_BAD, _E_BAD, _VAL_BAD), "evaluation failed on triple {i}"
     )
-
-    def sample(self, bases):
-        pts, oks = zip(*(
-            sample_members(self.inst.domain, bases, region=region, on_fail="mask")
-            for region in range(3)
-        ))
-        return np.hstack(pts), oks[0] & oks[1] & oks[2]
 
     def lanes(self, rows, T):
         inst = self.inst
@@ -738,13 +741,6 @@ class _SlopeScan(_UntimedScan):
         code[val_bad] = _VAL_BAD
         viol = np.where(admissible & ~val_bad, viol, -np.inf)
         return viol[:, None], thr[:, None], code[:, None]
-
-    def probe_rows(self, rows):
-        ok = member_mask_batch(self.inst.domain, rows.reshape(-1, 1)).reshape(-1, 3)
-        return rows, ok[:, 0] & ok[:, 1] & ok[:, 2]
-
-    def intervals(self):
-        return list(self.inst.domain.box) * 3
 
     def witness(self, z) -> Witness | None:
         inst = self.inst
@@ -805,7 +801,7 @@ def check_slope_inequality(inst: Instance, cfg: CheckConfig) -> Report:
 class _SetScan(_CurveScan):
     manifold: Manifold
     E: EndoMap
-    B: DomainSet
+    domain: DomainSet
     cfg: CheckConfig
 
     notes = {
@@ -813,15 +809,11 @@ class _SetScan(_CurveScan):
         _LANE: "membership predicate failed to evaluate on a curve point",
     }
 
-    @property
-    def domain(self) -> DomainSet:
-        return self.B
-
     def prelude(self, rows, W, code):
         return None
 
     def lane(self, state, P, t):
-        margin = outside_margin_batch(self.B, P)
+        margin = outside_margin_batch(self.domain, P)
         return margin, None, ~np.isfinite(margin)
 
     def pass_extra(self, rows, ok, W, code):
@@ -856,7 +848,7 @@ class _SetScan(_CurveScan):
             return None
         w1, w2 = images
         gp = geodesic_batch(self.manifold, w1[None, :], w2[None, :], t)
-        margin = float(outside_margin_batch(self.B, gp)[0])
+        margin = float(outside_margin_batch(self.domain, gp)[0])
         return _margin_witness((Point(tuple(u1)), Point(tuple(u2))), t, margin)
 
 
@@ -886,7 +878,7 @@ class _ProductSetScan(_CurveScan):
     manifold: Manifold
     E: EndoMap
     phi: Bifunction
-    S: ProductSet
+    domain: ProductSet
     cfg: CheckConfig
 
     skips_unsampled = True
@@ -899,10 +891,13 @@ class _ProductSetScan(_CurveScan):
         d = self.manifold.ambient_dim
         return rows[..., :d], rows[..., d], rows[..., d + 1 : 2 * d + 1], rows[..., 2 * d + 1]
 
-    def sample(self, bases):
-        (U1, V1), ok1 = sample_product_members(self.S, bases, region=0, on_fail="mask")
-        (U2, V2), ok2 = sample_product_members(self.S, bases, region=1, on_fail="mask")
-        return np.hstack([U1, V1[:, None], U2, V2[:, None]]), ok1 & ok2
+    def draw(self, bases, region):
+        return sample_product_members(self.domain, bases, region)
+
+    def member_rows(self, X):
+        d = self.manifold.ambient_dim
+        U, ok = _on_manifold(self.manifold, X[:, :d])
+        return np.hstack([U, X[:, d:]]), ok & self.domain.member_mask(U, X[:, d])
 
     def endpoints(self, rows):
         U1, _, U2, _ = self._split(rows)
@@ -916,22 +911,8 @@ class _ProductSetScan(_CurveScan):
 
     def lane(self, state, P, t):
         V2, pv = state
-        margin = self.S.outside_margin(P, V2 + t * pv)
+        margin = self.domain.outside_margin(P, V2 + t * pv)
         return margin, None, ~np.isfinite(margin)
-
-    def probe_rows(self, rows):
-        m = self.manifold
-        U1, V1, U2, V2 = self._split(rows)
-        U, ok = _on_manifold(m, np.vstack([U1, U2]))
-        V = np.concatenate([V1, V2])
-        ok &= self.S.member_mask(U, V)
-        U1, U2 = _halves(U)
-        return np.hstack([U1, V1[:, None], U2, V2[:, None]]), np.logical_and(*_halves(ok))
-
-    def intervals(self):
-        box = list(self.S.base.box)
-        vr = [tuple(self.S.v_range)]
-        return box + vr + box + vr + [(0.0, 1.0)]
 
     def merge_extras(self, extras):
         self._unsampled = sum(e["unsampled"] for e in extras)
@@ -951,7 +932,7 @@ class _ProductSetScan(_CurveScan):
         except EvalDomainError:
             return None
         gp = geodesic_batch(m, w1[None, :], w2[None, :], t)
-        margin = float(self.S.outside_margin(gp, np.array([w]))[0])
+        margin = float(self.domain.outside_margin(gp, np.array([w]))[0])
         points = (Point(tuple(u1) + (float(v1),)), Point(tuple(u2) + (float(v2),)))
         return _margin_witness(points, t, margin)
 
@@ -1003,7 +984,7 @@ class EpigraphMembership:
 
         def nearest(i0, i1):
             bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-            U, ok = sample_members(inst.domain, bases, region=5, on_fail="mask")
+            U, ok = sample_members(inst.domain, bases, REGION_PREIMAGE, on_fail="mask")
             W = inst.E.eval_batch(U)
             with np.errstate(all="ignore"):
                 dist = row_norm(W - target[None, :])

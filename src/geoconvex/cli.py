@@ -80,7 +80,8 @@ OBJECT = _Kind("an object", lambda v: isinstance(v, dict))
 LIST = _Kind("a nonempty list", lambda v: isinstance(v, list) and len(v) > 0)
 DIM = _Kind("an integer >= 1", lambda v: type(v) is int and v >= 1)
 RANGE = _Kind("[lo, hi] with lo < hi", lambda v: _is_list(v, NUMBER, n=2) and v[0] < v[1])
-AXIS = _Kind("[lo, hi] with lo <= hi", lambda v: _is_list(v, NUMBER, n=2) and v[0] <= v[1])
+AXIS = _Kind("[lo, hi] with lo <= hi and a finite width",
+             lambda v: _is_list(v, NUMBER, n=2) and 0 <= v[1] - v[0] <= sys.float_info.max)
 
 
 def _endo(n: int) -> _Kind:
@@ -154,7 +155,9 @@ def _cfg(raw: dict, args) -> CheckConfig:
 
 def _domain(block: dict, path: str, manifold) -> DomainSet:
     amb = manifold.ambient_dim
-    box = _get(block, path, "box", _list(amb, AXIS, "[lo, hi] axes with lo <= hi"))
+    box = _get(block, path, "box", _Kind(f"a list of {amb} axes",
+                                         lambda v: isinstance(v, list) and len(v) == amb))
+    box = [_get(box, _where(path, "box"), k, AXIS) for k in range(amb)]
     membership = _get(block, path, "membership", EXPR, None)
     return DomainSet(manifold, tuple(tuple(axis) for axis in box),
                      parse(membership, point_vars(amb)) if membership else None)

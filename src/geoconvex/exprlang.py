@@ -820,7 +820,7 @@ def max_fns(fns) -> ScalarFn:
 def weighted_sum_fns(fns, weights) -> ScalarFn:
     fns = list(fns)
     root = Binary("*", Const(float(weights[0])), fns[0].expr.root)
-    for g, w in zip(fns[1:], weights[1:]):
+    for g, w in zip(fns[1:], weights[1:], strict=True):
         root = Binary("+", root, Binary("*", Const(float(w)), g.expr.root))
     return ScalarFn(Expr(root, fns[0].expr.variables), "weighted sum")
 

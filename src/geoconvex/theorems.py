@@ -19,6 +19,9 @@ import numpy as np
 
 from . import rng
 from .algebra import (
+    REGION_AUX1,
+    REGION_AUX2,
+    STREAM_DIRS,
     DomainSet,
     Instance,
     ProductSet,
@@ -38,7 +41,6 @@ from .checker import (
     STRICT_SEP_FRACTION,
     _ConvexityScan,
     _InstanceScan,
-    _PairScan,
     _UntimedScan,
     _clean_images,
     _finish_scan,
@@ -46,7 +48,6 @@ from .checker import (
     _finite,
     _fn_checks,
     _halves,
-    _on_manifold,
     _pair_images,
     check_geodesic_phiE_convex_fn,
     check_geodesic_phiE_convex_set,
@@ -89,11 +90,6 @@ STRICT_DERIVATIVE_TOL = 1e-6
 ROUNDTRIP_TOL = 1e-8
 LOCAL_MIN_RADII = (1e-2, 1e-3, 1e-4)
 LOCAL_MIN_DIRECTIONS = 16
-
-# stream regions for auxiliary sampling, clear of the checker's 0..5
-_R_AUX1 = 8
-_R_AUX2 = 9
-_R_DIRS = 10
 
 
 def _golden_refine(objective, z0, intervals, steps: int):
@@ -210,11 +206,16 @@ def _assemble(tid: TheoremId, premises, conclusion: Report | None,
     return TheoremReport(tid, premises, conclusion, verdict, notes)
 
 
+def _aux_members(inst: Instance, cfg: CheckConfig, n: int = 2048,
+                 region: int = REGION_AUX1) -> np.ndarray:
+    """n seeded domain members (at most cfg.samples, at least 2) for premises."""
+    bases = rng.base_array(cfg.seed, np.arange(max(2, min(n, cfg.samples)), dtype=np.uint64))
+    return sample_members(inst.domain, bases, region=region)
+
+
 def _sampled_image_values(inst: Instance, cfg: CheckConfig, n: int, region: int):
     """(points, E-images, h values) for n seeded domain members."""
-    n = max(2, min(n, cfg.samples))
-    bases = rng.base_array(cfg.seed, np.arange(n, dtype=np.uint64))
-    U = sample_members(inst.domain, bases, region=region)
+    U = _aux_members(inst, cfg, n, region)
     W, ok = _clean_images(inst.manifold, inst.E.eval_batch(U))
     H = inst.h.eval_batch(W)
     keep = ok & np.isfinite(H)
@@ -427,15 +428,18 @@ def verify_closure(kind: str, insts: Sequence[Instance],
                                  "phi additive"))
         if kind in ("Scaling", "WeightedSum"):
             w = list(weights or [])
-            premises.append(_bool_premise("weights nonnegative",
-                                          len(w) > 0 and all(x >= 0 for x in w),
-                                          cfg.seed, f"weights {w!r}"))
+            # a WeightedSum takes one weight per member
+            counted = kind == "Scaling" or len(w) == len(insts)
+            premises.append(_bool_premise(
+                "weights nonnegative", counted and len(w) > 0 and all(x >= 0 for x in w),
+                cfg.seed, f"weights {w!r}",
+                "" if counted else f"{len(w)} weights for {len(insts)} members"))
     else:
         # sequences are the h-value streams of the family at sampled points
         n_pairs = 32
         bases = rng.base_array(cfg.seed, np.arange(n_pairs, dtype=np.uint64))
-        Ua = sample_members(first.domain, bases, region=_R_AUX1)
-        Ub = sample_members(first.domain, bases, region=_R_AUX2)
+        Ua = sample_members(first.domain, bases, region=REGION_AUX1)
+        Ub = sample_members(first.domain, bases, region=REGION_AUX2)
         Wa, oka = _clean_images(first.manifold, first.E.eval_batch(Ua))
         Wb, okb = _clean_images(first.manifold, first.E.eval_batch(Ub))
         sequences = []
@@ -502,7 +506,7 @@ def verify_composition(h1_inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> The
     _, checks = _fn_checks([diff_inst] + _if_built(composed), cfg)
     premises.append(_labeled(checks[0](), "inner function geodesic E-convex (difference gap)"))
     try:
-        _, _, H = _sampled_image_values(h1_inst, cfg, 512, _R_AUX1)
+        _, _, H = _sampled_image_values(h1_inst, cfg, 512, REGION_AUX1)
     except EvalDomainError as exc:
         premises.append(_bool_premise("inner range sampleable", False, cfg.seed, str(exc)))
         return _assemble(tid, premises, None)
@@ -594,13 +598,6 @@ BUILTIN_DIFFEOS = {
 }
 
 
-def _aux_members(inst: Instance, cfg: CheckConfig) -> np.ndarray:
-    """Seeded domain members for premises on the chart itself."""
-    n = max(2, min(cfg.samples, 2048))
-    bases = rng.base_array(cfg.seed, np.arange(n, dtype=np.uint64))
-    return sample_members(inst.domain, bases, region=_R_AUX1)
-
-
 def _roundtrip_premise(diffeo: Diffeo, X: np.ndarray, seed: int) -> Report:
     with np.errstate(all="ignore"):
         Y = diffeo.fwd.eval_batch(X)
@@ -641,7 +638,7 @@ def verify_diffeo_invariance(inst: Instance, diffeo: Diffeo, cfg: CheckConfig,
 # continuity bounds
 
 @dataclass
-class _LipschitzScan(_InstanceScan, _UntimedScan, _PairScan):
+class _LipschitzScan(_InstanceScan, _UntimedScan):
     """|h(E(mu1)) - h(E(mu2))| <= L * |Y1 - Y2| for pairs whose chart images
     Y = chart(E(mu)) lie in the box [lo, hi], with h read through the chart."""
 
@@ -665,8 +662,7 @@ class _LipschitzScan(_InstanceScan, _UntimedScan, _PairScan):
         return lhs, rhs, inside
 
     def lanes(self, rows, T):
-        d = self.manifold.ambient_dim
-        W, code = _pair_images(self.manifold, self.E, rows[:, :d], rows[:, d:])
+        W, code = _pair_images(self.manifold, self.E, *self.endpoints(rows))
         Y = self.chart.fwd.eval_batch(W)
         H = self.inst.h.eval_batch(self.chart.inv.eval_batch(Y))
         lhs, rhs, inside = self._terms(*_halves(Y), *_halves(H))
@@ -694,7 +690,7 @@ def _verify_lipschitz(tid: TheoremId, inst: Instance, K: float, eps: float, cfg:
     require |h(E(mu1)) - h(E(mu2))| <= L * |Y1 - Y2| + tol for pairs whose
     chart images Y lie in the box [lo, hi]."""
     premises = list(premises)
-    _, _, H = _sampled_image_values(inst, cfg, 512, _R_AUX1)
+    _, _, H = _sampled_image_values(inst, cfg, 512, REGION_AUX1)
     if H.size < 2:
         premises.append(_bool_premise("value range sampleable", False, cfg.seed))
         return _assemble(tid, premises, None)
@@ -762,17 +758,8 @@ class _LocalMinScan(_InstanceScan, _UntimedScan):
     w_star: Point
     h_star: float
 
+    members = 1
     notes = {**_PAIR_NOTES, _VAL_BAD: "h or phi non-finite at an E-image (pair {i})"}
-
-    def sample(self, bases):
-        return sample_members(self.domain, bases, region=0, on_fail="mask")
-
-    def probe_rows(self, rows):
-        U, ok = _on_manifold(self.manifold, rows)
-        return U, ok & member_mask_batch(self.domain, U)
-
-    def intervals(self):
-        return list(self.domain.box)
 
     def lanes(self, rows, T):
         inst = self.inst
@@ -783,7 +770,7 @@ class _LocalMinScan(_InstanceScan, _UntimedScan):
 
     def witness(self, z) -> Witness | None:
         inst = self.inst
-        u = self.probe_rows(np.asarray(z, dtype=np.float64)[None, :])[0][0]
+        u, _ = self._probe_point(z)
         try:
             W, ok = _clean_images(inst.manifold, np.array([inst.E(tuple(u))]))
             v = -inst.phi(inst.h(tuple(W[0])), self.h_star)
@@ -815,7 +802,7 @@ def verify_local_min(inst: Instance, mu_star: Point, cfg: CheckConfig) -> Theore
         return _assemble(tid, premises, None)
     scale = inst.domain.scale()
     interior_ok = member_mask_batch(inst.domain, w_star.array()[None, :])[0]
-    stream = rng.Stream(cfg.seed, _R_DIRS)
+    stream = rng.Stream(cfg.seed, STREAM_DIRS)
     amb = m.ambient_dim
     probes_ok = True
     min_ok = True
@@ -883,7 +870,7 @@ def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
     _, checks = _fn_checks([inst_base.with_phi(phi_i) for phi_i in members] + [inst_base], cfg)
     for i in range(len(members)):
         premises.append(_labeled(checks[i](), f"convexity under member {i}"))
-    _, _, H = _sampled_image_values(inst_base, cfg, 256, _R_AUX1)
+    _, _, H = _sampled_image_values(inst_base, cfg, 256, REGION_AUX1)
     devs = []
     if H.size >= 2:
         A, B = np.meshgrid(H[:32], H[:32])
@@ -911,7 +898,7 @@ def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
 # strict differential separation
 
 @dataclass
-class _StrictDifferentialScan(_InstanceScan, _UntimedScan, _PairScan):
+class _StrictDifferentialScan(_InstanceScan, _UntimedScan):
     """The directional derivatives of h at the two curve endpoints, along
     the curve's velocity, must differ by more than tol_strict on pairs with
     separated E-images."""
@@ -931,8 +918,7 @@ class _StrictDifferentialScan(_InstanceScan, _UntimedScan, _PairScan):
     def lanes(self, rows, T):
         m = self.manifold
         h = self.inst.h
-        d = m.ambient_dim
-        W, code = _pair_images(m, self.E, rows[:, :d], rows[:, d:])
+        W, code = _pair_images(m, self.E, *self.endpoints(rows))
         W1, W2 = _halves(W)
         with np.errstate(all="ignore"):
             # velocities at t = 1 (base W1) and at t = 0 (base W2)
@@ -1019,7 +1005,7 @@ def epigraph_product_set(inst: Instance, cfg: CheckConfig, pad: float = 0.0) -> 
     remap falls back to the sampled image bounding box, an approximation
     recorded by the caller.
     """
-    _, W, H = _sampled_image_values(inst, cfg, 1024, _R_AUX2)
+    _, W, H = _sampled_image_values(inst, cfg, 1024, REGION_AUX2)
     if W.shape[0] == 0:
         raise EvalDomainError("no evaluable E-image samples for the epigraph")
     amb = inst.manifold.ambient_dim
@@ -1045,7 +1031,7 @@ def verify_epigraph_equiv(inst: Instance, cfg: CheckConfig) -> TheoremReport:
     directions (both hold, or both violated with witnesses)."""
     tid = TheoremId.EPIGRAPH_EQUIV
     premises = []
-    _, _, H = _sampled_image_values(inst, cfg, 256, _R_AUX1)
+    _, _, H = _sampled_image_values(inst, cfg, 256, REGION_AUX1)
     if H.size < 2:
         premises.append(_bool_premise("value range sampleable", False, cfg.seed))
         return _assemble(tid, premises, None)
@@ -1140,14 +1126,14 @@ def verify_sup_epigraph(insts: Sequence[Instance], cfg: CheckConfig) -> TheoremR
     premises = [_shared_family_premise(insts, cfg.seed)]
     if not premises[0].holds:
         return _assemble(tid, premises, None)
-    _, _, H = _sampled_image_values(first, cfg, 256, _R_AUX1)
+    _, _, H = _sampled_image_values(first, cfg, 256, REGION_AUX1)
     if H.size < 2:
         premises.append(_bool_premise("value range sampleable", False, cfg.seed))
         return _assemble(tid, premises, None)
     premises.append(_phi_combination_monotone_premise(first.phi, H, cfg))
     bounded = True
     for k, sub in enumerate(insts):
-        _, _, Hk = _sampled_image_values(sub, cfg, 128, _R_AUX2)
+        _, _, Hk = _sampled_image_values(sub, cfg, 128, REGION_AUX2)
         bounded = bounded and Hk.size > 0 and bool(np.all(np.isfinite(Hk)))
     premises.append(_bool_premise("family bounded above on samples", bounded, cfg.seed))
     for k, sub in enumerate(insts):

@@ -16,7 +16,12 @@ from geoconvex import (
     sphere,
 )
 from geoconvex import rng
-from geoconvex.algebra import member_mask_batch, sample_members
+from geoconvex.algebra import (
+    ProductSet,
+    member_mask_batch,
+    sample_members,
+    sample_product_members,
+)
 from geoconvex.errors import EmptySequenceError
 from geoconvex.exprlang import parse, point_vars
 
@@ -67,6 +72,17 @@ def test_nonneg_linear_flag_is_conjunction():
     only_hom = check_nonneg_linear(Bifunction.from_source("a*b"), BUDGET)
     assert only_hom.flags["nonneg_linear"] is False
     assert only_hom.verdict is Verdict.VIOLATED
+
+
+def test_non_evaluable_phi_is_a_domain_error_report():
+    phi = Bifunction.from_source("log(a)")
+    for check in (check_nonneg_homogeneous, check_additive, check_antisymmetric):
+        rep = check(phi, BUDGET, seed=4)
+        assert rep.verdict is Verdict.DOMAIN_ERROR and rep.max_violation is None
+        assert "non-finite value at sample" in rep.notes[-1]
+    rep = check_nonneg_linear(phi, BUDGET, seed=4)
+    assert rep.verdict is Verdict.DOMAIN_ERROR and rep.max_violation is None
+    assert rep.flags["nonneg_linear"] is False
 
 
 def test_seq_upper_bounded_difference_gap():
@@ -130,14 +146,57 @@ def test_domain_sampling_membership_and_regions():
 
 
 def test_domain_sampling_chunk_independence():
-    dom = DomainSet(euclidean(1), ((-2.0, 3.0),))
     bases = rng.base_array(17, np.arange(100, dtype=np.uint64))
-    full = sample_members(dom, bases, region=2)
-    parts = np.concatenate([
-        sample_members(dom, bases[:37], region=2),
-        sample_members(dom, bases[37:], region=2),
-    ])
-    np.testing.assert_array_equal(full, parts)
+    line = DomainSet(euclidean(1), ((-2.0, 3.0),))
+    for sample in (lambda b: sample_members(line, b, region=2),
+                   lambda b: sample_product_members(_BAND, b, region=2)[0]):
+        full = sample(bases)
+        parts = np.concatenate([sample(bases[:37]), sample(bases[37:])])
+        np.testing.assert_array_equal(full, parts)
+
+
+# the first rows drawn at seed 3, region 1; a change to the rejection loop,
+# the draws or the member tests that moves a bit of any row shows here
+_HALF_PLANE = DomainSet(euclidean(2), ((-1.0, 1.0), (-1.0, 1.0)), parse("x1 + x2", point_vars(2)))
+_BAND = ProductSet(_HALF_PLANE, parse("v - x1^2 - x2", point_vars(2) + ("v",)), (0.0, 2.0))
+_GOLDEN_ROWS = {
+    "box": (_HALF_PLANE, [
+        ["0x1.18fe30f1419d6p-1", "-0x1.50d6b6701ff48p-3"],
+        ["0x1.fd4981be3d220p-1", "-0x1.3fc24c1abd4b8p-3"],
+        ["0x1.d2314f08a3a80p-2", "-0x1.845cf5f5dc320p-4"],
+        ["0x1.423511e8d7c60p-4", "0x1.076099ec6cab8p-3"],
+    ]),
+    "cap": (DomainSet(sphere(2), ((-1.0, 1.0),) * 3, parse("x3 - 0.5", point_vars(3))), [
+        ["-0x1.b8490aa1dd93ep-4", "0x1.42f267eca4bb9p-2", "0x1.e2be5dc1a257fp-1"],
+        ["-0x1.38c4bc6e16db1p-1", "-0x1.2336c926aac38p-4", "0x1.93b9e2d32af96p-1"],
+        ["-0x1.c5abf64c5beedp-2", "0x1.b9c6603b53384p-3", "0x1.bd8627c98ba28p-1"],
+        ["-0x1.86956b6f147fep-1", "-0x1.94cacef6ec9bfp-4", "0x1.4726cbc8a4be8p-1"],
+    ]),
+    "ball": (DomainSet(poincare_ball(2), ((-0.9, 0.9), (-0.9, 0.9))), [
+        ["-0x1.8e01b2ac98693p-1", "-0x1.d61ed02c8ff78p-2"],
+        ["0x1.ca5bc1919d6b7p-1", "-0x1.1fc877b1aa5d8p-3"],
+        ["-0x1.079fc8ca3b38bp-1", "-0x1.3f07ab9f83612p-2"],
+        ["-0x1.f09418404024fp-2", "-0x1.9ff8ea6f72811p-1"],
+    ]),
+    "product": (_BAND, [
+        ["-0x1.c9ad752d178d8p-2", "0x1.18fe30f1419d6p-1", "0x1.abca5263f802ep-1"],
+        ["0x1.fd4981be3d220p-1", "-0x1.3fc24c1abd4b8p-3", "0x1.3105e96de1ff2p+0"],
+        ["0x1.9d2c2049d6940p-4", "0x1.d2314f08a3a80p-2", "0x1.cf7461414479cp-1"],
+        ["0x1.e3a12a83d8540p-2", "-0x1.da1218eb31620p-2", "0x1.470dc53b4db93p+0"],
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_ROWS))
+def test_sampler_first_rows_golden(name):
+    dom, expected = _GOLDEN_ROWS[name]
+    bases = rng.base_array(3, np.arange(4, dtype=np.uint64))
+    if name == "product":
+        rows, ok = sample_product_members(dom, bases, region=1)
+        assert ok.all()
+    else:
+        rows = sample_members(dom, bases, region=1)
+    assert [[x.hex() for x in r] for r in rows.tolist()] == expected
 
 
 def test_sphere_and_ball_sampling_valid():
@@ -151,6 +210,12 @@ def test_sphere_and_ball_sampling_valid():
     ball = DomainSet(poincare_ball(2), ((-0.9, 0.9), (-0.9, 0.9)))
     bpts = sample_members(ball, bases, region=0)
     assert (np.linalg.norm(bpts, axis=1) < 1.0).all()
+
+
+@pytest.mark.parametrize("axis", [(-1e308, 1e308), (1.0, 0.0), (0.0, float("inf"))])
+def test_domain_rejects_unusable_box_axis(axis):
+    with pytest.raises(ValueError, match="box axis"):
+        DomainSet(euclidean(2), ((0.0, 1.0), axis))
 
 
 def test_box_excess_matches_axis_max():

@@ -21,6 +21,8 @@ from geoconvex import (
     search_counterexample,
     sphere,
 )
+from geoconvex.algebra import member_mask_batch
+from geoconvex.checker import _halves, _on_manifold
 from geoconvex.errors import InverseSearchFailedError
 from geoconvex.exprlang import parse, point_vars
 
@@ -596,3 +598,88 @@ def test_check_config_accepts_numpy_and_integer_values():
     cfg = CheckConfig(seed=np.int64(-3), samples=np.int32(10), tol_abs=1, tol_rel=np.float64(1e-6))
     assert (cfg.seed, cfg.samples, cfg.tol_abs) == (-3, 10, 1)
     assert cfg.replace(workers=2).workers == 2
+
+
+# the per-scan row layouts that the generic `_Scan.probe_rows` and
+# `_Scan.intervals` replace, kept as the reference they must equal
+
+def _ref_pair_probe(scan, rows):
+    d = scan.manifold.ambient_dim
+    U, ok = _on_manifold(scan.manifold, np.concatenate((rows[:, :d], rows[:, d:])))
+    ok &= member_mask_batch(scan.domain, U)
+    return np.concatenate(_halves(U), axis=1), np.logical_and(*_halves(ok))
+
+
+def _ref_pair_intervals(scan):
+    box = list(scan.domain.box)
+    return box + box + [(0.0, 1.0)] if scan.has_t else box + box
+
+
+def _ref_triple_probe(scan, rows):
+    ok = member_mask_batch(scan.inst.domain, rows.reshape(-1, 1)).reshape(-1, 3)
+    return rows, ok[:, 0] & ok[:, 1] & ok[:, 2]
+
+
+def _ref_point_probe(scan, rows):
+    U, ok = _on_manifold(scan.manifold, rows)
+    return U, ok & member_mask_batch(scan.domain, U)
+
+
+def _ref_product_probe(scan, rows):
+    d = scan.manifold.ambient_dim
+    U1, V1, U2, V2 = scan._split(rows)
+    U, ok = _on_manifold(scan.manifold, np.vstack([U1, U2]))
+    ok &= scan.domain.member_mask(U, np.concatenate([V1, V2]))
+    U1, U2 = _halves(U)
+    return np.hstack([U1, V1[:, None], U2, V2[:, None]]), np.logical_and(*_halves(ok))
+
+
+def _ref_product_intervals(scan):
+    box, vr = list(scan.domain.base.box), [tuple(scan.domain.v_range)]
+    return box + vr + box + vr + [(0.0, 1.0)]
+
+
+def _layout_scans():
+    from geoconvex.checker import _ConvexityScan, _ProductSetScan, _SlopeScan
+    from geoconvex.manifold import Point
+    from geoconvex.theorems import _LipschitzScan, _LocalMinScan, identity_diffeo
+
+    S2 = sphere(2)
+    cap = DomainSet(S2, ((-1.0, 1.0),) * 3, parse("x3 - 0.2", point_vars(3)))
+    on_cap = Instance(S2, ScalarFn.from_source("x1 + x3", 3), EndoMap.identity(3),
+                      Bifunction.from_source("a - b"), cap)
+    ball = DomainSet(poincare_ball(2), ((-0.8, 0.8), (-0.8, 0.8)), parse("x1 + 0.5", point_vars(2)))
+    in_ball = Instance(ball.manifold, ScalarFn.from_source("x1^2 + x2^2", 2), EndoMap.identity(2),
+                       Bifunction.from_source("a - b"), ball)
+    line = _inst1d("x1^2", "a - b", (-1.0, 2.0), membership=parse("x1 + 0.5", point_vars(1)))
+    band = ProductSet(cap, parse("v - x3", point_vars(3) + ("v",)), (-1.0, 2.0))
+    return {
+        "pair": (_ConvexityScan(on_cap, CFG), _ref_pair_probe, _ref_pair_intervals),
+        "pair, strict": (_ConvexityScan(on_cap, CFG, strict=True), _ref_pair_probe, None),
+        "pair, untimed": (_LipschitzScan(in_ball, CFG, identity_diffeo(ball.manifold), 1.0,
+                                         ball.lows(), ball.highs()),
+                          _ref_pair_probe, _ref_pair_intervals),
+        "triple": (_SlopeScan(line, CFG), _ref_triple_probe,
+                   lambda s: list(s.inst.domain.box) * 3),
+        "point": (_LocalMinScan(in_ball, CFG, Point((0.0, 0.0)), 0.0), _ref_point_probe,
+                  lambda s: list(s.domain.box)),
+        "product": (_ProductSetScan(S2, EndoMap.identity(3), Bifunction.from_source("a - b"),
+                                    band, CFG), _ref_product_probe, _ref_product_intervals),
+    }
+
+
+@pytest.mark.parametrize("name", ["pair", "pair, strict", "pair, untimed", "triple", "point",
+                                  "product"])
+def test_generic_row_layout_matches_per_scan_reference(name):
+    scan, ref_probe, ref_intervals = _layout_scans()[name]
+    width = scan.manifold.ambient_dim + (name == "product")
+    rows = 1.2 * np.random.default_rng(7).standard_normal((257, scan.members * width))
+    rows[0] = 0.0  # a sphere row too short to normalize
+    rows[1, 0] = np.nan
+    got, ok = scan.probe_rows(rows)
+    want, want_ok = ref_probe(scan, rows)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(ok, want_ok)
+    assert 0 < ok.sum() < ok.size
+    if ref_intervals is not None:
+        assert scan.intervals() == ref_intervals(scan)

@@ -224,6 +224,27 @@ def test_check_phi_command(tmp_path, capsys):
     assert by_prop["seq_upper_bounded"] == "Violated"
 
 
+def test_check_phi_reports_every_property_of_a_non_evaluable_phi(tmp_path, capsys):
+    props = ["nonneg_homogeneous", "additive", "antisymmetric", "nonneg_linear"]
+    job = {"phi": "log(a)", "properties": props, "cfg": {"seed": 0, "samples": 500}}
+    code = main(["check-phi", "--config", _write(tmp_path, "job.json", job)])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert code == 2
+    assert [r["property"] for r in reports] == props
+    assert {r["verdict"] for r in reports} == {"DomainError"}
+    assert "nonneg_homogeneous: non-finite value at sample" in reports[0]["notes"][-1]
+
+
+def test_weighted_sum_with_fewer_weights_than_members_exit_two(tmp_path, capsys):
+    job = _theorem(id="WeightedSum", h_list=["x1^2", "x1^4"], weights=[1])
+    code = main(["verify", "--config", _write(tmp_path, "job.json", job)])
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert code == 2
+    assert report["verdict"] == "PremiseFailed" and report["conclusion"] is None
+    notes = [n for p in report["premises"] for n in p["notes"]]
+    assert "1 weights for 2 members" in notes
+
+
 def test_catalog_listing(capsys):
     code = main([])
     out = capsys.readouterr().out
@@ -362,6 +383,7 @@ def _raw(job: dict, key: str, text: str) -> str:
     (_malformed(form="interval", manifold={"kind": "Euclidean", "dim": 2},
                 domain={"box": [[-1, 1], [-1, 1]]}, E=["x2", "x1"]), "form"),
     (("check-phi", {"phi": "a - b", "properties": "additive"}), "properties"),
+    (_malformed(domain={"box": [[-1e308, 1e308]]}), "domain.box[0]"),
 ])
 def test_malformed_job_type_exit_three(tmp_path, capsys, job, key):
     command, job = job if isinstance(job, tuple) else ("check", job)

@@ -116,6 +116,17 @@ def test_closure_negative_weight_fails():
     assert rep.verdict is Verdict.PREMISE_FAILED
 
 
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_weighted_sum_needs_one_weight_per_member(change):
+    insts, weights = closure_family("WeightedSum", 3)
+    w = weights[:-1] if change == "short" else weights + [1.0]
+    rep = verify_closure("WeightedSum", insts, w, CFG)
+    assert rep.verdict is Verdict.PREMISE_FAILED and rep.conclusion_report is None
+    (premise,) = [p for p in rep.premise_reports if "premise: weights nonnegative" in p.notes]
+    assert not premise.holds
+    assert f"{len(w)} weights for {len(insts)} members" in premise.notes
+
+
 def test_closure_conclusion_that_cannot_be_built():
     from geoconvex.errors import ExprDepthError
 
