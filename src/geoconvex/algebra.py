@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .errors import EmptySequenceError, SamplingError
-from .exprlang import Bifunction, EndoMap, Expr, ScalarFn, _batch_env
+from .exprlang import Bifunction, EndoMap, Expr, ScalarFn
 from .manifold import Manifold, ManifoldKind, Point, row_finite, row_norm
 from .reports import CheckConfig, Report, Verdict, Witness
 
@@ -97,9 +97,7 @@ def member_mask_batch(
     elif m.kind is ManifoldKind.POINCARE_BALL:
         ok &= row_norm(X) < ball_radius
     if domain.membership is not None:
-        with np.errstate(all="ignore"):
-            pred = domain.membership._batch_fn(_batch_env(domain.membership.variables, X))
-        pred = np.asarray(pred, dtype=np.float64) + np.zeros(X.shape[0])
+        pred = domain.membership.eval_rows(X.T, X.shape[0])
         ok &= np.isfinite(pred) & (pred > 0.0)
     return ok
 
@@ -109,10 +107,7 @@ def outside_margin_batch(domain: DomainSet, X: np.ndarray) -> np.ndarray:
     strict predicate boundary).  NaN rows mark evaluation failures."""
     margin = box_excess_batch(domain, X)
     if domain.membership is not None:
-        with np.errstate(all="ignore"):
-            pred = domain.membership._batch_fn(_batch_env(domain.membership.variables, X))
-        pred = np.asarray(pred, dtype=np.float64) + np.zeros(X.shape[0])
-        margin = np.maximum(margin, -pred)
+        margin = np.maximum(margin, -domain.membership.eval_rows(X.T, X.shape[0]))
     bad = ~row_finite(X)
     if np.any(bad):
         margin = np.where(bad, np.nan, margin)
@@ -243,11 +238,8 @@ class ProductSet:
         return self.base.box + (self.v_range,)
 
     def graph_values(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
-        env = _batch_env(self.graph_bound.variables[:-1], X)
-        env["v"] = v
-        with np.errstate(all="ignore"):
-            out = self.graph_bound._batch_fn(env)
-        return np.asarray(out, dtype=np.float64) + np.zeros(X.shape[0])
+        """The graph bound at rows (x, v); its last variable is v."""
+        return self.graph_bound.eval_rows((*X.T, v), X.shape[0])
 
     def member_mask(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
         g = self.graph_values(X, v)
@@ -370,7 +362,9 @@ def check_antisymmetric(
 def check_nonneg_linear(
     phi: Bifunction, budget: int, seed: int = 0, cfg: CheckConfig | None = None
 ) -> Report:
-    """Conjunction of the homogeneity and additivity checks."""
+    """Conjunction of the homogeneity and additivity checks.  A part that
+    met a domain error adds its own notes (the failing sample and its
+    arguments) after the part verdicts."""
     hom = check_nonneg_homogeneous(phi, budget, seed, cfg)
     add = check_additive(phi, budget, seed, cfg)
     both = hom.holds and add.holds
@@ -388,7 +382,7 @@ def check_nonneg_linear(
         notes=(
             f"homogeneous: {hom.verdict.value}",
             f"additive: {add.verdict.value}",
-        ),
+        ) + tuple(n for r in (hom, add) if r.verdict is Verdict.DOMAIN_ERROR for n in r.notes),
     )
 
 

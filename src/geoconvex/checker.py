@@ -283,8 +283,9 @@ class _Scan:
       (None for checks without t);
     * `witness(z)`, the scalar re-evaluation of a point (or None);
 
-    and may replace how one member is drawn (`draw`) and mapped onto the
-    manifold and masked (`member_rows`).
+    and may replace how one member is drawn (`draw`), how it is mapped onto
+    the manifold and masked (`member_rows`), and how the finished report
+    reads its chunks' counters (`finish`).
 
     Pair i owns the flat lane indices i*L .. i*L + L - 1 with
     L = lanes_per_pair(): slot i*L marks errors of the whole row, and
@@ -361,8 +362,10 @@ class _Scan:
         extra = {"n": n, "unsampled": int(np.sum(~ok)), "counted": int(np.sum(counted)), **extra}
         return _ChunkScan(i0, i0 + n, err_flat, err_note, cands, float(viol.max()), violated, extra)
 
-    def merge_extras(self, extras) -> dict:
-        return {}
+    def finish(self, report: Report, extras) -> Report:
+        """The scan's report from the one `_finish_scan` built and the
+        counters (`extra`) of every chunk."""
+        return report
 
     def endpoints(self, rows):
         """The two members of each pair row."""
@@ -406,10 +409,6 @@ class _UntimedScan(_Scan):
 
     def bulk_grid(self):
         return None
-
-    def merge_extras(self, extras):
-        self._admissible = sum(e["counted"] for e in extras)
-        return {}
 
 
 class _InstanceScan:
@@ -592,17 +591,17 @@ def _emitted_witness(scan, cfg: CheckConfig, zs, origin: int) -> Witness | None:
     return None
 
 
-def _finish_scan(scan, cfg: CheckConfig, notes=(), flags=None, top_k: int = 1,
-                 force_refine: bool = False, chunks=None) -> Report:
+def _finish_scan(scan, cfg: CheckConfig, notes=(), force_refine: bool = False,
+                 chunks=None) -> Report:
     """The report of `scan` from its chunks (scanned here when None): merge,
-    refinement of the best candidates and scalar re-validation."""
+    refinement of the best candidate (of the best 8 when `force_refine`)
+    and scalar re-validation."""
     n = cfg.samples
     L = scan.lanes_per_pair()
     if chunks is None:
         (chunks,) = _run_pass([scan], cfg)
-    err_flat, err_note, cands, max_viol, violated, extras = _merge_chunks(chunks, L, top_k)
-    flags = dict(flags or {})
-    flags.update(scan.merge_extras(extras))
+    err_flat, err_note, cands, max_viol, violated, extras = _merge_chunks(
+        chunks, L, 8 if force_refine else 1)
     samples_used = n if err_flat == _BIG else err_flat // L
     notes = tuple(notes)
 
@@ -623,21 +622,18 @@ def _finish_scan(scan, cfg: CheckConfig, notes=(), flags=None, top_k: int = 1,
         if not force_refine:
             break
 
-    def report(verdict, witness=None, more_notes=(), refined=()):
-        mv = float(max_viol) if np.isfinite(max_viol) else None
-        return Report(verdict, mv, witness, samples_used, cfg.seed, flags=flags,
-                      notes=notes + more_notes, refined=refined)
-
+    verdict, witness = Verdict.HOLDS_ON_SAMPLES, None
     if best is not None:
-        return report(Verdict.VIOLATED, best[1], refined=tuple(confirmed))
-    if err_flat != _BIG:
-        return report(Verdict.DOMAIN_ERROR, more_notes=(err_note,))
-    if violated:
+        verdict, witness = Verdict.VIOLATED, best[1]
+    elif err_flat != _BIG:
+        verdict, notes = Verdict.DOMAIN_ERROR, notes + (err_note,)
+    elif violated:
         # bulk scan saw a violation but the refined re-evaluation did not
         # confirm it; report the conservative verdict with the raw value
-        return report(Verdict.HOLDS_ON_SAMPLES, more_notes=(
-            "unconfirmed raw violation did not survive re-evaluation",))
-    return report(Verdict.HOLDS_ON_SAMPLES)
+        notes += ("unconfirmed raw violation did not survive re-evaluation",)
+    mv = float(max_viol) if np.isfinite(max_viol) else None
+    return scan.finish(Report(verdict, mv, witness, samples_used, cfg.seed, notes=notes,
+                              refined=tuple(confirmed)), extras)
 
 
 def check_geodesic_phiE_convex_fn(
@@ -663,7 +659,7 @@ def _fn_checks(insts, cfg: CheckConfig, strict: bool = False):
     set_scan = _SetScan(first.manifold, first.E, first.domain, cfg)
     scans = [_ConvexityScan(inst, cfg, strict) for inst in insts]
     set_chunks, *fn_chunks = _run_pass([set_scan, *scans], cfg)
-    set_report = _set_report(set_scan, cfg, set_chunks)
+    set_report = _finish_scan(set_scan, cfg, chunks=set_chunks)
     notes = ("strict margin of 2*tol folded into rhs",) if strict else ()
 
     def fn_report(scan, chunks) -> Report:
@@ -700,7 +696,7 @@ def search_counterexample(inst: Instance, cfg: CheckConfig, strict: bool = False
     """Like the function check but refines the top candidates regardless of
     the near-violation trigger, for deliberate counterexample hunting."""
     return _finish_scan(
-        _ConvexityScan(inst, cfg, strict), cfg, top_k=8, force_refine=True,
+        _ConvexityScan(inst, cfg, strict), cfg, force_refine=True,
         notes=("counterexample search: refined top candidates",),
     )
 
@@ -765,6 +761,15 @@ class _SlopeScan(_InstanceScan, _UntimedScan):
             violation=float(lhs - rhs),
         )
 
+    def finish(self, report, extras):
+        admissible = sum(e["counted"] for e in extras)
+        if report.verdict is Verdict.HOLDS_ON_SAMPLES and admissible == 0:
+            return Report(
+                Verdict.PREMISE_FAILED, None, None, report.samples_used, self.cfg.seed,
+                notes=("no sampled triple satisfied E(mu1) < E(mu) < E(mu2)",),
+            )
+        return replace(report, flags={**report.flags, "admissible_triples": admissible})
+
 
 def check_slope_inequality(inst: Instance, cfg: CheckConfig) -> Report:
     """Difference-quotient form on Euclidean(1): for sampled triples with
@@ -779,19 +784,7 @@ def check_slope_inequality(inst: Instance, cfg: CheckConfig) -> Report:
     """
     if inst.manifold.kind is not ManifoldKind.EUCLIDEAN or inst.manifold.dim != 1:
         raise ValueError("slope check requires Euclidean(1)")
-    scan = _SlopeScan(inst, cfg)
-    report = _finish_scan(scan, cfg)
-    admissible = scan._admissible
-    if report.verdict is Verdict.HOLDS_ON_SAMPLES and admissible == 0:
-        return Report(
-            Verdict.PREMISE_FAILED,
-            None,
-            None,
-            report.samples_used,
-            cfg.seed,
-            notes=("no sampled triple satisfied E(mu1) < E(mu) < E(mu2)",),
-        )
-    return replace(report, flags={**report.flags, "admissible_triples": admissible})
+    return _finish_scan(_SlopeScan(inst, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -833,14 +826,16 @@ class _SetScan(_CurveScan):
             "max_len_disc": float(np.max(len_disc, initial=0.0)),
         }
 
-    def merge_extras(self, extras):
+    def finish(self, report, extras):
         len_bad = sum(e["len_bad"] for e in extras)
         max_disc = max(e["max_len_disc"] for e in extras)
-        self._length_note = (
-            f"geodesic length vs base distance: max discrepancy {max_disc!r}, "
-            f"{len_bad} pair(s) beyond tolerance"
+        return replace(
+            report, flags={**report.flags, "length_matches_base_distance": len_bad == 0},
+            notes=report.notes + (
+                f"geodesic length vs base distance: max discrepancy {max_disc!r}, "
+                f"{len_bad} pair(s) beyond tolerance",
+            ),
         )
-        return {"length_matches_base_distance": len_bad == 0}
 
     def witness(self, z) -> Witness | None:
         u1, u2, t, images = self._witness_images(z)
@@ -860,12 +855,7 @@ def check_geodesic_E_convex_set(
     distance is reported as the separate flag `length_matches_base_distance`
     and never folds into the verdict.
     """
-    return _set_report(_SetScan(m, E, B, cfg), cfg)
-
-
-def _set_report(scan: _SetScan, cfg: CheckConfig, chunks=None) -> Report:
-    report = _finish_scan(scan, cfg, chunks=chunks)
-    return replace(report, notes=report.notes + (scan._length_note,))
+    return _finish_scan(_SetScan(m, E, B, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -914,10 +904,19 @@ class _ProductSetScan(_CurveScan):
         margin = self.domain.outside_margin(P, V2 + t * pv)
         return margin, None, ~np.isfinite(margin)
 
-    def merge_extras(self, extras):
-        self._unsampled = sum(e["unsampled"] for e in extras)
-        self._n = sum(e["n"] for e in extras)
-        return {}
+    def finish(self, report, extras):
+        unsampled = sum(e["unsampled"] for e in extras)
+        if unsampled == sum(e["n"] for e in extras):
+            return Report(
+                Verdict.HOLDS_ON_SAMPLES, None, None, 0, self.cfg.seed,
+                notes=("no members found; membership condition is vacuous",),
+            )
+        if unsampled > 0 and report.verdict is Verdict.HOLDS_ON_SAMPLES:
+            return replace(
+                report, samples_used=report.samples_used - unsampled,
+                notes=report.notes + (f"{unsampled} draws found no member and were skipped",),
+            )
+        return report
 
     def witness(self, z) -> Witness | None:
         m = self.manifold
@@ -946,20 +945,7 @@ def check_geodesic_phiE_convex_set(
     If no member can be sampled at all the condition is vacuous and the
     check holds with zero samples.
     """
-    scan = _ProductSetScan(m, E, phi, S, cfg)
-    report = _finish_scan(scan, cfg)
-    unsampled = scan._unsampled
-    if unsampled == scan._n:
-        return Report(
-            Verdict.HOLDS_ON_SAMPLES, None, None, 0, cfg.seed,
-            notes=("no members found; membership condition is vacuous",),
-        )
-    if unsampled > 0 and report.verdict is Verdict.HOLDS_ON_SAMPLES:
-        return replace(
-            report, samples_used=report.samples_used - unsampled,
-            notes=report.notes + (f"{unsampled} draws found no member and were skipped",),
-        )
-    return report
+    return _finish_scan(_ProductSetScan(m, E, phi, S, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------

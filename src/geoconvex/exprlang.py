@@ -136,6 +136,15 @@ class Expr:
     def _batch_fn(self) -> Callable:
         return compile_batch(self.root)
 
+    def eval_rows(self, cols, shape) -> np.ndarray:
+        """Batch value on the arrays `cols`, one per variable in order, as
+        float64 of `shape` (a constant tree fills it)."""
+        return _filled(self._batch_fn(dict(zip(self.variables, cols))), shape)
+
+
+def _filled(values, shape) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64) + np.zeros(shape)
+
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -671,10 +680,6 @@ def _env_from_coords(names, coords) -> dict:
     return {name: float(c) for name, c in zip(names, coords)}
 
 
-def _batch_env(names, X: np.ndarray) -> dict:
-    return {name: X[:, j] for j, name in enumerate(names)}
-
-
 @dataclass(frozen=True)
 class ScalarFn:
     """Real-valued function of point coordinates x1..xk."""
@@ -694,9 +699,7 @@ class ScalarFn:
         return evaluate(self.expr, _env_from_coords(self.expr.variables, coords))
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            self.expr._batch_fn(_batch_env(self.expr.variables, X)), dtype=np.float64
-        ) + np.zeros(X.shape[0])
+        return self.expr.eval_rows(X.T, X.shape[0])
 
     def source(self) -> str:
         return expr_to_source(self.expr)
@@ -734,12 +737,8 @@ class EndoMap:
         return tuple(evaluate(e, env) for e in self.exprs)
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        env = _batch_env(self.exprs[0].variables, X)
-        cols = [
-            np.asarray(col, dtype=np.float64) + np.zeros(X.shape[0])
-            for col in self._batch_fn(env)
-        ]
-        return np.stack(cols, axis=1)
+        cols = self._batch_fn(dict(zip(self.exprs[0].variables, X.T)))
+        return np.stack([_filled(col, X.shape[0]) for col in cols], axis=1)
 
     def sources(self) -> list[str]:
         return [expr_to_source(e) for e in self.exprs]
@@ -764,8 +763,7 @@ class Bifunction:
         return evaluate(self.expr, {"a": float(a), "b": float(b)})
 
     def eval_batch(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        out = self.expr._batch_fn({"a": A, "b": B})
-        return np.asarray(out, dtype=np.float64) + np.zeros(np.shape(A))
+        return self.expr.eval_rows((A, B), np.shape(A))
 
     def source(self) -> str:
         return expr_to_source(self.expr)

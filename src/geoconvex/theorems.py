@@ -1,18 +1,23 @@
 """Statement-level verifiers: premises checked first, then the conclusion,
 reporting PremiseFailed / HoldsOnSamples / Violated per statement.
 
-Each verifier runs its premises through the checker/algebra predicates and
-only evaluates the conclusion when every premise holds on samples, so a
-conclusion violation on premise-passing inputs points either at an
-implementation bug or at a genuinely broken statement (the divided
-three-point form is logged for exactly that reason).
+Each verifier records its premises, in order, on one collector
+(`_Premises`), running them through the checker/algebra predicates.  A
+premise that the rest of the verifier depends on ends it at once with
+PremiseFailed and no conclusion; the conclusion is evaluated only when
+every premise holds on samples, so a conclusion violation on
+premise-passing inputs points either at an implementation bug or at a
+genuinely broken statement (the divided three-point form is logged for
+exactly that reason).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import wraps
 from typing import Sequence
 
 import numpy as np
@@ -177,33 +182,84 @@ class TheoremReport:
         }
 
 
-def _labeled(report: Report, name: str) -> Report:
-    return replace(report, notes=(f"premise: {name}",) + report.notes, refined=())
+class _Stop(Exception):
+    """Ends a verifier early; its argument is the verifier's report."""
 
 
-def _bool_premise(name: str, ok: bool, seed: int, *details: str) -> Report:
-    verdict = Verdict.HOLDS_ON_SAMPLES if ok else Verdict.PREMISE_FAILED
-    notes = (f"premise: {name}",) + tuple(d for d in details if d)
-    return Report(verdict, None, None, 0, seed, notes=notes)
+def _verifier(fn):
+    """`fn`, returning the report that a premise collector ended it with."""
+
+    @wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except _Stop as stop:
+            return stop.args[0]
+
+    return run
 
 
-def _shared_family_premise(insts: Sequence[Instance], seed: int) -> Report:
+class _Premises(list):
+    """A verifier's premise reports, in order, and its TheoremReport.
+
+    A failed premise that the rest of the verifier needs, or a `gate` after
+    any failed premise, ends the verifier (which must be a `_verifier`)
+    with PremiseFailed and no conclusion.  `notes` go on the report.
+    """
+
+    def __init__(self, tid: TheoremId, cfg: CheckConfig):
+        super().__init__()
+        self.tid = tid
+        self.seed = cfg.seed
+        self.notes: tuple[str, ...] = ()
+
+    def check(self, name: str, report: Report) -> None:
+        """A check's report as premise `name`."""
+        self.append(replace(report, notes=(f"premise: {name}",) + report.notes, refined=()))
+
+    def flag(self, name: str, ok: bool, *details: str, need: bool = False) -> None:
+        """A yes/no premise noting its non-empty details; `need` ends the
+        verifier when it fails."""
+        verdict = Verdict.HOLDS_ON_SAMPLES if ok else Verdict.PREMISE_FAILED
+        notes = (f"premise: {name}",) + tuple(d for d in details if d)
+        self.append(Report(verdict, None, None, 0, self.seed, notes=notes))
+        if need and not ok:
+            raise _Stop(self.report())
+
+    def require(self, name: str, ok: bool) -> None:
+        """A needed premise that is recorded only when it fails."""
+        if not ok:
+            self.flag(name, False, need=True)
+
+    @contextmanager
+    def evaluable(self, name: str):
+        """The needed premise `name`: the block raises no EvalDomainError."""
+        try:
+            yield
+        except EvalDomainError as exc:
+            self.flag(name, False, str(exc), need=True)
+        self.flag(name, True)
+
+    def gate(self) -> None:
+        """End the verifier when any recorded premise failed."""
+        if any(not p.holds for p in self):
+            raise _Stop(self.report())
+
+    def report(self, conclusion: Report | None = None) -> TheoremReport:
+        """The verifier's report: PremiseFailed without a conclusion, else
+        the conclusion's verdict."""
+        verdict = Verdict.PREMISE_FAILED if conclusion is None else conclusion.verdict
+        return TheoremReport(self.tid, tuple(self), conclusion, verdict, self.notes)
+
+
+def _family_premise(ps: _Premises, insts: Sequence[Instance]) -> None:
     first = insts[0]
     shared = all(
         i.manifold == first.manifold and i.E == first.E
         and i.phi == first.phi and i.domain == first.domain
         for i in insts
     )
-    return _bool_premise("family shares manifold, E, phi, domain", shared, seed)
-
-
-def _assemble(tid: TheoremId, premises, conclusion: Report | None,
-              notes: tuple[str, ...] = ()) -> TheoremReport:
-    premises = tuple(premises)
-    if any(not p.holds for p in premises):
-        return TheoremReport(tid, premises, conclusion, Verdict.PREMISE_FAILED, notes)
-    verdict = conclusion.verdict if conclusion is not None else Verdict.HOLDS_ON_SAMPLES
-    return TheoremReport(tid, premises, conclusion, verdict, notes)
+    ps.flag("family shares manifold, E, phi, domain", shared, need=True)
 
 
 def _aux_members(inst: Instance, cfg: CheckConfig, n: int = 2048,
@@ -225,6 +281,7 @@ def _sampled_image_values(inst: Instance, cfg: CheckConfig, n: int, region: int)
 # ---------------------------------------------------------------------------
 # mean value (1-D)
 
+@_verifier
 def verify_mean_value(inst: Instance, u1: float, u2: float, cfg: CheckConfig,
                       grid: int = 64) -> TheoremReport:
     """Between E(u1) and E(u2) there must be alpha, beta with
@@ -235,40 +292,21 @@ def verify_mean_value(inst: Instance, u1: float, u2: float, cfg: CheckConfig,
     Searched on a derivative grid plus golden refinement, within a budget
     of well under 1e4 function evaluations.
     """
-    tid = TheoremId.MEAN_VALUE_31
-    premises = []
-    try:
+    ps = _Premises(TheoremId.MEAN_VALUE_31, cfg)
+    with ps.evaluable("h, E evaluable at u1, u2"):
         e1 = inst.E((float(u1),))[0]
         e2 = inst.E((float(u2),))[0]
         h1 = inst.h((e1,))
         h2 = inst.h((e2,))
-    except EvalDomainError as exc:
-        premises.append(_bool_premise("h, E evaluable at u1, u2", False, cfg.seed, str(exc)))
-        return _assemble(tid, premises, None)
-    premises.append(_bool_premise("h, E evaluable at u1, u2", True, cfg.seed))
     lo, hi = sorted((e1, e2))
     sep = cfg.threshold(h2)
-    premises.append(
-        _bool_premise(
-            "h(E(u1)) differs from h(E(u2))",
-            abs(h1 - h2) > sep,
-            cfg.seed,
-            f"|{h1!r} - {h2!r}| vs {sep!r}",
-        )
-    )
-    if lo == hi:
-        premises.append(_bool_premise("E(u1) != E(u2)", False, cfg.seed))
-        return _assemble(tid, premises, None)
-    try:
+    ps.flag("h(E(u1)) differs from h(E(u2))", abs(h1 - h2) > sep, f"|{h1!r} - {h2!r}| vs {sep!r}")
+    ps.require("E(u1) != E(u2)", lo != hi)
+    with ps.evaluable("h numerically differentiable"):
         for x in np.linspace(lo, hi, 5)[1:-1]:
             differentiate_numeric(inst.h, (float(x),), (1.0,))
-    except EvalDomainError as exc:
-        premises.append(_bool_premise("h numerically differentiable", False, cfg.seed, str(exc)))
-        return _assemble(tid, premises, None)
-    premises.append(_bool_premise("h numerically differentiable", True, cfg.seed))
-    premises.append(_labeled(check_phiE_convex_interval(inst, cfg), "combination inequality"))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
+    ps.check("combination inequality", check_phiE_convex_interval(inst, cfg))
+    ps.gate()
 
     R = inst.phi(h1, h2) / (h1 - h2)
     span = hi - lo
@@ -311,12 +349,13 @@ def verify_mean_value(inst: Instance, u1: float, u2: float, cfg: CheckConfig,
             Verdict.VIOLATED, best, witness, grid, cfg.seed,
             notes=(f"no grid/refined pair met the chain, R={R!r}",),
         )
-    return _assemble(tid, premises, conclusion)
+    return ps.report(conclusion)
 
 
 # ---------------------------------------------------------------------------
 # three points (1-D)
 
+@_verifier
 def verify_three_point(inst: Instance, mu1: float, mu2: float, mu3: float,
                        cfg: CheckConfig) -> TheoremReport:
     """Undivided form: with E(mu1) < E(mu2) < E(mu3),
@@ -327,23 +366,14 @@ def verify_three_point(inst: Instance, mu1: float, mu2: float, mu3: float,
     The printed divided variant flips sign with the negative denominator,
     so it is evaluated and logged only.
     """
-    tid = TheoremId.THREE_POINT_32
-    premises = []
-    try:
+    ps = _Premises(TheoremId.THREE_POINT_32, cfg)
+    with ps.evaluable("h, E evaluable at the three points"):
         es = [inst.E((float(m),))[0] for m in (mu1, mu2, mu3)]
         hs = [inst.h((e,)) for e in es]
-    except EvalDomainError as exc:
-        premises.append(_bool_premise("h, E evaluable at the three points", False, cfg.seed, str(exc)))
-        return _assemble(tid, premises, None)
-    premises.append(_bool_premise("h, E evaluable at the three points", True, cfg.seed))
     e1, e2, e3 = es
     h1, h2, h3 = hs
-    premises.append(
-        _bool_premise("ordering E(mu1) < E(mu2) < E(mu3)", e1 < e2 < e3, cfg.seed,
-                      f"images {e1!r}, {e2!r}, {e3!r}")
-    )
-    if not (e1 < e2 < e3):
-        return _assemble(tid, premises, None)
+    ps.flag("ordering E(mu1) < E(mu2) < E(mu3)", e1 < e2 < e3,
+            f"images {e1!r}, {e2!r}, {e3!r}", need=True)
     # the proof only manipulates the inequality family along the two fixed
     # pairs, so that is what the convexity premise samples
     ts = np.linspace(0.0, 1.0, 129)
@@ -358,19 +388,11 @@ def verify_three_point(inst: Instance, mu1: float, mu2: float, mu3: float,
         viol = vals - rhs
         thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
         ok = bool(np.all(np.isfinite(viol)) and np.all(viol <= thr))
-        premises.append(
-            _bool_premise(f"combination inequality along {name}", ok, cfg.seed,
-                          f"max gap {float(np.max(viol))!r}")
-        )
-    try:
+        ps.flag(f"combination inequality along {name}", ok, f"max gap {float(np.max(viol))!r}")
+    with ps.evaluable("h numerically differentiable"):
         d2 = differentiate_numeric(inst.h, (e2,), (1.0,))
         d3 = differentiate_numeric(inst.h, (e3,), (1.0,))
-    except EvalDomainError as exc:
-        premises.append(_bool_premise("h numerically differentiable", False, cfg.seed, str(exc)))
-        return _assemble(tid, premises, None)
-    premises.append(_bool_premise("h numerically differentiable", True, cfg.seed))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
+    ps.gate()
 
     lhs = (e1 - e3) * (d2 + d3)
     rhs = inst.phi(h1, h2) + inst.phi(h2, h3)
@@ -391,7 +413,7 @@ def verify_three_point(inst: Instance, mu1: float, mu2: float, mu3: float,
     else:
         conclusion = Report(Verdict.HOLDS_ON_SAMPLES, float(viol), None, 1, cfg.seed,
                             notes=(divided_note,))
-    return _assemble(tid, premises, conclusion)
+    return ps.report(conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -405,35 +427,31 @@ CLOSURE_KINDS = {
 }
 
 
+@_verifier
 def verify_closure(kind: str, insts: Sequence[Instance],
                    weights: Sequence[float] | None, cfg: CheckConfig) -> TheoremReport:
-    tid = next(t for t, k in CLOSURE_KINDS.items() if k == kind)
+    ps = _Premises(next(t for t, k in CLOSURE_KINDS.items() if k == kind), cfg)
     insts = list(insts)
     first = insts[0]
-    premises = [_shared_family_premise(insts, cfg.seed)]
-    if not premises[0].holds:
-        return _assemble(tid, premises, None)
+    _family_premise(ps, insts)
     # the family and its combination share manifold, E and domain, hence
     # one set premise and one sampled pass
     combined = _built(lambda: first.with_h(_closure_combination(kind, insts, weights),
                                            f"{kind} combination"))
     _, checks = _fn_checks(insts + _if_built(combined), cfg)
     for k in range(len(insts)):
-        premises.append(_labeled(checks[k](), f"member {k} convexity"))
+        ps.check(f"member {k} convexity", checks[k]())
     if kind in ("Scaling", "Sum", "WeightedSum"):
         budget = min(cfg.samples, 20_000)
-        premises.append(_labeled(check_nonneg_homogeneous(first.phi, budget, cfg.seed, cfg),
-                                 "phi nonnegatively homogeneous"))
-        premises.append(_labeled(check_additive(first.phi, budget, cfg.seed, cfg),
-                                 "phi additive"))
+        ps.check("phi nonnegatively homogeneous",
+                 check_nonneg_homogeneous(first.phi, budget, cfg.seed, cfg))
+        ps.check("phi additive", check_additive(first.phi, budget, cfg.seed, cfg))
         if kind in ("Scaling", "WeightedSum"):
             w = list(weights or [])
             # a WeightedSum takes one weight per member
             counted = kind == "Scaling" or len(w) == len(insts)
-            premises.append(_bool_premise(
-                "weights nonnegative", counted and len(w) > 0 and all(x >= 0 for x in w),
-                cfg.seed, f"weights {w!r}",
-                "" if counted else f"{len(w)} weights for {len(insts)} members"))
+            ps.flag("weights nonnegative", counted and len(w) > 0 and all(x >= 0 for x in w),
+                    f"weights {w!r}", "" if counted else f"{len(w)} weights for {len(insts)} members")
     else:
         # sequences are the h-value streams of the family at sampled points
         n_pairs = 32
@@ -450,13 +468,10 @@ def verify_closure(kind: str, insts: Sequence[Instance],
             vseq = [sub.h(tuple(Wb[p])) for sub in insts]
             sequences.append((useq, vseq))
         ident = EndoMap.identity(1)
-        premises.append(_labeled(
-            check_seq_upper_bounded(first.phi, ident, sequences, cfg.seed, cfg),
-            "phi sequentially upper bounded on harvested value streams",
-        ))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
-    return _assemble(tid, premises, _built_check(combined, checks))
+        ps.check("phi sequentially upper bounded on harvested value streams",
+                 check_seq_upper_bounded(first.phi, ident, sequences, cfg.seed, cfg))
+    ps.gate()
+    return ps.report(_built_check(combined, checks))
 
 
 def _closure_combination(kind: str, insts: Sequence[Instance], weights) -> ScalarFn:
@@ -498,43 +513,31 @@ def _built_check(inst, checks) -> Report:
 # ---------------------------------------------------------------------------
 # composition
 
+@_verifier
 def verify_composition(h1_inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> TheoremReport:
-    tid = TheoremId.COMPOSITION
-    premises = []
+    ps = _Premises(TheoremId.COMPOSITION, cfg)
     composed = _built(lambda: h1_inst.with_h(compose_scalar(h2, h1_inst.h), "composition"))
     diff_inst = h1_inst.with_phi(Bifunction.difference())
     _, checks = _fn_checks([diff_inst] + _if_built(composed), cfg)
-    premises.append(_labeled(checks[0](), "inner function geodesic E-convex (difference gap)"))
-    try:
-        _, _, H = _sampled_image_values(h1_inst, cfg, 512, REGION_AUX1)
-    except EvalDomainError as exc:
-        premises.append(_bool_premise("inner range sampleable", False, cfg.seed, str(exc)))
-        return _assemble(tid, premises, None)
-    if H.size < 2:
-        premises.append(_bool_premise("inner range sampleable", False, cfg.seed))
-        return _assemble(tid, premises, None)
+    ps.check("inner function geodesic E-convex (difference gap)", checks[0]())
+    _, _, H = _sampled_image_values(h1_inst, cfg, 512, REGION_AUX1)
+    ps.require("inner range sampleable", H.size >= 2)
     rmin, rmax = float(np.min(H)), float(np.max(H))
     if rmax - rmin < 1e-9:
         rmin, rmax = rmin - 0.5, rmax + 0.5
     grid = np.linspace(rmin, rmax, 65)
-    try:
+    with ps.evaluable("outer function evaluable on the range"):
         vals = np.array([h2((float(x),)) for x in grid])
-    except EvalDomainError as exc:
-        premises.append(_bool_premise("outer function evaluable on the range", False,
-                                      cfg.seed, str(exc)))
-        return _assemble(tid, premises, None)
-    premises.append(_bool_premise("outer function evaluable on the range", True, cfg.seed))
     mono = bool(np.all(np.diff(vals) >= -cfg.threshold(float(np.max(np.abs(vals)))))
                 and np.all(np.isfinite(vals)))
-    premises.append(_bool_premise("outer function non-decreasing on the sampled range",
-                                  mono, cfg.seed, f"range [{rmin!r}, {rmax!r}]"))
+    ps.flag("outer function non-decreasing on the sampled range", mono,
+            f"range [{rmin!r}, {rmax!r}]")
     outer_dom = DomainSet(Manifold(ManifoldKind.EUCLIDEAN, 1), ((rmin, rmax),))
     outer_inst = Instance(outer_dom.manifold, h2, EndoMap.identity(1), h1_inst.phi, outer_dom)
-    premises.append(_labeled(check_phiE_convex_interval(outer_inst, cfg),
-                             "outer function combination-convex on the sampled range"))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
-    return _assemble(tid, premises, _built_check(composed, checks))
+    ps.check("outer function combination-convex on the sampled range",
+             check_phiE_convex_interval(outer_inst, cfg))
+    ps.gate()
+    return ps.report(_built_check(composed, checks))
 
 
 # ---------------------------------------------------------------------------
@@ -598,21 +601,19 @@ BUILTIN_DIFFEOS = {
 }
 
 
-def _roundtrip_premise(diffeo: Diffeo, X: np.ndarray, seed: int) -> Report:
+def _roundtrip_premise(ps: _Premises, diffeo: Diffeo, X: np.ndarray) -> None:
     with np.errstate(all="ignore"):
         Y = diffeo.fwd.eval_batch(X)
         back = diffeo.inv.eval_batch(Y)
         again = diffeo.fwd.eval_batch(back)
     err = max(float(np.max(row_norm(D), initial=0.0)) for D in (back - X, again - Y))
     ok = math.isfinite(err) and err <= ROUNDTRIP_TOL
-    return _bool_premise(
-        "H and Hinv invert each other on samples", ok, seed,
-        f"max roundtrip error {err!r} (tolerance {ROUNDTRIP_TOL!r})",
-    )
+    ps.flag("H and Hinv invert each other on samples", ok,
+            f"max roundtrip error {err!r} (tolerance {ROUNDTRIP_TOL!r})")
 
 
-def verify_diffeo_invariance(inst: Instance, diffeo: Diffeo, cfg: CheckConfig,
-                             tid: TheoremId = TheoremId.DIFFEO_INVARIANCE) -> TheoremReport:
+@_verifier
+def verify_diffeo_invariance(inst: Instance, diffeo: Diffeo, cfg: CheckConfig) -> TheoremReport:
     """Transport h to h o Hinv on H(B) with remap E' = H o E o Hinv and test
     the convexity inequality along pushed-forward curves H(curve(t)).
 
@@ -622,16 +623,13 @@ def verify_diffeo_invariance(inst: Instance, diffeo: Diffeo, cfg: CheckConfig,
     the transport argument itself uses; both are recorded on the report as
     interpretations.
     """
-    premises = [
-        _roundtrip_premise(diffeo, _aux_members(inst, cfg), cfg.seed),
-        _labeled(check_geodesic_phiE_convex_fn(inst, cfg), "source convexity"),
-    ]
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
-    conclusion = _finish_scan(_ConvexityScan(diffeo.transport(inst), cfg), cfg, notes=(
+    ps = _Premises(TheoremId.DIFFEO_INVARIANCE, cfg)
+    _roundtrip_premise(ps, diffeo, _aux_members(inst, cfg))
+    ps.check("source convexity", check_geodesic_phiE_convex_fn(inst, cfg))
+    ps.gate()
+    return ps.report(_finish_scan(_ConvexityScan(diffeo.transport(inst), cfg), cfg, notes=(
         "transported remap: H o E o Hinv; image curves: pushforward of source curves",
-    ))
-    return _assemble(tid, premises, conclusion)
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -683,50 +681,49 @@ class _LipschitzScan(_InstanceScan, _UntimedScan):
         lhs, rhs, inside = self._terms(Y[:1], Y[1:], H[:1], H[1:])
         return _pair_witness(u1, u2, lhs[0], rhs[0]) if inside[0] else None
 
+    def finish(self, report, extras):
+        # holding with no pair inside the box shows nothing: PremiseFailed
+        admissible = sum(e["counted"] for e in extras)
+        if report.holds and admissible == 0:
+            return replace(report, verdict=Verdict.PREMISE_FAILED)
+        note = f"chart {self.chart.name}; L = K/eps = {self.L!r}; {admissible} admissible pairs"
+        return replace(report, notes=report.notes + (note,))
 
-def _verify_lipschitz(tid: TheoremId, inst: Instance, K: float, eps: float, cfg: CheckConfig,
-                      chart: Diffeo, lo, hi, premises=()) -> TheoremReport:
+
+def _verify_lipschitz(ps: _Premises, inst: Instance, K: float, eps: float, cfg: CheckConfig,
+                      chart: Diffeo, lo, hi) -> TheoremReport:
     """With phi bounded by K on the sampled value range and L = K/eps,
     require |h(E(mu1)) - h(E(mu2))| <= L * |Y1 - Y2| + tol for pairs whose
     chart images Y lie in the box [lo, hi]."""
-    premises = list(premises)
     _, _, H = _sampled_image_values(inst, cfg, 512, REGION_AUX1)
-    if H.size < 2:
-        premises.append(_bool_premise("value range sampleable", False, cfg.seed))
-        return _assemble(tid, premises, None)
+    ps.require("value range sampleable", H.size >= 2)
     A, B = np.meshgrid(H[:64], H[:64])
     pv = inst.phi.eval_batch(A.ravel(), B.ravel())
     sup_phi = float(np.max(pv))
-    premises.append(_bool_premise(
-        "phi bounded above by K on sampled value pairs",
-        bool(np.all(np.isfinite(pv))) and sup_phi <= K + cfg.threshold(K),
-        cfg.seed, f"sampled sup {sup_phi!r} vs K={K!r}",
-    ))
-    premises.append(_bool_premise("eps positive", eps > 0, cfg.seed))
-    premises.append(_labeled(check_geodesic_phiE_convex_fn(inst, cfg), "convexity"))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
-
-    L = K / eps
-    scan = _LipschitzScan(inst, cfg, chart, L, lo, hi)
-    conclusion = _finish_scan(scan, cfg)
-    if conclusion.holds and scan._admissible == 0:
-        premises.append(_bool_premise("pairs exist inside the inset region", False, cfg.seed))
-        return _assemble(tid, premises, None)
-    note = f"chart {chart.name}; L = K/eps = {L!r}; {scan._admissible} admissible pairs"
-    return _assemble(tid, premises, replace(conclusion, notes=conclusion.notes + (note,)))
+    ps.flag("phi bounded above by K on sampled value pairs",
+            bool(np.all(np.isfinite(pv))) and sup_phi <= K + cfg.threshold(K),
+            f"sampled sup {sup_phi!r} vs K={K!r}")
+    ps.flag("eps positive", eps > 0)
+    ps.check("convexity", check_geodesic_phiE_convex_fn(inst, cfg))
+    ps.gate()
+    conclusion = _finish_scan(_LipschitzScan(inst, cfg, chart, K / eps, lo, hi), cfg)
+    ps.require("pairs exist inside the inset region",
+               conclusion.verdict is not Verdict.PREMISE_FAILED)
+    return ps.report(conclusion)
 
 
+@_verifier
 def verify_continuity_bound(inst: Instance, K: float, eps: float,
                             cfg: CheckConfig) -> TheoremReport:
     """The Lipschitz-style bound in E-image coordinates, for pairs whose
     E-images lie in the domain box inset by eps."""
     return _verify_lipschitz(
-        TheoremId.CONTINUITY_BOUND, inst, K, eps, cfg, identity_diffeo(inst.manifold),
-        inst.domain.lows() + eps, inst.domain.highs() - eps,
+        _Premises(TheoremId.CONTINUITY_BOUND, cfg), inst, K, eps, cfg,
+        identity_diffeo(inst.manifold), inst.domain.lows() + eps, inst.domain.highs() - eps,
     )
 
 
+@_verifier
 def verify_chart_continuity(inst: Instance, K: float, eps: float,
                             cfg: CheckConfig) -> TheoremReport:
     """Continuity read through a chart (stereographic on Sphere(2), the
@@ -739,11 +736,10 @@ def verify_chart_continuity(inst: Instance, K: float, eps: float,
     U = _aux_members(inst, cfg)
     with np.errstate(all="ignore"):
         Y = chart.fwd.eval_batch(U)
-    return _verify_lipschitz(
-        TheoremId.CHART_CONTINUITY, inst, K, eps, cfg, chart,
-        np.min(Y, axis=0) + eps, np.max(Y, axis=0) - eps,
-        premises=[_roundtrip_premise(chart, U, cfg.seed)],
-    )
+    ps = _Premises(TheoremId.CHART_CONTINUITY, cfg)
+    _roundtrip_premise(ps, chart, U)
+    return _verify_lipschitz(ps, inst, K, eps, cfg, chart,
+                             np.min(Y, axis=0) + eps, np.max(Y, axis=0) - eps)
 
 
 # ---------------------------------------------------------------------------
@@ -779,12 +775,12 @@ class _LocalMinScan(_InstanceScan, _UntimedScan):
         return _margin_witness((Point(tuple(u)), self.w_star), None, v) if ok[0] else None
 
 
+@_verifier
 def verify_local_min(inst: Instance, mu_star: Point, cfg: CheckConfig) -> TheoremReport:
     """At a sampled local minimum E(mu*), phi(h(E(mu)), h(E(mu*))) must be
     >= -tol for all sampled members mu.  The minimum premise is probed at
     the radius ladder {1e-2, 1e-3, 1e-4} of the domain scale."""
-    tid = TheoremId.LOCAL_MIN
-    premises = []
+    ps = _Premises(TheoremId.LOCAL_MIN, cfg)
     m = inst.manifold
     w_star = None
     h_star = 0.0
@@ -796,10 +792,7 @@ def verify_local_min(inst: Instance, mu_star: Point, cfg: CheckConfig) -> Theore
             w_star = Point(tuple(W[0]))
     except EvalDomainError:
         w_star = None
-    premises.append(_bool_premise("E(mu*) and h(E(mu*)) evaluable",
-                                  w_star is not None, cfg.seed))
-    if w_star is None:
-        return _assemble(tid, premises, None)
+    ps.flag("E(mu*) and h(E(mu*)) evaluable", w_star is not None, need=True)
     scale = inst.domain.scale()
     interior_ok = member_mask_batch(inst.domain, w_star.array()[None, :])[0]
     stream = rng.Stream(cfg.seed, STREAM_DIRS)
@@ -834,31 +827,26 @@ def verify_local_min(inst: Instance, mu_star: Point, cfg: CheckConfig) -> Theore
                 break
         if not (probes_ok and min_ok and interior_ok):
             break
-    premises.append(_bool_premise("E(mu*) interior with evaluable probes",
-                                  probes_ok and interior_ok, cfg.seed, detail))
-    premises.append(_bool_premise("mu* is a sampled local minimum", min_ok, cfg.seed, detail))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
-
-    conclusion = _finish_scan(_LocalMinScan(inst, cfg, w_star, h_star), cfg)
-    return _assemble(tid, premises, conclusion)
+    ps.flag("E(mu*) interior with evaluable probes", probes_ok and interior_ok, detail)
+    ps.flag("mu* is a sampled local minimum", min_ok, detail)
+    ps.gate()
+    return ps.report(_finish_scan(_LocalMinScan(inst, cfg, w_star, h_star), cfg))
 
 
 # ---------------------------------------------------------------------------
 # limits of gap-function sequences
 
+@_verifier
 def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
                      cfg: CheckConfig) -> TheoremReport:
     """Convexity under each member of a gap-function sequence (Pointwise)
     or under each partial sum (PartialSums), then under the declared limit
     carried by inst_base.phi.  Convergence on sampled value pairs is
     reported as evidence, not folded into the verdict."""
-    tid = TheoremId.PHI_LIMIT if mode == "Pointwise" else TheoremId.PHI_SERIES_LIMIT
+    ps = _Premises(TheoremId.PHI_LIMIT if mode == "Pointwise" else TheoremId.PHI_SERIES_LIMIT,
+                   cfg)
     phis = list(phis)
-    premises = []
-    if not phis:
-        premises.append(_bool_premise("nonempty gap sequence", False, cfg.seed))
-        return _assemble(tid, premises, None)
+    ps.require("nonempty gap sequence", bool(phis))
     if mode == "PartialSums":
         members = []
         for i in range(len(phis)):
@@ -869,7 +857,7 @@ def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
     # checks share one set premise and one sampled pass
     _, checks = _fn_checks([inst_base.with_phi(phi_i) for phi_i in members] + [inst_base], cfg)
     for i in range(len(members)):
-        premises.append(_labeled(checks[i](), f"convexity under member {i}"))
+        ps.check(f"convexity under member {i}", checks[i]())
     _, _, H = _sampled_image_values(inst_base, cfg, 256, REGION_AUX1)
     devs = []
     if H.size >= 2:
@@ -881,17 +869,16 @@ def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
                 d = np.abs(phi_i.eval_batch(a, b) - target)
             devs.append(float(np.max(d)))
     converged = bool(devs) and devs[-1] <= 0.5 * devs[0] + cfg.tol_abs
-    notes = (
+    ps.notes = (
         f"deviation from the limit on sampled value pairs: first {devs[0]!r}, "
         f"max {max(devs)!r}, last {devs[-1]!r}"
         if devs else "no value pairs sampled for convergence evidence",
         f"convergence evidence flag: {converged}",
     )
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None, notes=notes)
+    ps.gate()
     conclusion = checks[-1]()
-    conclusion = replace(conclusion, flags={**conclusion.flags, "phi_sequence_converged": converged})
-    return _assemble(tid, premises, conclusion, notes=notes)
+    return ps.report(
+        replace(conclusion, flags={**conclusion.flags, "phi_sequence_converged": converged}))
 
 
 # ---------------------------------------------------------------------------
@@ -947,30 +934,27 @@ class _StrictDifferentialScan(_InstanceScan, _UntimedScan):
         return _pair_witness(u1, u2, self.tol_strict, abs(d_end - d_start))
 
 
+@_verifier
 def verify_strict_differential(inst: Instance, cfg: CheckConfig,
                                tol_strict: float = STRICT_DERIVATIVE_TOL) -> TheoremReport:
     """Under strict convexity and an antisymmetric gap function, the
     directional derivatives of h at the two curve endpoints (along the
     curve's velocity) must differ by more than tol_strict."""
-    tid = TheoremId.STRICT_DIFFERENTIAL
-    premises = [
-        _labeled(check_geodesic_phiE_convex_fn(inst, cfg, strict=True), "strict convexity"),
-        _labeled(check_antisymmetric(inst.phi, min(cfg.samples, 20_000), cfg.seed, cfg),
-                 "phi antisymmetric"),
-    ]
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
-    conclusion = _finish_scan(_StrictDifferentialScan(inst, cfg, tol_strict), cfg, notes=(
+    ps = _Premises(TheoremId.STRICT_DIFFERENTIAL, cfg)
+    ps.check("strict convexity", check_geodesic_phiE_convex_fn(inst, cfg, strict=True))
+    ps.check("phi antisymmetric",
+             check_antisymmetric(inst.phi, min(cfg.samples, 20_000), cfg.seed, cfg))
+    ps.gate()
+    return ps.report(_finish_scan(_StrictDifferentialScan(inst, cfg, tol_strict), cfg, notes=(
         f"endpoint directional derivatives must differ by more than {tol_strict!r}",
-    ))
-    return _assemble(tid, premises, conclusion)
+    )))
 
 
 # ---------------------------------------------------------------------------
 # epigraphs
 
-def _phi_combination_monotone_premise(phi: Bifunction, H: np.ndarray,
-                                      cfg: CheckConfig) -> Report:
+def _phi_combination_monotone_premise(ps: _Premises, phi: Bifunction, H: np.ndarray,
+                                      cfg: CheckConfig) -> None:
     """Sampled probe of the "non-decreasing" hypothesis, read as monotonicity
     of the used combination v2 + t*phi(v1, v2): the first partial of phi
     must be >= 0 and the second >= -1 (the difference gap a - b sits exactly
@@ -988,8 +972,8 @@ def _phi_combination_monotone_premise(phi: Bifunction, H: np.ndarray,
         np.all(np.isfinite(da)) and np.all(np.isfinite(db))
         and np.all(da >= -tol) and np.all(db >= -delta - tol)
     )
-    return _bool_premise(
-        "phi non-decreasing (combination-monotone probe)", ok, cfg.seed,
+    ps.flag(
+        "phi non-decreasing (combination-monotone probe)", ok,
         f"min forward differences {float(np.min(da))!r}, {float(np.min(db))!r} "
         f"at step {delta!r}",
         "interpretation: non-decreasing read as d(phi)/da >= 0 and "
@@ -1026,20 +1010,17 @@ def epigraph_product_set(inst: Instance, cfg: CheckConfig, pad: float = 0.0) -> 
     return ProductSet(base, graph, (hmin, hmax + span))
 
 
+@_verifier
 def verify_epigraph_equiv(inst: Instance, cfg: CheckConfig) -> TheoremReport:
     """The function check and the epigraph set check must agree in both
     directions (both hold, or both violated with witnesses)."""
-    tid = TheoremId.EPIGRAPH_EQUIV
-    premises = []
+    ps = _Premises(TheoremId.EPIGRAPH_EQUIV, cfg)
     _, _, H = _sampled_image_values(inst, cfg, 256, REGION_AUX1)
-    if H.size < 2:
-        premises.append(_bool_premise("value range sampleable", False, cfg.seed))
-        return _assemble(tid, premises, None)
-    premises.append(_phi_combination_monotone_premise(inst.phi, H, cfg))
+    ps.require("value range sampleable", H.size >= 2)
+    _phi_combination_monotone_premise(ps, inst.phi, H, cfg)
     set_report, (fn_check,) = _fn_checks([inst], cfg)
-    premises.append(_labeled(set_report, "domain geodesic E-convex"))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
+    ps.check("domain geodesic E-convex", set_report)
+    ps.gate()
 
     fn_report = fn_check()
     epi = epigraph_product_set(inst, cfg)
@@ -1073,23 +1054,20 @@ def verify_epigraph_equiv(inst: Instance, cfg: CheckConfig) -> TheoremReport:
                 offender.samples_used, cfg.seed,
                 notes=notes + ("checks disagree",),
             )
-    return _assemble(tid, premises, conclusion)
+    return ps.report(conclusion)
 
 
+@_verifier
 def verify_intersection(m: Manifold, E: EndoMap, phi: Bifunction,
                         sets: Sequence[ProductSet], cfg: CheckConfig) -> TheoremReport:
     """Each set passing the product check implies their intersection passes."""
-    tid = TheoremId.INTERSECTION_52
+    ps = _Premises(TheoremId.INTERSECTION_52, cfg)
     sets = list(sets)
-    premises = []
     for k, s in enumerate(sets):
-        premises.append(_labeled(
-            check_geodesic_phiE_convex_set(m, E, phi, s, cfg), f"set {k}"
-        ))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
-    conclusion = check_geodesic_phiE_convex_set(m, E, phi, intersect_product_sets(sets), cfg)
-    return _assemble(tid, premises, conclusion)
+        ps.check(f"set {k}", check_geodesic_phiE_convex_set(m, E, phi, s, cfg))
+    ps.gate()
+    return ps.report(
+        check_geodesic_phiE_convex_set(m, E, phi, intersect_product_sets(sets), cfg))
 
 
 def intersect_product_sets(sets: Sequence[ProductSet]) -> ProductSet:
@@ -1117,33 +1095,26 @@ def intersect_product_sets(sets: Sequence[ProductSet]) -> ProductSet:
     return ProductSet(base, graph, (vlo, vhi))
 
 
+@_verifier
 def verify_sup_epigraph(insts: Sequence[Instance], cfg: CheckConfig) -> TheoremReport:
     """Non-decreasing phi plus per-member epigraph set checks imply the
     pointwise supremum of the family is convex in the function sense."""
-    tid = TheoremId.SUP_EPIGRAPH_COR
+    ps = _Premises(TheoremId.SUP_EPIGRAPH_COR, cfg)
     insts = list(insts)
     first = insts[0]
-    premises = [_shared_family_premise(insts, cfg.seed)]
-    if not premises[0].holds:
-        return _assemble(tid, premises, None)
+    _family_premise(ps, insts)
     _, _, H = _sampled_image_values(first, cfg, 256, REGION_AUX1)
-    if H.size < 2:
-        premises.append(_bool_premise("value range sampleable", False, cfg.seed))
-        return _assemble(tid, premises, None)
-    premises.append(_phi_combination_monotone_premise(first.phi, H, cfg))
+    ps.require("value range sampleable", H.size >= 2)
+    _phi_combination_monotone_premise(ps, first.phi, H, cfg)
     bounded = True
     for k, sub in enumerate(insts):
         _, _, Hk = _sampled_image_values(sub, cfg, 128, REGION_AUX2)
         bounded = bounded and Hk.size > 0 and bool(np.all(np.isfinite(Hk)))
-    premises.append(_bool_premise("family bounded above on samples", bounded, cfg.seed))
+    ps.flag("family bounded above on samples", bounded)
     for k, sub in enumerate(insts):
         epi = epigraph_product_set(sub, cfg)
-        premises.append(_labeled(
-            check_geodesic_phiE_convex_set(sub.manifold, sub.E, sub.phi, epi, cfg),
-            f"epigraph of member {k}",
-        ))
-    if any(not p.holds for p in premises):
-        return _assemble(tid, premises, None)
+        ps.check(f"epigraph of member {k}",
+                 check_geodesic_phiE_convex_set(sub.manifold, sub.E, sub.phi, epi, cfg))
+    ps.gate()
     combined = max_fns([i.h for i in insts])
-    conclusion = check_geodesic_phiE_convex_fn(first.with_h(combined, "sup family"), cfg)
-    return _assemble(tid, premises, conclusion)
+    return ps.report(check_geodesic_phiE_convex_fn(first.with_h(combined, "sup family"), cfg))

@@ -83,6 +83,7 @@ def test_non_evaluable_phi_is_a_domain_error_report():
     rep = check_nonneg_linear(phi, BUDGET, seed=4)
     assert rep.verdict is Verdict.DOMAIN_ERROR and rep.max_violation is None
     assert rep.flags["nonneg_linear"] is False
+    assert "non-finite value at sample" in rep.notes[-1]
 
 
 def test_seq_upper_bounded_difference_gap():

@@ -385,6 +385,65 @@ def test_theorem_report_serializes():
     assert isinstance(d["premises"], list) and d["conclusion"]
 
 
+# early exits: a premise that the rest of a verifier needs ends it with
+# PremiseFailed, no conclusion and exactly the premises recorded so far
+
+_FAMILY = [_inst("x1^2"), _inst("x1^2", phi="a - b + 1")]
+_EXIT_CFG = CheckConfig(seed=5, samples=200, refine_steps=8)
+_EARLY_EXITS = {
+    "mean_value_E_raises": (
+        lambda: verify_mean_value(_inst("x1^2", E="log(x1)"), -1.0, 1.0, _EXIT_CFG),
+        ["h, E evaluable at u1, u2"], ()),
+    "mean_value_constant_E": (
+        lambda: verify_mean_value(_inst("x1^2", E="0.5"), -1.0, 1.0, _EXIT_CFG),
+        ["h, E evaluable at u1, u2", "h(E(u1)) differs from h(E(u2))", "E(u1) != E(u2)"], ()),
+    "three_point_unordered": (
+        lambda: verify_three_point(_inst("x1^2"), 1.0, 0.0, -1.0, _EXIT_CFG),
+        ["h, E evaluable at the three points", "ordering E(mu1) < E(mu2) < E(mu3)"], ()),
+    "three_point_E_raises": (
+        lambda: verify_three_point(_inst("x1^2", E="log(x1)"), -1.0, 0.5, 1.0, _EXIT_CFG),
+        ["h, E evaluable at the three points"], ()),
+    "phi_limit_empty": (
+        lambda: verify_phi_limit(_inst("x1^2"), [], "Pointwise", _EXIT_CFG),
+        ["nonempty gap sequence"], ()),
+    "phi_limit_failing_member": (
+        lambda: verify_phi_limit(
+            _inst("x1^2"), [Bifunction.from_source(s) for s in ("a - b - 1", "a - b")],
+            "Pointwise", _EXIT_CFG),
+        ["convexity under member 0", "convexity under member 1"],
+        ("deviation from the limit on sampled value pairs: first 1.0000000000000004, "
+         "max 1.0000000000000004, last 0.0", "convergence evidence flag: True")),
+    "local_min_E_raises": (
+        lambda: verify_local_min(_inst("x1^2", E="log(x1)"), Point((-1.0,)), _EXIT_CFG),
+        ["E(mu*) and h(E(mu*)) evaluable"], ()),
+    "composition_outer_raises": (
+        lambda: verify_composition(_inst("x1^2"), ScalarFn.from_source("log(x1 - 100)", 1),
+                                   _EXIT_CFG),
+        ["inner function geodesic E-convex (difference gap)",
+         "outer function evaluable on the range"], ()),
+    "continuity_empty_inset": (
+        lambda: verify_continuity_bound(_inst("x1^2"), K=10.0, eps=3.0, cfg=_EXIT_CFG),
+        ["phi bounded above by K on sampled value pairs", "eps positive", "convexity",
+         "pairs exist inside the inset region"], ()),
+    "sum_family_differs": (
+        lambda: verify_closure("Sum", _FAMILY, None, _EXIT_CFG),
+        ["family shares manifold, E, phi, domain"], ()),
+    "sup_epigraph_family_differs": (
+        lambda: verify_sup_epigraph(_FAMILY, _EXIT_CFG),
+        ["family shares manifold, E, phi, domain"], ()),
+}
+
+
+@pytest.mark.parametrize("case", list(_EARLY_EXITS))
+def test_early_exit_premises(case):
+    run, names, notes = _EARLY_EXITS[case]
+    rep = run()
+    assert rep.verdict is Verdict.PREMISE_FAILED
+    assert [p.notes[0] for p in rep.premise_reports] == [f"premise: {n}" for n in names]
+    assert rep.notes == notes
+    assert rep.conclusion_report is None
+
+
 # conclusions driven to Violated ----------------------------------------------
 #
 # Each witness is re-evaluated here through the scalar h, E and phi and
