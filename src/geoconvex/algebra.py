@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import rng
-from .errors import EmptySequenceError, SamplingError
+from .errors import EmptySequenceError
 from .exprlang import Bifunction, EndoMap, Expr, ScalarFn
 from .manifold import Manifold, ManifoldKind, Point, row_finite, row_norm
 from .reports import CheckConfig, Report, Verdict, Witness
@@ -167,25 +167,16 @@ def _rejection_sample(bases: np.ndarray, region: int, stride: int, width: int, d
     return rows, ~active
 
 
-def sample_members(
-    domain: DomainSet, bases: np.ndarray, region: int, on_fail: str = "raise"
-):
-    """Rejection-sample one member point per stream base.  With
-    on_fail="mask" the return value is (coords, ok) instead of raising when
-    some rows exhaust their rejection budget."""
-    coords, ok = _rejection_sample(
+def sample_members(domain: DomainSet, bases: np.ndarray, region: int):
+    """Rejection-sample one member point per stream base.  Returns
+    (rows, found): found is False where a draw exhausted its rejection
+    budget, and that row is all zeros, not a member.  Callers mask such
+    rows; a domain with no member gives found all False."""
+    return _rejection_sample(
         bases, region, _attempt_stride(domain), len(domain.box), partial(_draw, domain),
         # ball draws keep clear of the boundary by more than members must
         lambda X: member_mask_batch(domain, X, ball_radius=BALL_SAMPLE_RADIUS),
     )
-    if on_fail == "mask":
-        return coords, ok
-    if not np.all(ok):
-        raise SamplingError(
-            f"no member found for {int(np.sum(~ok))} of {ok.size} draws after "
-            f"{MAX_REJECTION_ROUNDS} rejection rounds"
-        )
-    return coords
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,6 @@ MAX_CHUNK = 1 << 16
 # accepted preimage distance for epigraph membership
 INVERSE_TOL = 1e-6
 
-_BIG = np.iinfo(np.int64).max
-
 # lane error codes returned by `lanes`; all but _LANE concern a whole row
 _OK, _PAIR_BAD, _E_BAD, _ANTI, _VAL_BAD, _LANE = range(6)
 
@@ -105,10 +103,9 @@ _OK, _PAIR_BAD, _E_BAD, _ANTI, _VAL_BAD, _LANE = range(6)
 @dataclass
 class _ChunkScan:
     i0: int
-    i1: int
-    err_flat: int  # _BIG when clean
+    err_at: tuple[int, int] | None  # lane of the first domain error, None when clean
     err_note: str | None
-    # candidates: list of (violation, flat, start point), best first
+    # candidates: list of (violation, lane, start point), best first
     cands: list
     max_viol: float  # max violation among counted lanes, -inf if none
     violated: bool
@@ -144,7 +141,7 @@ def _run_pass(scans, cfg: CheckConfig) -> list[list[_ChunkScan]]:
         lead = scans[0]
         bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
         rows, ok = lead.sample(bases)
-        T = lead.bulk_grid()
+        T = np.linspace(0.0, 1.0, lead.cfg.t_grid)[None, :] if lead.has_t else None
         outs = lead.pass_lanes(scans, rows, ok, T)
         return [s.reduce(i0, rows, ok, T, *out) for s, out in zip(scans, outs)]
 
@@ -152,28 +149,28 @@ def _run_pass(scans, cfg: CheckConfig) -> list[list[_ChunkScan]]:
     return [list(c) for c in zip(*per_chunk)]
 
 
-def _merge_chunks(chunks: list[_ChunkScan], lanes_per_pair: int, top_k: int):
-    err_flat = min(c.err_flat for c in chunks)
+def _merge_chunks(chunks: list[_ChunkScan], top_k: int):
+    err_at = min((c.err_at for c in chunks if c.err_at is not None), default=None)
     err_note = None
     cands = []
     max_viol = -np.inf
     violated = False
     extras = [c.extra for c in chunks]
     for c in chunks:
-        if c.i0 * lanes_per_pair > err_flat:
+        if err_at is not None and c.i0 > err_at[0]:
             continue  # entirely after the first domain error
-        if c.err_flat == err_flat and c.err_note is not None:
+        if c.err_at == err_at and c.err_note is not None:
             err_note = c.err_note
         cands.extend(c.cands)
         max_viol = max(max_viol, c.max_viol)
         violated = violated or c.violated
     cands.sort(key=lambda c: (-c[0], c[1]))
-    return err_flat, err_note, cands[:top_k], max_viol, violated, extras
+    return err_at, err_note, cands[:top_k], max_viol, violated, extras
 
 
 def _select_candidates(masked: np.ndarray, k: int):
     """Top-k (violation, position) among the finite lanes of `masked`, best
-    first.  Ties go to the least position, which is the least flat."""
+    first.  Ties go to the least position, which is the least lane."""
     v = masked.ravel()
     if v.size > k:
         kth = v[np.argpartition(v, v.size - k)[v.size - k:]].min()
@@ -287,21 +284,22 @@ class _Scan:
     the manifold and masked (`member_rows`), and how the finished report
     reads its chunks' counters (`finish`).
 
-    Pair i owns the flat lane indices i*L .. i*L + L - 1 with
-    L = lanes_per_pair(): slot i*L marks errors of the whole row, and
-    column c of the bulk grid sits at i*L + 1 + c.  The bulk lanes start
-    at column first_lane - 1; the flats of skipped columns stay reserved.
+    A lane is addressed by (sample i, t-column c) and lanes are ordered by
+    that pair.  c indexes the t-grid and bulk lanes start at c = first_t; an
+    error of the whole row sits at c = -1, so it sorts before the row's
+    lanes.  A scan without t (`has_t` False) has one lane per row, at c = 0.
+    Lanes at -inf are inadmissible and not counted.
     """
 
     members = 2
     has_t = True
-    first_lane = 1
+    first_t = 0
     skips_unsampled = False  # rows that found no member are skipped, not errors
     notes = {}  # error code -> note template with the pair index {i}
 
     def draw(self, bases, region):
         """One member per stream base from `region`, and which were found."""
-        return sample_members(self.domain, bases, region, on_fail="mask")
+        return sample_members(self.domain, bases, region)
 
     def member_rows(self, X):
         """Members as manifold coordinates, and which are domain members."""
@@ -324,12 +322,6 @@ class _Scan:
         iv = list(self.domain.box) * self.members
         return iv + [(0.0, 1.0)] if self.has_t else iv
 
-    def lanes_per_pair(self) -> int:
-        return self.cfg.t_grid + 1
-
-    def bulk_grid(self):
-        return np.linspace(0.0, 1.0, self.cfg.t_grid)[None, :]
-
     def pass_lanes(self, scans, rows, ok, T):
         """Bulk lanes `(viol, thr, err, extra)` of each of `scans` on rows
         this scan sampled, `extra` holding the chunk's own counters; a scan
@@ -339,17 +331,17 @@ class _Scan:
     def reduce(self, i0: int, rows, ok, T, viol, thr, err, extra) -> _ChunkScan:
         """The chunk's first domain error, candidates, maximum and counters
         from its bulk lanes, which it overwrites."""
-        n, G = viol.shape
-        L = self.lanes_per_pair()
+        G = viol.shape[1]
         err[~ok] = _OK if self.skips_unsampled else _PAIR_BAD
         counted = ok[:, None] & (err == _OK) & np.isfinite(viol)
-        err_flat, err_note = _BIG, None
+        err_at, err_note = None, None
         if np.any(err):
-            # lanes run in flat order, a row's error slot before its lanes
+            # a row code fills its row, so the first error in ravel order is
+            # the first lane, a row's error before its lanes
             p = int(np.argmax(err.ravel() != _OK))
             r, j = divmod(p, G)
             code = int(err[r, j])
-            err_flat = (i0 + r) * L + (self.first_lane + j if code == _LANE else 0)
+            err_at = (i0 + r, self.first_t + j if code == _LANE else -1)
             err_note = self.notes[code].format(i=i0 + r)
             counted.ravel()[p:] = False
         violated = bool(np.any(counted & (viol > thr)))
@@ -357,10 +349,10 @@ class _Scan:
         cands = []
         for v, p in _select_candidates(viol, k=8):
             r, j = divmod(p, G)
-            z0 = rows[r] if T is None else np.append(rows[r], T[0, self.first_lane - 1 + j])
-            cands.append((v, (i0 + r) * L + self.first_lane + j, z0))
-        extra = {"n": n, "unsampled": int(np.sum(~ok)), "counted": int(np.sum(counted)), **extra}
-        return _ChunkScan(i0, i0 + n, err_flat, err_note, cands, float(viol.max()), violated, extra)
+            c = self.first_t + j
+            cands.append((v, (i0 + r, c), rows[r] if T is None else np.append(rows[r], T[0, c])))
+        extra = {"unsampled": int(np.sum(~ok)), "counted": int(np.sum(counted)), **extra}
+        return _ChunkScan(i0, err_at, err_note, cands, float(viol.max()), violated, extra)
 
     def finish(self, report: Report, extras) -> Report:
         """The scan's report from the one `_finish_scan` built and the
@@ -395,20 +387,6 @@ class _Scan:
             viol, _, err = self.lanes(rows, T)
         v = viol[:, 0]
         return np.where(ok & (err[:, 0] == _OK) & np.isfinite(v), v, -np.inf)
-
-
-class _UntimedScan(_Scan):
-    """A scan without t: one lane per row, so row i owns flat indices 2i
-    (errors of the row) and 2i + 1 (its lane).  Rows whose lane is -inf
-    are inadmissible; the admissible ones are counted."""
-
-    has_t = False
-
-    def lanes_per_pair(self) -> int:
-        return 2
-
-    def bulk_grid(self):
-        return None
 
 
 class _InstanceScan:
@@ -453,7 +431,7 @@ class _CurveScan(_Scan):
         return {}
 
     def pass_lanes(self, scans, rows, ok, T):
-        outs, W, code = _curve_lanes(scans, rows, T, [s.first_lane - 1 for s in scans])
+        outs, W, code = _curve_lanes(scans, rows, T, [s.first_t for s in scans])
         return [(*out, s.pass_extra(rows, ok, W, code)) for s, out in zip(scans, outs)]
 
     def lanes(self, rows, T):
@@ -503,9 +481,8 @@ class _ConvexityScan(_InstanceScan, _CurveScan):
     cfg: CheckConfig
     strict: bool = False
 
-    # lane t = 0 compares h(E(mu2)) with itself, so the bulk grid skips it;
-    # its flat index stays reserved so sample positions do not move
-    first_lane = 2
+    # lane t = 0 compares h(E(mu2)) with itself, so the bulk grid skips it
+    first_t = 1
     margin_test = False
     notes = {
         **_PAIR_NOTES,
@@ -596,25 +573,23 @@ def _finish_scan(scan, cfg: CheckConfig, notes=(), force_refine: bool = False,
     """The report of `scan` from its chunks (scanned here when None): merge,
     refinement of the best candidate (of the best 8 when `force_refine`)
     and scalar re-validation."""
-    n = cfg.samples
-    L = scan.lanes_per_pair()
     if chunks is None:
         (chunks,) = _run_pass([scan], cfg)
-    err_flat, err_note, cands, max_viol, violated, extras = _merge_chunks(
-        chunks, L, 8 if force_refine else 1)
-    samples_used = n if err_flat == _BIG else err_flat // L
+    err_at, err_note, cands, max_viol, violated, extras = _merge_chunks(
+        chunks, 8 if force_refine else 1)
+    samples_used = cfg.samples if err_at is None else err_at[0]
     notes = tuple(notes)
 
     best = None  # (refined value, witness)
     confirmed = []
     tau_hint = cfg.tol_abs + cfg.tol_rel  # scale-free trigger hint
-    for viol0, flat, z0 in cands:
+    for viol0, (i, _), z0 in cands:
         if not force_refine and viol0 <= -NEAR_VIOLATION_FACTOR * tau_hint and not violated:
             continue
         z, v = _line_refine(scan.objective, z0, scan.intervals(), cfg.refine_steps)
         max_viol = max(max_viol, v)
         # the start point is the fallback when the refined one fails
-        w = _emitted_witness(scan, cfg, (z, z0), flat // L)
+        w = _emitted_witness(scan, cfg, (z, z0), i)
         if w is not None:
             confirmed.append(w)
             if best is None or v > best[0]:
@@ -625,7 +600,7 @@ def _finish_scan(scan, cfg: CheckConfig, notes=(), force_refine: bool = False,
     verdict, witness = Verdict.HOLDS_ON_SAMPLES, None
     if best is not None:
         verdict, witness = Verdict.VIOLATED, best[1]
-    elif err_flat != _BIG:
+    elif err_at is not None:
         verdict, notes = Verdict.DOMAIN_ERROR, notes + (err_note,)
     elif violated:
         # bulk scan saw a violation but the refined re-evaluation did not
@@ -705,13 +680,14 @@ def search_counterexample(inst: Instance, cfg: CheckConfig, strict: bool = False
 # slope form on Euclidean(1)
 
 @dataclass
-class _SlopeScan(_InstanceScan, _UntimedScan):
+class _SlopeScan(_InstanceScan, _Scan):
     """Rows (mu1, mu, mu2) of three sampled points; one lane per row."""
 
     inst: Instance
     cfg: CheckConfig
 
     members = 3
+    has_t = False
     notes = dict.fromkeys(
         (_PAIR_BAD, _E_BAD, _VAL_BAD), "evaluation failed on triple {i}"
     )
@@ -906,7 +882,7 @@ class _ProductSetScan(_CurveScan):
 
     def finish(self, report, extras):
         unsampled = sum(e["unsampled"] for e in extras)
-        if unsampled == sum(e["n"] for e in extras):
+        if unsampled == self.cfg.samples:  # a pass covers every sample
             return Report(
                 Verdict.HOLDS_ON_SAMPLES, None, None, 0, self.cfg.seed,
                 notes=("no members found; membership condition is vacuous",),
@@ -970,7 +946,7 @@ class EpigraphMembership:
 
         def nearest(i0, i1):
             bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
-            U, ok = sample_members(inst.domain, bases, REGION_PREIMAGE, on_fail="mask")
+            U, ok = sample_members(inst.domain, bases, REGION_PREIMAGE)
             W = inst.E.eval_batch(U)
             with np.errstate(all="ignore"):
                 dist = row_norm(W - target[None, :])

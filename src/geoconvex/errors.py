@@ -50,9 +50,5 @@ class InverseSearchFailedError(GeoconvexError):
     """No preimage under E was found within the sampling budget."""
 
 
-class SamplingError(GeoconvexError):
-    """Rejection sampling exhausted its draw budget without a member."""
-
-
 class ConfigError(GeoconvexError):
     """A job configuration file is malformed."""

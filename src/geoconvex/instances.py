@@ -21,6 +21,9 @@ _F_CLOSURE = 2
 _F_SMOOTH = 3
 _F_THEOREM = 4
 
+# extra headroom of an epigraph set's v window, past one span of h above its max
+QUAD_EPIGRAPH_PAD = 4.0
+
 
 def _affine_contraction(s: Stream) -> EndoMap:
     a = s.uniform(0.2, 0.5) * (1.0 if s.uniform() < 0.5 else -1.0)
@@ -183,14 +186,14 @@ def smooth_increasing_instance(seed: int):
     return inst, (e_lo, e_hi)
 
 
-def quad_epigraph_set(h: ScalarFn, dom: DomainSet, pad: float = 4.0) -> ProductSet:
+def quad_epigraph_set(h: ScalarFn, dom: DomainSet) -> ProductSet:
     """Epigraph of a 1-D function over its domain box as a ProductSet."""
     xs = np.linspace(dom.box[0][0], dom.box[0][1], 257)[:, None]
     vals = h.eval_batch(xs)
     lo, hi = float(np.min(vals)), float(np.max(vals))
     names = point_vars(1) + ("v",)
     graph = Expr(Binary("-", Var("v"), h.expr.root), names)
-    return ProductSet(dom, graph, (lo, hi + max(1.0, hi - lo) + pad))
+    return ProductSet(dom, graph, (lo, hi + max(1.0, hi - lo) + QUAD_EPIGRAPH_PAD))
 
 
 def intersection_case(seed: int):

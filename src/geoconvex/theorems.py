@@ -46,7 +46,7 @@ from .checker import (
     STRICT_SEP_FRACTION,
     _ConvexityScan,
     _InstanceScan,
-    _UntimedScan,
+    _Scan,
     _clean_images,
     _finish_scan,
     _margin_witness,
@@ -264,9 +264,11 @@ def _family_premise(ps: _Premises, insts: Sequence[Instance]) -> None:
 
 def _aux_members(inst: Instance, cfg: CheckConfig, n: int = 2048,
                  region: int = REGION_AUX1) -> np.ndarray:
-    """n seeded domain members (at most cfg.samples, at least 2) for premises."""
+    """The domain members found by n seeded draws (at most cfg.samples, at
+    least 2) for premises; none when the domain has no member."""
     bases = rng.base_array(cfg.seed, np.arange(max(2, min(n, cfg.samples)), dtype=np.uint64))
-    return sample_members(inst.domain, bases, region=region)
+    U, found = sample_members(inst.domain, bases, region)
+    return U[found]
 
 
 def _sampled_image_values(inst: Instance, cfg: CheckConfig, n: int, region: int):
@@ -456,17 +458,13 @@ def verify_closure(kind: str, insts: Sequence[Instance],
         # sequences are the h-value streams of the family at sampled points
         n_pairs = 32
         bases = rng.base_array(cfg.seed, np.arange(n_pairs, dtype=np.uint64))
-        Ua = sample_members(first.domain, bases, region=REGION_AUX1)
-        Ub = sample_members(first.domain, bases, region=REGION_AUX2)
+        Ua, founda = sample_members(first.domain, bases, REGION_AUX1)
+        Ub, foundb = sample_members(first.domain, bases, REGION_AUX2)
         Wa, oka = _clean_images(first.manifold, first.E.eval_batch(Ua))
         Wb, okb = _clean_images(first.manifold, first.E.eval_batch(Ub))
-        sequences = []
-        for p in range(n_pairs):
-            if not (oka[p] and okb[p]):
-                continue
-            useq = [sub.h(tuple(Wa[p])) for sub in insts]
-            vseq = [sub.h(tuple(Wb[p])) for sub in insts]
-            sequences.append((useq, vseq))
+        sequences = [tuple([sub.h(tuple(W[p])) for sub in insts] for W in (Wa, Wb))
+                     for p in np.flatnonzero(founda & oka & foundb & okb)]
+        ps.require("value streams sampleable", bool(sequences))
         ident = EndoMap.identity(1)
         ps.check("phi sequentially upper bounded on harvested value streams",
                  check_seq_upper_bounded(first.phi, ident, sequences, cfg.seed, cfg))
@@ -624,7 +622,9 @@ def verify_diffeo_invariance(inst: Instance, diffeo: Diffeo, cfg: CheckConfig) -
     interpretations.
     """
     ps = _Premises(TheoremId.DIFFEO_INVARIANCE, cfg)
-    _roundtrip_premise(ps, diffeo, _aux_members(inst, cfg))
+    U = _aux_members(inst, cfg)
+    ps.require("domain sampleable", U.size > 0)
+    _roundtrip_premise(ps, diffeo, U)
     ps.check("source convexity", check_geodesic_phiE_convex_fn(inst, cfg))
     ps.gate()
     return ps.report(_finish_scan(_ConvexityScan(diffeo.transport(inst), cfg), cfg, notes=(
@@ -636,7 +636,7 @@ def verify_diffeo_invariance(inst: Instance, diffeo: Diffeo, cfg: CheckConfig) -
 # continuity bounds
 
 @dataclass
-class _LipschitzScan(_InstanceScan, _UntimedScan):
+class _LipschitzScan(_InstanceScan, _Scan):
     """|h(E(mu1)) - h(E(mu2))| <= L * |Y1 - Y2| for pairs whose chart images
     Y = chart(E(mu)) lie in the box [lo, hi], with h read through the chart."""
 
@@ -647,6 +647,7 @@ class _LipschitzScan(_InstanceScan, _UntimedScan):
     lo: np.ndarray
     hi: np.ndarray
 
+    has_t = False
     notes = {**_PAIR_NOTES, _VAL_BAD: "h non-finite through the chart at an E-image (pair {i})"}
 
     def _terms(self, Y1, Y2, h1, h2):
@@ -733,10 +734,11 @@ def verify_chart_continuity(inst: Instance, K: float, eps: float,
     m = inst.manifold
     chart = (stereographic_diffeo() if m.kind is ManifoldKind.SPHERE and m.dim == 2
              else identity_diffeo(m))
+    ps = _Premises(TheoremId.CHART_CONTINUITY, cfg)
     U = _aux_members(inst, cfg)
+    ps.require("domain sampleable", U.size > 0)
     with np.errstate(all="ignore"):
         Y = chart.fwd.eval_batch(U)
-    ps = _Premises(TheoremId.CHART_CONTINUITY, cfg)
     _roundtrip_premise(ps, chart, U)
     return _verify_lipschitz(ps, inst, K, eps, cfg, chart,
                              np.min(Y, axis=0) + eps, np.max(Y, axis=0) - eps)
@@ -746,7 +748,7 @@ def verify_chart_continuity(inst: Instance, K: float, eps: float,
 # local minimum necessary condition
 
 @dataclass
-class _LocalMinScan(_InstanceScan, _UntimedScan):
+class _LocalMinScan(_InstanceScan, _Scan):
     """Rows mu of one sampled member each: phi(h(E(mu)), h(E(mu*))) >= -tol."""
 
     inst: Instance
@@ -755,6 +757,7 @@ class _LocalMinScan(_InstanceScan, _UntimedScan):
     h_star: float
 
     members = 1
+    has_t = False
     notes = {**_PAIR_NOTES, _VAL_BAD: "h or phi non-finite at an E-image (pair {i})"}
 
     def lanes(self, rows, T):
@@ -885,7 +888,7 @@ def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
 # strict differential separation
 
 @dataclass
-class _StrictDifferentialScan(_InstanceScan, _UntimedScan):
+class _StrictDifferentialScan(_InstanceScan, _Scan):
     """The directional derivatives of h at the two curve endpoints, along
     the curve's velocity, must differ by more than tol_strict on pairs with
     separated E-images."""
@@ -894,6 +897,7 @@ class _StrictDifferentialScan(_InstanceScan, _UntimedScan):
     cfg: CheckConfig
     tol_strict: float
 
+    has_t = False
     notes = {**_PAIR_NOTES, _VAL_BAD: "directional derivative of h non-finite at an E-image (pair {i})"}
 
     def _separated(self, W1, W2):
@@ -981,7 +985,7 @@ def _phi_combination_monotone_premise(ps: _Premises, phi: Bifunction, H: np.ndar
     )
 
 
-def epigraph_product_set(inst: Instance, cfg: CheckConfig, pad: float = 0.0) -> ProductSet:
+def epigraph_product_set(inst: Instance, cfg: CheckConfig) -> ProductSet:
     """Epigraph of h over the E-image as a ProductSet.
 
     For the identity remap the image is the domain itself and for a
@@ -999,9 +1003,7 @@ def epigraph_product_set(inst: Instance, cfg: CheckConfig, pad: float = 0.0) -> 
         c = [e.root.value for e in inst.E.exprs]
         box = tuple((ci, ci) for ci in c)
     else:
-        lo = np.min(W, axis=0) - pad
-        hi = np.max(W, axis=0) + pad
-        box = tuple(zip(lo, hi))
+        box = tuple(zip(np.min(W, axis=0), np.max(W, axis=0)))
     base = DomainSet(inst.manifold, box, inst.domain.membership)
     names = point_vars(amb) + ("v",)
     graph = Expr(Binary("-", Var("v"), inst.h.expr.root), names)
@@ -1106,11 +1108,10 @@ def verify_sup_epigraph(insts: Sequence[Instance], cfg: CheckConfig) -> TheoremR
     _, _, H = _sampled_image_values(first, cfg, 256, REGION_AUX1)
     ps.require("value range sampleable", H.size >= 2)
     _phi_combination_monotone_premise(ps, first.phi, H, cfg)
-    bounded = True
-    for k, sub in enumerate(insts):
-        _, _, Hk = _sampled_image_values(sub, cfg, 128, REGION_AUX2)
-        bounded = bounded and Hk.size > 0 and bool(np.all(np.isfinite(Hk)))
-    ps.flag("family bounded above on samples", bounded)
+    # sampled values are finite, so a member with any is bounded on samples;
+    # its epigraph set below is built from a superset of these draws
+    bounded = all(_sampled_image_values(sub, cfg, 128, REGION_AUX2)[2].size > 0 for sub in insts)
+    ps.flag("family bounded above on samples", bounded, need=True)
     for k, sub in enumerate(insts):
         epi = epigraph_product_set(sub, cfg)
         ps.check(f"epigraph of member {k}",

@@ -138,18 +138,18 @@ def test_domain_sampling_membership_and_regions():
         parse("x1 + x2", point_vars(2)),
     )
     bases = rng.base_array(3, np.arange(500, dtype=np.uint64))
-    pts = sample_members(dom, bases, region=0)
-    assert member_mask_batch(dom, pts).all()
-    other = sample_members(dom, bases, region=1)
+    pts, found = sample_members(dom, bases, region=0)
+    assert found.all() and member_mask_batch(dom, pts).all()
+    other, _ = sample_members(dom, bases, region=1)
     assert not np.allclose(pts, other)
-    again = sample_members(dom, bases, region=0)
+    again, _ = sample_members(dom, bases, region=0)
     np.testing.assert_array_equal(pts, again)
 
 
 def test_domain_sampling_chunk_independence():
     bases = rng.base_array(17, np.arange(100, dtype=np.uint64))
     line = DomainSet(euclidean(1), ((-2.0, 3.0),))
-    for sample in (lambda b: sample_members(line, b, region=2),
+    for sample in (lambda b: sample_members(line, b, region=2)[0],
                    lambda b: sample_product_members(_BAND, b, region=2)[0]):
         full = sample(bases)
         parts = np.concatenate([sample(bases[:37]), sample(bases[37:])])
@@ -192,11 +192,9 @@ _GOLDEN_ROWS = {
 def test_sampler_first_rows_golden(name):
     dom, expected = _GOLDEN_ROWS[name]
     bases = rng.base_array(3, np.arange(4, dtype=np.uint64))
-    if name == "product":
-        rows, ok = sample_product_members(dom, bases, region=1)
-        assert ok.all()
-    else:
-        rows = sample_members(dom, bases, region=1)
+    sample = sample_product_members if name == "product" else sample_members
+    rows, found = sample(dom, bases, region=1)
+    assert found.all()
     assert [[x.hex() for x in r] for r in rows.tolist()] == expected
 
 
@@ -205,11 +203,13 @@ def test_sphere_and_ball_sampling_valid():
         sphere(2), ((-1.0, 1.0),) * 3, parse("x3 - 0.5", point_vars(3))
     )
     bases = rng.base_array(1, np.arange(300, dtype=np.uint64))
-    pts = sample_members(cap, bases, region=0)
+    pts, found = sample_members(cap, bases, region=0)
+    assert found.all()
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     assert (pts[:, 2] > 0.5).all()
     ball = DomainSet(poincare_ball(2), ((-0.9, 0.9), (-0.9, 0.9)))
-    bpts = sample_members(ball, bases, region=0)
+    bpts, found = sample_members(ball, bases, region=0)
+    assert found.all()
     assert (np.linalg.norm(bpts, axis=1) < 1.0).all()
 
 

@@ -512,17 +512,22 @@ def test_preimage_distance_same_at_any_worker_count():
     assert got[0] == got[1] == got[2]
     # a constant remap ties every sample: the least sample index wins
     flat = _inst1d("x1^2", "a - b", (-1.0, 1.0), E="0.25")
-    first = tuple(sample_members(flat.domain, rng.base_array(cfg.seed, np.arange(1, dtype=np.uint64)),
-                                 region=5)[0])
+    rows, _ = sample_members(flat.domain, rng.base_array(cfg.seed, np.arange(1, dtype=np.uint64)),
+                             region=5)
+    first = tuple(rows[0])
     for w in (1, 2, 3):
         dist, mu = epigraph_membership(flat, cfg.replace(workers=w)).preimage_distance((0.5,))
         assert dist == 0.25 and mu == first
 
 
+_BIG = np.iinfo(np.int64).max
+
+
 def _reduce_with_flats(i0, L, first_lane, viol, thr, err, ok, skips_unsampled):
     """Reference for `_Scan.reduce`: the chunk reduction over an explicit
-    (N, G) matrix of flat lane indices."""
-    from geoconvex.checker import _BIG, _LANE, _OK, _PAIR_BAD
+    (N, G) matrix of flat lane indices, pair i owning flats i*L .. i*L + L - 1
+    with its row errors at i*L and bulk column j at i*L + first_lane + j."""
+    from geoconvex.checker import _LANE, _OK, _PAIR_BAD
 
     n, G = viol.shape
     gidx = np.arange(i0, i0 + n, dtype=np.int64)
@@ -549,13 +554,18 @@ def test_chunk_reduce_matches_flat_index_reference(skips_unsampled):
 
     class Lanes(_Scan):
         cfg = CheckConfig(t_grid=6)
-        first_lane = 2
+        first_t = 1
         notes = {c: f"{c}:{{i}}" for c in range(1, 6)}
 
     scan = Lanes()
     scan.skips_unsampled = skips_unsampled
     gen = np.random.default_rng(7)
     n, G, L = 50, 5, 7
+
+    def flat(at):
+        # lane (sample, column) as a flat index; column -1 is the row slot
+        return _BIG if at is None else at[0] * L + 1 + at[1]
+
     for trial in range(200):
         i0 = int(gen.integers(0, 1000))
         viol = gen.normal(size=(n, G))
@@ -570,15 +580,18 @@ def test_chunk_reduce_matches_flat_index_reference(skips_unsampled):
         thr = 0.5 if trial % 2 else np.abs(gen.normal(size=(n, G)))
         T = np.linspace(0.0, 1.0, 6)[None, :]
         rows = np.arange(n, dtype=float)[:, None]
-        want = _reduce_with_flats(i0, L, scan.first_lane, viol, thr, err, ok, skips_unsampled)
+        want = _reduce_with_flats(i0, L, scan.first_t + 1, viol, thr, err, ok, skips_unsampled)
         got = scan.reduce(i0, rows, ok, T, viol.copy(), thr, err.copy(), {})
-        assert got.err_flat == want[0]
+        assert flat(got.err_at) == want[0]
         if want[1] is not None:
             assert got.err_note == f"{want[1][0]}:{want[1][1]}"
-        assert [(v, f) for v, f, _ in got.cands] == want[2]
-        for v, f, z0 in got.cands:
-            pair, lane = divmod(f, L)
-            assert z0.tolist() == [pair - i0, T[0, lane - 1]]
+        assert [(v, flat(at)) for v, at, _ in got.cands] == want[2]
+        # (sample, column) order is flat order
+        lanes = [at for _, at, _ in got.cands] + ([got.err_at] if got.err_at is not None else [])
+        assert sorted(lanes) == sorted(lanes, key=flat)
+        for v, (i, c), z0 in got.cands:
+            assert 0 <= c < T.shape[1]
+            assert z0.tolist() == [i - i0, T[0, c]]
         assert (got.max_viol, got.violated, got.extra["counted"]) == want[3:]
 
 

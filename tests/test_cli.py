@@ -245,6 +245,26 @@ def test_weighted_sum_with_fewer_weights_than_members_exit_two(tmp_path, capsys)
     assert "1 weights for 2 members" in notes
 
 
+@pytest.mark.parametrize("theorem", [
+    {"id": "SupFamily", "h_list": ["x1^2", "x1^4"]},
+    {"id": "Composition", "h2": "exp(x1)"},
+    {"id": "DiffeoInvariance", "H": ["2*x1 + 1"], "Hinv": ["(x1 - 1)/2"]},
+    {"id": "ContinuityBound", "K": 10, "eps": 0.1},
+    {"id": "ChartContinuity", "K": 10, "eps": 0.1},
+    {"id": "PhiLimit", "phis": ["a - b"]},
+    {"id": "PhiSeriesLimit", "phis": ["a - b"]},
+    {"id": "EpigraphEquiv"},
+    {"id": "SupEpigraphCor", "h_list": ["x1^2", "x1^4"]},
+], ids=lambda theorem: theorem["id"])
+def test_verify_on_a_domain_with_no_member_exit_two(tmp_path, capsys, theorem):
+    job = dict(_theorem(**theorem), domain={"box": [[-1, 1]], "membership": "x1 - 100"})
+    code = main(["verify", "--config", _write(tmp_path, "job.json", job)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    report = json.loads(out)["reports"][0]
+    assert report["verdict"] == "PremiseFailed" and report["conclusion"] is None
+
+
 def test_catalog_listing(capsys):
     code = main([])
     out = capsys.readouterr().out

@@ -29,6 +29,7 @@ from geoconvex.theorems import (
     diffeo_from_endomaps,
     identity_diffeo,
     stereographic_diffeo,
+    verify_chart_continuity,
     verify_closure,
     verify_composition,
     verify_continuity_bound,
@@ -390,6 +391,17 @@ def test_theorem_report_serializes():
 
 _FAMILY = [_inst("x1^2"), _inst("x1^2", phi="a - b + 1")]
 _EXIT_CFG = CheckConfig(seed=5, samples=200, refine_steps=8)
+# a domain with no member: every draw from it exhausts its rejection budget
+_NO_MEMBER = Instance(E1, ScalarFn.from_source("x1^2", 1), EndoMap.identity(1),
+                      Bifunction.from_source("a - b"),
+                      DomainSet(E1, ((-1.0, 1.0),), parse("x1 - 100", point_vars(1))))
+# E = 2*x sends every cap member off the sphere, so no E-image is valid
+_OFF_SPHERE = [
+    Instance(sphere(2), ScalarFn.from_source(h, 3),
+             EndoMap.from_source(["2*x1", "2*x2", "2*x3"], 3), Bifunction.from_source("a"),
+             DomainSet(sphere(2), ((-1.0, 1.0),) * 3, parse("x3 - 0.5", point_vars(3))))
+    for h in ("x3", "x3^2")
+]
 _EARLY_EXITS = {
     "mean_value_E_raises": (
         lambda: verify_mean_value(_inst("x1^2", E="log(x1)"), -1.0, 1.0, _EXIT_CFG),
@@ -431,6 +443,24 @@ _EARLY_EXITS = {
     "sup_epigraph_family_differs": (
         lambda: verify_sup_epigraph(_FAMILY, _EXIT_CFG),
         ["family shares manifold, E, phi, domain"], ()),
+    "diffeo_no_member": (
+        lambda: verify_diffeo_invariance(_NO_MEMBER, diffeo_from_endomaps(
+            E1, EndoMap.from_source("2*x1 + 1", 1), EndoMap.from_source("(x1 - 1)/2", 1)),
+            _EXIT_CFG),
+        ["domain sampleable"], ()),
+    "chart_continuity_no_member": (
+        lambda: verify_chart_continuity(_NO_MEMBER, K=10.0, eps=0.1, cfg=_EXIT_CFG),
+        ["domain sampleable"], ()),
+    "sup_family_no_valid_image": (
+        lambda: verify_closure("SupFamily", _OFF_SPHERE, None, _EXIT_CFG),
+        ["family shares manifold, E, phi, domain", "member 0 convexity", "member 1 convexity",
+         "value streams sampleable"], ()),
+    "sup_epigraph_member_nowhere_finite": (
+        lambda: verify_sup_epigraph(
+            [_inst("x1^2 + 1", box=(-1.0, 1.0)), _inst("log(x1 - 10)", box=(-1.0, 1.0))],
+            _EXIT_CFG),
+        ["family shares manifold, E, phi, domain",
+         "phi non-decreasing (combination-monotone probe)", "family bounded above on samples"], ()),
 }
 
 
