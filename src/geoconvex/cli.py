@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -37,11 +38,8 @@ from .exprlang import BUILTIN_ARITY, Bifunction, EndoMap, ScalarFn, parse, point
 from .instances import quad_epigraph_set
 from .manifold import ManifoldKind, Point, euclidean, manifold_from_name
 from .theorems import (
-    BUILTIN_DIFFEOS, CLOSURE_KINDS, STRICT_DERIVATIVE_TOL, TheoremId, diffeo_from_endomaps,
-    stereographic_diffeo, verify_chart_continuity, verify_closure, verify_composition,
-    verify_continuity_bound, verify_diffeo_invariance, verify_epigraph_equiv,
-    verify_intersection, verify_local_min, verify_mean_value, verify_phi_limit,
-    verify_strict_differential, verify_sup_epigraph, verify_three_point,
+    BUILTIN_DIFFEOS, STATEMENTS, STRICT_DERIVATIVE_TOL, TheoremId, diffeo_from_endomaps,
+    stereographic_diffeo,
 )
 
 SCHEMA_VERSION = "1"
@@ -271,28 +269,21 @@ def _check_phi(raw: dict, cfg: CheckConfig) -> list[dict]:
     return [dict(check(phi).to_dict(), property=prop) for prop, check in checks]
 
 
-# statements: each entry reads its keys of the theorem block t, then verifies
-def _float(t: dict, key: str) -> float:
-    return float(_get(t, "theorem", key, NUMBER))
-
-
+# statements: the verifier of the id takes its arguments by parameter name,
+# each read from the theorem block t, the job's instance or both
 def _h_list(t: dict, inst: Instance) -> list[Instance]:
     return [inst.with_h(ScalarFn.from_source(src, inst.manifold.ambient_dim))
             for src in _get(t, "theorem", "h_list", EXPRS)]
 
 
-def _diffeo(t: dict, inst: Instance):
-    if _get(t, "theorem", "diffeo", _one_of(*BUILTIN_DIFFEOS), None) == "stereographic":
+def _diffeo(t: dict, inst: Instance, key: str):
+    if _get(t, "theorem", key, _one_of(*BUILTIN_DIFFEOS), None) == "stereographic":
         if inst.manifold != stereographic_diffeo().src:
             raise ConfigError("theorem.diffeo: stereographic needs the Sphere(2) manifold")
         return stereographic_diffeo()
     amb = inst.manifold.ambient_dim
     return diffeo_from_endomaps(inst.manifold, _endomap(t, "theorem", "H", amb, required=True),
                                 _endomap(t, "theorem", "Hinv", amb, required=True))
-
-
-def _phis(t: dict) -> list[Bifunction]:
-    return [Bifunction.from_source(p) for p in _get(t, "theorem", "phis", EXPR_LIST, [])]
 
 
 def _epigraph_sets(t: dict, inst: Instance) -> list[ProductSet]:
@@ -307,41 +298,40 @@ def _epigraph_sets(t: dict, inst: Instance) -> list[ProductSet]:
     return sets
 
 
-_THEOREMS = {
-    TheoremId.MEAN_VALUE_31: lambda t, inst, cfg: verify_mean_value(
-        inst, _float(t, "u1"), _float(t, "u2"), cfg),
-    TheoremId.THREE_POINT_32: lambda t, inst, cfg: verify_three_point(
-        inst, _float(t, "mu1"), _float(t, "mu2"), _float(t, "mu3"), cfg),
-    **{tid: lambda t, inst, cfg, kind=kind: verify_closure(
-        kind, _h_list(t, inst), _get(t, "theorem", "weights", NUMBERS, None), cfg)
-       for tid, kind in CLOSURE_KINDS.items()},
-    TheoremId.COMPOSITION: lambda t, inst, cfg: verify_composition(
-        inst, ScalarFn.from_source(_get(t, "theorem", "h2", EXPR), 1), cfg),
-    TheoremId.DIFFEO_INVARIANCE: lambda t, inst, cfg: verify_diffeo_invariance(
-        inst, _diffeo(t, inst), cfg),
-    TheoremId.CONTINUITY_BOUND: lambda t, inst, cfg: verify_continuity_bound(
-        inst, _float(t, "K"), _float(t, "eps"), cfg),
-    TheoremId.CHART_CONTINUITY: lambda t, inst, cfg: verify_chart_continuity(
-        inst, _float(t, "K"), _float(t, "eps"), cfg),
-    TheoremId.LOCAL_MIN: lambda t, inst, cfg: verify_local_min(
-        inst, Point(_get(t, "theorem", "mu_star",
-                         _list(inst.manifold.ambient_dim, NUMBER, "finite numbers"))), cfg),
-    TheoremId.PHI_LIMIT: lambda t, inst, cfg: verify_phi_limit(inst, _phis(t), "Pointwise", cfg),
-    TheoremId.PHI_SERIES_LIMIT: lambda t, inst, cfg: verify_phi_limit(
-        inst, _phis(t), "PartialSums", cfg),
-    TheoremId.STRICT_DIFFERENTIAL: lambda t, inst, cfg: verify_strict_differential(
-        inst, cfg, float(_get(t, "theorem", "tol_strict", NUMBER, STRICT_DERIVATIVE_TOL))),
-    TheoremId.EPIGRAPH_EQUIV: lambda t, inst, cfg: verify_epigraph_equiv(inst, cfg),
-    TheoremId.INTERSECTION_52: lambda t, inst, cfg: verify_intersection(
-        inst.manifold, inst.E, inst.phi, _epigraph_sets(t, inst), cfg),
-    TheoremId.SUP_EPIGRAPH_COR: lambda t, inst, cfg: verify_sup_epigraph(_h_list(t, inst), cfg),
+def _number(t: dict, inst: Instance, key: str) -> float:
+    return float(_get(t, "theorem", key, NUMBER))
+
+
+# verifier parameter -> reader(t, inst, key)
+_ARGUMENTS = {
+    **dict.fromkeys(("u1", "u2", "mu1", "mu2", "mu3", "K", "eps"), _number),
+    "tol_strict": lambda t, inst, key: float(
+        _get(t, "theorem", key, NUMBER, STRICT_DERIVATIVE_TOL)),
+    "inst": lambda t, inst, key: inst,
+    "m": lambda t, inst, key: inst.manifold,
+    "E": lambda t, inst, key: inst.E,
+    "phi": lambda t, inst, key: inst.phi,
+    "insts": lambda t, inst, key: _h_list(t, inst),
+    "sets": lambda t, inst, key: _epigraph_sets(t, inst),
+    "weights": lambda t, inst, key: _get(t, "theorem", key, NUMBERS, None),
+    "h2": lambda t, inst, key: ScalarFn.from_source(_get(t, "theorem", key, EXPR), 1),
+    "diffeo": _diffeo,
+    "mu_star": lambda t, inst, key: Point(_get(
+        t, "theorem", key, _list(inst.manifold.ambient_dim, NUMBER, "finite numbers"))),
+    "phis": lambda t, inst, key: [
+        Bifunction.from_source(p) for p in _get(t, "theorem", key, EXPR_LIST, [])],
 }
 
 
 def _verify(raw: dict, cfg: CheckConfig):
     t = _get(raw, "", "theorem", OBJECT)
     tid = TheoremId(_get(t, "theorem", "id", _one_of(*(k.value for k in TheoremId))))
-    return _THEOREMS[tid](t, _instance(raw), cfg)
+    inst = _instance(raw)
+    verifier = STATEMENTS[tid]
+    params = inspect.signature(verifier).parameters
+    args = {"tid": tid, "cfg": cfg}
+    args.update((key, _ARGUMENTS[key](t, inst, key)) for key in params if key in _ARGUMENTS)
+    return verifier(**{key: args[key] for key in params if key in args})
 
 
 # CLI command -> (command name in the report, reader)

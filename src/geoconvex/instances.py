@@ -1,11 +1,15 @@
 """Seeded instance families for the statement suites and acceptance runs.
 
 Each family mixes clearly-holding and clearly-violated cases with decisive
-margins, so sampled verdicts are stable across budgets.  Everything is a
-pure function of the seed.
+margins, so sampled verdicts are stable across budgets.  Every statement id
+has one premise-passing case builder, which returns its verifier's keyword
+arguments (all but cfg); `theorem_case` pairs it with the verifier from
+`theorems.STATEMENTS`.  Everything is a pure function of the seed.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -13,7 +17,7 @@ from .algebra import DomainSet, Instance, ProductSet
 from .exprlang import Bifunction, Binary, EndoMap, Expr, ScalarFn, Var, parse, point_vars
 from .manifold import Point, euclidean, sphere
 from .rng import Stream
-from .theorems import TheoremId, diffeo_from_endomaps, stereographic_diffeo
+from .theorems import STATEMENTS, TheoremId, diffeo_from_endomaps, stereographic_diffeo
 
 _F_INTERVAL = 0
 _F_EPIGRAPH = 1
@@ -115,25 +119,25 @@ def epigraph_instance(seed: int) -> Instance:
     return Instance(m, h, E, phi, dom, label=f"epigraph[{'holds' if convex else 'violated'}] seed={seed}")
 
 
-def closure_family(kind: str, seed: int):
-    """(instances, weights) with passing premises for each closure kind."""
+def closure_case(tid: TheoremId, seed: int) -> dict:
+    """verify_closure's arguments with passing premises for a closure id."""
     s = Stream(seed, _F_CLOSURE)
     R = s.uniform(1.0, 2.0)
     dom = DomainSet(euclidean(1), ((-R, R),))
     E = _affine_contraction(s)
-    if kind == "SupFamily":
+    if tid is TheoremId.SUP_FAMILY:
         phi = Bifunction.from_source("a")
         count = 2 + s.randint(2)
         insts = [
             Instance(dom.manifold, _convex_quad(s, floor=s.uniform(0.0, 0.5)), E, phi, dom)
             for _ in range(count)
         ]
-        return insts, None
+        return {"tid": tid, "insts": insts, "weights": None}
     phi = Bifunction.from_source("a - b")
-    if kind == "Scaling":
+    if tid is TheoremId.SCALING_41A:
         insts = [Instance(dom.manifold, _convex_quad(s), E, phi, dom)]
         weights = [s.uniform(0.0, 3.0)]
-    elif kind == "Sum":
+    elif tid is TheoremId.SUM_41B:
         insts = [
             Instance(dom.manifold, _convex_quad(s), E, phi, dom),
             Instance(
@@ -149,11 +153,12 @@ def closure_family(kind: str, seed: int):
         count = 2 + s.randint(2)
         insts = [Instance(dom.manifold, _convex_quad(s), E, phi, dom) for _ in range(count)]
         weights = [s.uniform(0.0, 2.0) for _ in range(count)]
-    return insts, weights
+    return {"tid": tid, "insts": insts, "weights": weights}
 
 
-def composition_case(seed: int):
-    """(inner instance, outer 1-D function) with passing premises."""
+def composition_case(seed: int) -> dict:
+    """verify_composition's arguments (the inner instance and the outer 1-D
+    function h2) with passing premises."""
     s = Stream(seed, _F_CLOSURE + 16)
     R = s.uniform(1.0, 2.0)
     dom = DomainSet(euclidean(1), ((-R, R),))
@@ -161,20 +166,19 @@ def composition_case(seed: int):
     phi = Bifunction.from_source("a - b")
     h1 = _convex_quad(s)
     inner = Instance(dom.manifold, h1, E, phi, dom)
-    outer = ScalarFn.from_source(f"exp({s.uniform(0.2, 0.8)!r}*x1)", 1)
-    return inner, outer
+    return {"inst": inner, "h2": ScalarFn.from_source(f"exp({s.uniform(0.2, 0.8)!r}*x1)", 1)}
 
 
-def smooth_increasing_instance(seed: int):
+def smooth_increasing_instance(seed: int) -> Instance:
     """Smooth convex h with nonnegative slope over the E-image, increasing
-    affine E; returns (instance, (lo, hi) of the image interval)."""
+    affine E."""
     s = Stream(seed, _F_SMOOTH)
     R = s.uniform(1.0, 2.0)
     dom = DomainSet(euclidean(1), ((-R, R),))
     a = s.uniform(0.3, 1.0)
     b = s.uniform(-0.3, 0.3)
     E = EndoMap.from_source(f"{a!r}*x1 + {b!r}", 1)
-    e_lo, e_hi = sorted((a * -R + b, a * R + b))
+    e_lo = min(a * -R + b, a * R + b)
     if s.uniform() < 0.5:
         c = s.uniform(0.4, 1.0)
         h = ScalarFn.from_source(f"exp({c!r}*x1)", 1)
@@ -182,8 +186,21 @@ def smooth_increasing_instance(seed: int):
         shift = e_lo - s.uniform(0.1, 1.0)
         h = ScalarFn.from_source(f"(x1 - {shift!r})^2", 1)
     phi = Bifunction.from_source("a - b")
-    inst = Instance(dom.manifold, h, E, phi, dom, label=f"smooth seed={seed}")
-    return inst, (e_lo, e_hi)
+    return Instance(dom.manifold, h, E, phi, dom, label=f"smooth seed={seed}")
+
+
+def _mean_value_case(seed: int) -> dict:
+    inst = smooth_increasing_instance(seed)
+    lo, hi = inst.domain.box[0]
+    return {"inst": inst, "u1": hi * 0.8, "u2": lo * 0.8}
+
+
+def _three_point_case(seed: int) -> dict:
+    inst = smooth_increasing_instance(seed)
+    lo, hi = inst.domain.box[0]
+    # E is increasing by construction, so sorted mu gives sorted images
+    mu1, mu2, mu3 = sorted(lo + (hi - lo) * f for f in (0.15, 0.5, 0.85))
+    return {"inst": inst, "mu1": mu1, "mu2": mu2, "mu3": mu3}
 
 
 def quad_epigraph_set(h: ScalarFn, dom: DomainSet) -> ProductSet:
@@ -196,8 +213,8 @@ def quad_epigraph_set(h: ScalarFn, dom: DomainSet) -> ProductSet:
     return ProductSet(dom, graph, (lo, hi + max(1.0, hi - lo) + QUAD_EPIGRAPH_PAD))
 
 
-def intersection_case(seed: int):
-    """(manifold, E, phi, product sets) for the intersection statement."""
+def intersection_case(seed: int) -> dict:
+    """verify_intersection's arguments: manifold, E, phi and product sets."""
     s = Stream(seed, _F_CLOSURE + 32)
     R = s.uniform(1.0, 1.5)
     dom = DomainSet(euclidean(1), ((-R, R),))
@@ -205,7 +222,7 @@ def intersection_case(seed: int):
     phi = Bifunction.from_source("a - b")
     count = 2 + s.randint(2)
     sets = [quad_epigraph_set(_convex_quad(s), dom) for _ in range(count)]
-    return dom.manifold, E, phi, sets
+    return {"m": dom.manifold, "E": E, "phi": phi, "sets": sets}
 
 
 def strict_instance(seed: int) -> Instance:
@@ -221,7 +238,7 @@ def strict_instance(seed: int) -> Instance:
     )
 
 
-def local_min_case(seed: int):
+def local_min_case(seed: int) -> dict:
     s = Stream(seed, _F_SMOOTH + 16)
     R = s.uniform(1.0, 2.0)
     dom = DomainSet(euclidean(1), ((-R, R),))
@@ -230,11 +247,11 @@ def local_min_case(seed: int):
     inst = Instance(
         dom.manifold, h, EndoMap.identity(1), Bifunction.from_source("a - b"), dom
     )
-    return inst, Point((mstar,))
+    return {"inst": inst, "mu_star": Point((mstar,))}
 
 
-def continuity_case(seed: int):
-    """(instance, K, eps) with the bound premise satisfied by construction."""
+def continuity_case(seed: int) -> dict:
+    """(inst, K, eps) with the bound premise satisfied by construction."""
     s = Stream(seed, _F_SMOOTH + 24)
     inst = interval_holds_instance(seed)
     # cheap sampled bound for phi over the value range
@@ -245,7 +262,7 @@ def continuity_case(seed: int):
     sup_phi = float(np.max(inst.phi.eval_batch(A.ravel(), B.ravel())))
     K = sup_phi * 1.05 + 0.5
     eps = s.uniform(0.1, 0.3) * inst.domain.scale() / 2.0
-    return inst, K, eps
+    return {"inst": inst, "K": K, "eps": eps}
 
 
 def interval_holds_instance(seed: int) -> Instance:
@@ -271,100 +288,62 @@ def sphere_cap_instance(seed: int) -> Instance:
                     label=f"cap seed={seed}")
 
 
-def diffeo_case(seed: int):
-    """(instance, diffeo); every fourth case transports the spherical cap
+def diffeo_case(seed: int) -> dict:
+    """(inst, diffeo); every fourth case transports the spherical cap
     through the stereographic chart."""
     s = Stream(seed, _F_THEOREM)
     if seed % 4 == 3:
-        return sphere_cap_instance(seed), stereographic_diffeo()
+        return {"inst": sphere_cap_instance(seed), "diffeo": stereographic_diffeo()}
     inst = interval_holds_instance(seed)
     p = s.uniform(0.5, 2.0) * (1.0 if s.uniform() < 0.5 else -1.0)
     q = s.uniform(-1.0, 1.0)
     H = EndoMap.from_source(f"{p!r}*x1 + {q!r}", 1)
     Hinv = EndoMap.from_source(f"(x1 - {q!r})/{p!r}", 1)
-    return inst, diffeo_from_endomaps(inst.manifold, H, Hinv, "affine")
+    return {"inst": inst, "diffeo": diffeo_from_endomaps(inst.manifold, H, Hinv, "affine")}
 
 
-def phi_limit_case(seed: int, mode: str):
+def phi_limit_case(tid: TheoremId, seed: int) -> dict:
     inst = interval_holds_instance(seed)
-    if mode == "Pointwise":
+    if tid is TheoremId.PHI_LIMIT:
         phis = [Bifunction.from_source(f"a - b + {1.0 / i!r}") for i in range(1, 9)]
     else:
         parts = ["a - b + 0.5"] + [f"{-(2.0 ** -l)!r}" for l in range(2, 9)]
         phis = [Bifunction.from_source(p) for p in parts]
-    return inst, phis
+    return {"tid": tid, "inst": inst, "phis": phis}
 
 
-def sup_epigraph_case(seed: int):
+def sup_epigraph_case(seed: int) -> dict:
     s = Stream(seed, _F_THEOREM + 8)
     dom = DomainSet(euclidean(1), ((-1.0, 1.0),))
     alpha = s.uniform(0.0, 0.3)
     beta = s.uniform(0.0, 0.3)
     phi = Bifunction.from_source(f"{1.0 + alpha!r}*a + {beta!r}*b")
     E = EndoMap.identity(1)
-    insts = [
+    return {"insts": [
         Instance(dom.manifold, _convex_quad(s, floor=s.uniform(0.0, 0.5)), E, phi, dom)
         for _ in range(2 + s.randint(2))
-    ]
-    return insts
+    ]}
+
+
+_CASES = {
+    TheoremId.MEAN_VALUE_31: _mean_value_case,
+    TheoremId.THREE_POINT_32: _three_point_case,
+    **{tid: partial(closure_case, tid) for tid in (
+        TheoremId.SCALING_41A, TheoremId.SUM_41B, TheoremId.WEIGHTED_SUM, TheoremId.SUP_FAMILY)},
+    TheoremId.COMPOSITION: composition_case,
+    TheoremId.DIFFEO_INVARIANCE: diffeo_case,
+    TheoremId.CONTINUITY_BOUND: continuity_case,
+    TheoremId.CHART_CONTINUITY: continuity_case,
+    TheoremId.LOCAL_MIN: local_min_case,
+    TheoremId.PHI_LIMIT: partial(phi_limit_case, TheoremId.PHI_LIMIT),
+    TheoremId.PHI_SERIES_LIMIT: partial(phi_limit_case, TheoremId.PHI_SERIES_LIMIT),
+    TheoremId.STRICT_DIFFERENTIAL: lambda seed: {"inst": strict_instance(seed)},
+    TheoremId.EPIGRAPH_EQUIV: lambda seed: {"inst": epigraph_instance(seed)},
+    TheoremId.INTERSECTION_52: intersection_case,
+    TheoremId.SUP_EPIGRAPH_COR: sup_epigraph_case,
+}
 
 
 def theorem_case(tid: TheoremId, seed: int, cfg):
-    """Callable + kwargs for one premise-passing seeded case of the id."""
-    from . import theorems as th
-
-    if tid is TheoremId.MEAN_VALUE_31:
-        inst, (lo, hi) = smooth_increasing_instance(seed)
-        box = inst.domain.box[0]
-        return th.verify_mean_value, {
-            "inst": inst, "u1": box[1] * 0.8, "u2": box[0] * 0.8, "cfg": cfg,
-        }
-    if tid is TheoremId.THREE_POINT_32:
-        inst, _ = smooth_increasing_instance(seed)
-        lo, hi = inst.domain.box[0]
-        span = hi - lo
-        # E is increasing by construction, so sorted mu gives sorted images
-        mus = sorted(lo + span * f for f in (0.15, 0.5, 0.85))
-        return th.verify_three_point, {
-            "inst": inst, "mu1": mus[0], "mu2": mus[1], "mu3": mus[2], "cfg": cfg,
-        }
-    if tid in th.CLOSURE_KINDS:
-        kind = th.CLOSURE_KINDS[tid]
-        insts, weights = closure_family(kind, seed)
-        return th.verify_closure, {
-            "kind": kind, "insts": insts, "weights": weights, "cfg": cfg,
-        }
-    if tid is TheoremId.COMPOSITION:
-        inner, outer = composition_case(seed)
-        return th.verify_composition, {"h1_inst": inner, "h2": outer, "cfg": cfg}
-    if tid is TheoremId.DIFFEO_INVARIANCE:
-        inst, diffeo = diffeo_case(seed)
-        return th.verify_diffeo_invariance, {"inst": inst, "diffeo": diffeo, "cfg": cfg}
-    if tid is TheoremId.CONTINUITY_BOUND:
-        inst, K, eps = continuity_case(seed)
-        return th.verify_continuity_bound, {"inst": inst, "K": K, "eps": eps, "cfg": cfg}
-    if tid is TheoremId.CHART_CONTINUITY:
-        inst, K, eps = continuity_case(seed)
-        return th.verify_chart_continuity, {"inst": inst, "K": K, "eps": eps, "cfg": cfg}
-    if tid is TheoremId.LOCAL_MIN:
-        inst, mu_star = local_min_case(seed)
-        return th.verify_local_min, {"inst": inst, "mu_star": mu_star, "cfg": cfg}
-    if tid is TheoremId.PHI_LIMIT:
-        inst, phis = phi_limit_case(seed, "Pointwise")
-        return th.verify_phi_limit, {"inst_base": inst, "phis": phis,
-                                     "mode": "Pointwise", "cfg": cfg}
-    if tid is TheoremId.PHI_SERIES_LIMIT:
-        inst, phis = phi_limit_case(seed, "PartialSums")
-        return th.verify_phi_limit, {"inst_base": inst, "phis": phis,
-                                     "mode": "PartialSums", "cfg": cfg}
-    if tid is TheoremId.STRICT_DIFFERENTIAL:
-        return th.verify_strict_differential, {"inst": strict_instance(seed), "cfg": cfg}
-    if tid is TheoremId.EPIGRAPH_EQUIV:
-        return th.verify_epigraph_equiv, {"inst": epigraph_instance(seed), "cfg": cfg}
-    if tid is TheoremId.INTERSECTION_52:
-        m, E, phi, sets = intersection_case(seed)
-        return th.verify_intersection, {"m": m, "E": E, "phi": phi,
-                                        "sets": sets, "cfg": cfg}
-    if tid is TheoremId.SUP_EPIGRAPH_COR:
-        return th.verify_sup_epigraph, {"insts": sup_epigraph_case(seed), "cfg": cfg}
-    raise ValueError(f"no case builder for {tid}")
+    """(verifier, keyword arguments) of one premise-passing seeded case of the id."""
+    return STATEMENTS[tid], {**_CASES[tid](seed), "cfg": cfg}

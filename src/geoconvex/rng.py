@@ -94,6 +94,3 @@ class Stream:
 
     def randint(self, n: int) -> int:
         return self.next_u64() % n
-
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]

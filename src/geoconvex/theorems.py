@@ -1,7 +1,9 @@
 """Statement-level verifiers: premises checked first, then the conclusion,
 reporting PremiseFailed / HoldsOnSamples / Violated per statement.
 
-Each verifier records its premises, in order, on one collector
+`STATEMENTS` maps every statement id to its verifier; the closure ids
+share `verify_closure` and the two limit ids `verify_phi_limit`, which take
+the id first.  Each verifier records its premises, in order, on one collector
 (`_Premises`), running them through the checker/algebra predicates.  A
 premise that the rest of the verifier depends on ends it at once with
 PremiseFailed and no conclusion; the conclusion is evaluated only when
@@ -421,66 +423,60 @@ def verify_three_point(inst: Instance, mu1: float, mu2: float, mu3: float,
 # ---------------------------------------------------------------------------
 # closure under scaling, sums, weighted sums, suprema
 
-CLOSURE_KINDS = {
-    TheoremId.SCALING_41A: "Scaling",
-    TheoremId.SUM_41B: "Sum",
-    TheoremId.WEIGHTED_SUM: "WeightedSum",
-    TheoremId.SUP_FAMILY: "SupFamily",
-}
-
-
 @_verifier
-def verify_closure(kind: str, insts: Sequence[Instance],
+def verify_closure(tid: TheoremId, insts: Sequence[Instance],
                    weights: Sequence[float] | None, cfg: CheckConfig) -> TheoremReport:
-    ps = _Premises(next(t for t, k in CLOSURE_KINDS.items() if k == kind), cfg)
+    ps = _Premises(tid, cfg)
     insts = list(insts)
     first = insts[0]
     _family_premise(ps, insts)
     # the family and its combination share manifold, E and domain, hence
     # one set premise and one sampled pass
-    combined = _built(lambda: first.with_h(_closure_combination(kind, insts, weights),
-                                           f"{kind} combination"))
+    combined = _built(lambda: first.with_h(_closure_combination(tid, insts, weights),
+                                           f"{tid.value} combination"))
     _, checks = _fn_checks(insts + _if_built(combined), cfg)
     for k in range(len(insts)):
         ps.check(f"member {k} convexity", checks[k]())
-    if kind in ("Scaling", "Sum", "WeightedSum"):
+    if tid is not TheoremId.SUP_FAMILY:
         budget = min(cfg.samples, 20_000)
         ps.check("phi nonnegatively homogeneous",
                  check_nonneg_homogeneous(first.phi, budget, cfg.seed, cfg))
         ps.check("phi additive", check_additive(first.phi, budget, cfg.seed, cfg))
-        if kind in ("Scaling", "WeightedSum"):
+        if tid in (TheoremId.SCALING_41A, TheoremId.WEIGHTED_SUM):
             w = list(weights or [])
             # a WeightedSum takes one weight per member
-            counted = kind == "Scaling" or len(w) == len(insts)
+            counted = tid is TheoremId.SCALING_41A or len(w) == len(insts)
             ps.flag("weights nonnegative", counted and len(w) > 0 and all(x >= 0 for x in w),
                     f"weights {w!r}", "" if counted else f"{len(w)} weights for {len(insts)} members")
     else:
-        # sequences are the h-value streams of the family at sampled points
+        # sequences are the h-value streams of the family at sampled points,
+        # kept where every member is finite
         n_pairs = 32
         bases = rng.base_array(cfg.seed, np.arange(n_pairs, dtype=np.uint64))
         Ua, founda = sample_members(first.domain, bases, REGION_AUX1)
         Ub, foundb = sample_members(first.domain, bases, REGION_AUX2)
         Wa, oka = _clean_images(first.manifold, first.E.eval_batch(Ua))
         Wb, okb = _clean_images(first.manifold, first.E.eval_batch(Ub))
-        sequences = [tuple([sub.h(tuple(W[p])) for sub in insts] for W in (Wa, Wb))
-                     for p in np.flatnonzero(founda & oka & foundb & okb)]
+        Ha, Hb = (np.array([sub.h.eval_batch(W) for sub in insts]) for W in (Wa, Wb))
+        keep = founda & oka & foundb & okb & np.all(np.isfinite(Ha) & np.isfinite(Hb), axis=0)
+        sequences = [(Ha[:, p], Hb[:, p]) for p in np.flatnonzero(keep)]
         ps.require("value streams sampleable", bool(sequences))
         ident = EndoMap.identity(1)
         ps.check("phi sequentially upper bounded on harvested value streams",
                  check_seq_upper_bounded(first.phi, ident, sequences, cfg.seed, cfg))
     ps.gate()
-    return ps.report(_built_check(combined, checks))
+    return ps.report(_built_check(combined, checks[-1]))
 
 
-def _closure_combination(kind: str, insts: Sequence[Instance], weights) -> ScalarFn:
-    if kind == "Scaling":
+def _closure_combination(tid: TheoremId, insts: Sequence[Instance], weights) -> ScalarFn:
+    if tid is TheoremId.SCALING_41A:
         return scale_fn(weights[0], insts[0].h)
-    if kind == "Sum":
+    if tid is TheoremId.SUM_41B:
         combined = insts[0].h
         for sub in insts[1:]:
             combined = add_fns(combined, sub.h)
         return combined
-    if kind == "WeightedSum":
+    if tid is TheoremId.WEIGHTED_SUM:
         return weighted_sum_fns([i.h for i in insts], list(weights))
     return max_fns([i.h for i in insts])
 
@@ -500,25 +496,25 @@ def _if_built(inst) -> list:
     return [] if isinstance(inst, Exception) else [inst]
 
 
-def _built_check(inst, checks) -> Report:
-    """The function report of a conclusion built by `_built`, the last of
-    `checks` when it was built."""
-    if isinstance(inst, Exception):
-        raise inst
-    return checks[-1]()
+def _built_check(built, check) -> Report:
+    """`check()`, the report on a conclusion built by `_built`, when it was
+    built."""
+    if isinstance(built, Exception):
+        raise built
+    return check()
 
 
 # ---------------------------------------------------------------------------
 # composition
 
 @_verifier
-def verify_composition(h1_inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> TheoremReport:
+def verify_composition(inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> TheoremReport:
     ps = _Premises(TheoremId.COMPOSITION, cfg)
-    composed = _built(lambda: h1_inst.with_h(compose_scalar(h2, h1_inst.h), "composition"))
-    diff_inst = h1_inst.with_phi(Bifunction.difference())
+    composed = _built(lambda: inst.with_h(compose_scalar(h2, inst.h), "composition"))
+    diff_inst = inst.with_phi(Bifunction.difference())
     _, checks = _fn_checks([diff_inst] + _if_built(composed), cfg)
     ps.check("inner function geodesic E-convex (difference gap)", checks[0]())
-    _, _, H = _sampled_image_values(h1_inst, cfg, 512, REGION_AUX1)
+    _, _, H = _sampled_image_values(inst, cfg, 512, REGION_AUX1)
     ps.require("inner range sampleable", H.size >= 2)
     rmin, rmax = float(np.min(H)), float(np.max(H))
     if rmax - rmin < 1e-9:
@@ -531,11 +527,11 @@ def verify_composition(h1_inst: Instance, h2: ScalarFn, cfg: CheckConfig) -> The
     ps.flag("outer function non-decreasing on the sampled range", mono,
             f"range [{rmin!r}, {rmax!r}]")
     outer_dom = DomainSet(Manifold(ManifoldKind.EUCLIDEAN, 1), ((rmin, rmax),))
-    outer_inst = Instance(outer_dom.manifold, h2, EndoMap.identity(1), h1_inst.phi, outer_dom)
+    outer_inst = Instance(outer_dom.manifold, h2, EndoMap.identity(1), inst.phi, outer_dom)
     ps.check("outer function combination-convex on the sampled range",
              check_phiE_convex_interval(outer_inst, cfg))
     ps.gate()
-    return ps.report(_built_check(composed, checks))
+    return ps.report(_built_check(composed, checks[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -840,33 +836,29 @@ def verify_local_min(inst: Instance, mu_star: Point, cfg: CheckConfig) -> Theore
 # limits of gap-function sequences
 
 @_verifier
-def verify_phi_limit(inst_base: Instance, phis: Sequence[Bifunction], mode: str,
+def verify_phi_limit(tid: TheoremId, inst: Instance, phis: Sequence[Bifunction],
                      cfg: CheckConfig) -> TheoremReport:
-    """Convexity under each member of a gap-function sequence (Pointwise)
-    or under each partial sum (PartialSums), then under the declared limit
-    carried by inst_base.phi.  Convergence on sampled value pairs is
-    reported as evidence, not folded into the verdict."""
-    ps = _Premises(TheoremId.PHI_LIMIT if mode == "Pointwise" else TheoremId.PHI_SERIES_LIMIT,
-                   cfg)
+    """Convexity under each member of a gap-function sequence (PhiLimit) or
+    under each partial sum (PhiSeriesLimit), then under the declared limit
+    carried by inst.phi.  Convergence on sampled value pairs is reported as
+    evidence, not folded into the verdict."""
+    ps = _Premises(tid, cfg)
     phis = list(phis)
     ps.require("nonempty gap sequence", bool(phis))
-    if mode == "PartialSums":
-        members = []
-        for i in range(len(phis)):
-            members.append(add_bifunctions(phis[: i + 1]))
-    else:
-        members = phis
-    # every member changes phi only and the conclusion is inst_base, so all
+    members = phis
+    if tid is TheoremId.PHI_SERIES_LIMIT:
+        members = [add_bifunctions(phis[: i + 1]) for i in range(len(phis))]
+    # every member changes phi only and the conclusion is inst, so all
     # checks share one set premise and one sampled pass
-    _, checks = _fn_checks([inst_base.with_phi(phi_i) for phi_i in members] + [inst_base], cfg)
+    _, checks = _fn_checks([inst.with_phi(phi_i) for phi_i in members] + [inst], cfg)
     for i in range(len(members)):
         ps.check(f"convexity under member {i}", checks[i]())
-    _, _, H = _sampled_image_values(inst_base, cfg, 256, REGION_AUX1)
+    _, _, H = _sampled_image_values(inst, cfg, 256, REGION_AUX1)
     devs = []
     if H.size >= 2:
         A, B = np.meshgrid(H[:32], H[:32])
         a, b = A.ravel(), B.ravel()
-        target = inst_base.phi.eval_batch(a, b)
+        target = inst.phi.eval_batch(a, b)
         for phi_i in members:
             with np.errstate(all="ignore"):
                 d = np.abs(phi_i.eval_batch(a, b) - target)
@@ -1022,13 +1014,13 @@ def verify_epigraph_equiv(inst: Instance, cfg: CheckConfig) -> TheoremReport:
     _phi_combination_monotone_premise(ps, inst.phi, H, cfg)
     set_report, (fn_check,) = _fn_checks([inst], cfg)
     ps.check("domain geodesic E-convex", set_report)
+    epi = _built(lambda: epigraph_product_set(inst, cfg))
+    ps.require("epigraph values sampleable", not isinstance(epi, EvalDomainError))
     ps.gate()
 
     fn_report = fn_check()
-    epi = epigraph_product_set(inst, cfg)
-    set_report = check_geodesic_phiE_convex_set(
-        inst.manifold, inst.E, inst.phi, epi, cfg
-    )
+    set_report = _built_check(epi, lambda: check_geodesic_phiE_convex_set(
+        inst.manifold, inst.E, inst.phi, epi, cfg))
     notes = (
         f"function check: {fn_report.verdict.value}",
         f"epigraph set check: {set_report.verdict.value}",
@@ -1119,3 +1111,25 @@ def verify_sup_epigraph(insts: Sequence[Instance], cfg: CheckConfig) -> TheoremR
     ps.gate()
     combined = max_fns([i.h for i in insts])
     return ps.report(check_geodesic_phiE_convex_fn(first.with_h(combined, "sup family"), cfg))
+
+
+# every statement id and its verifier; a verifier of several ids takes the id first
+STATEMENTS = {
+    TheoremId.MEAN_VALUE_31: verify_mean_value,
+    TheoremId.THREE_POINT_32: verify_three_point,
+    TheoremId.SCALING_41A: verify_closure,
+    TheoremId.SUM_41B: verify_closure,
+    TheoremId.COMPOSITION: verify_composition,
+    TheoremId.WEIGHTED_SUM: verify_closure,
+    TheoremId.DIFFEO_INVARIANCE: verify_diffeo_invariance,
+    TheoremId.CONTINUITY_BOUND: verify_continuity_bound,
+    TheoremId.SUP_FAMILY: verify_closure,
+    TheoremId.LOCAL_MIN: verify_local_min,
+    TheoremId.CHART_CONTINUITY: verify_chart_continuity,
+    TheoremId.PHI_LIMIT: verify_phi_limit,
+    TheoremId.PHI_SERIES_LIMIT: verify_phi_limit,
+    TheoremId.STRICT_DIFFERENTIAL: verify_strict_differential,
+    TheoremId.EPIGRAPH_EQUIV: verify_epigraph_equiv,
+    TheoremId.INTERSECTION_52: verify_intersection,
+    TheoremId.SUP_EPIGRAPH_COR: verify_sup_epigraph,
+}

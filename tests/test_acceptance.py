@@ -32,12 +32,10 @@ from geoconvex import rng
 from geoconvex.checker import GOLDEN_PROBES
 from geoconvex.cli import main as cli_main
 from geoconvex.instances import (
-    closure_family,
-    composition_case,
     epigraph_instance,
     interval_instance,
-    intersection_case,
     smooth_increasing_instance,
+    theorem_case,
 )
 from geoconvex.manifold import (
     GeodesicSpec,
@@ -46,10 +44,9 @@ from geoconvex.manifold import (
     geodesic,
 )
 from geoconvex.theorems import (
+    TheoremId,
     verify_closure,
-    verify_composition,
     verify_epigraph_equiv,
-    verify_intersection,
     verify_mean_value,
     verify_strict_differential,
     verify_three_point,
@@ -138,22 +135,13 @@ def test_criterion_4_epigraph_characterization():
 def test_criterion_5_closure_suite():
     cfg = CheckConfig(seed=5, samples=300, t_grid=9, refine_steps=16)
     failures = []
-    for kind in ("Scaling", "Sum", "WeightedSum"):
+    for tid in (TheoremId.SCALING_41A, TheoremId.SUM_41B, TheoremId.WEIGHTED_SUM,
+                TheoremId.COMPOSITION, TheoremId.INTERSECTION_52):
         for seed in range(100):
-            insts, weights = closure_family(kind, seed)
-            rep = verify_closure(kind, insts, weights, cfg)
+            verifier, kwargs = theorem_case(tid, seed, cfg)
+            rep = verifier(**kwargs)
             if not rep.holds:
-                failures.append((kind, seed, rep.verdict.value))
-    for seed in range(100):
-        inner, outer = composition_case(seed)
-        rep = verify_composition(inner, outer, cfg)
-        if not rep.holds:
-            failures.append(("Composition", seed, rep.verdict.value))
-    for seed in range(100):
-        m, E, phi, sets = intersection_case(seed)
-        rep = verify_intersection(m, E, phi, sets, cfg)
-        if not rep.holds:
-            failures.append(("Intersection", seed, rep.verdict.value))
+                failures.append((tid.value, seed, rep.verdict.value))
     _report(5, not failures, f"(500 premise-passing cases, failures: {failures[:3]})")
 
 
@@ -242,7 +230,7 @@ def test_criterion_7_three_point_undivided():
     failures = []
     divided_failures = 0
     for seed in range(100):
-        inst, (lo, hi) = smooth_increasing_instance(seed)
+        inst = smooth_increasing_instance(seed)
         blo, bhi = inst.domain.box[0]
         span = bhi - blo
         mus = [blo + span * f for f in (0.15, 0.5, 0.85)]
@@ -267,7 +255,7 @@ def test_criterion_8_mean_value_witnesses():
     assert budget <= 10_000  # structural evaluation budget per instance
     failures = []
     for seed in range(20):
-        inst, (lo, hi) = smooth_increasing_instance(seed)
+        inst = smooth_increasing_instance(seed)
         blo, bhi = inst.domain.box[0]
         rep = verify_mean_value(inst, bhi * 0.8, blo * 0.8, cfg, grid=grid)
         if not rep.holds:
@@ -324,7 +312,7 @@ def test_criterion_10_negative_controls():
         Instance(E1, ScalarFn.from_source("1 - x1", 1), EndoMap.identity(1), phi,
                  DomainSet(E1, ((-2.0, 2.0),))),
     ]
-    sup = verify_closure("SupFamily", crossing, None, cfg)
+    sup = verify_closure(TheoremId.SUP_FAMILY, crossing, None, cfg)
     sup_ok = sup.verdict is Verdict.PREMISE_FAILED
 
     _report(

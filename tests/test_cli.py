@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import geoconvex.cli
 from geoconvex.cli import list_builtins, main
+from geoconvex.theorems import STATEMENTS, TheoremId
 
 HOLDS_JOB = {
     "manifold": {"kind": "Euclidean", "dim": 1},
@@ -265,6 +265,21 @@ def test_verify_on_a_domain_with_no_member_exit_two(tmp_path, capsys, theorem):
     assert report["verdict"] == "PremiseFailed" and report["conclusion"] is None
 
 
+# a member h with no finite value at some of the points a verifier harvests
+@pytest.mark.parametrize("job", [
+    {"h": "log(x1 - 0.99)", "phi": "a - b", "theorem": {"id": "EpigraphEquiv"},
+     "cfg": {"seed": 10, "samples": 100}},
+    {"h": "x1^2", "phi": "a", "theorem": {"id": "SupFamily", "h_list": ["x1^2", "log(x1)"]}},
+], ids=lambda job: job["theorem"]["id"])
+def test_verify_where_h_is_not_finite_exit_two(tmp_path, capsys, job):
+    job = dict(job, manifold={"kind": "Euclidean", "dim": 1}, domain={"box": [[-1, 1]]})
+    code = main(["verify", "--config", _write(tmp_path, "job.json", job)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    report = json.loads(out)["reports"][0]
+    assert report["verdict"] == "PremiseFailed" and report["conclusion"] is None
+
+
 def test_catalog_listing(capsys):
     code = main([])
     out = capsys.readouterr().out
@@ -453,7 +468,7 @@ def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("verifier bug")
 
-    monkeypatch.setattr(geoconvex.cli, "verify_epigraph_equiv", broken)
+    monkeypatch.setitem(STATEMENTS, TheoremId.EPIGRAPH_EQUIV, broken)
     code = main(["verify", "--config", _write(tmp_path, "job.json", _theorem(id="EpigraphEquiv"))])
     out, err = capsys.readouterr()
     assert code == 4

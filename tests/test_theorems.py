@@ -16,7 +16,7 @@ from geoconvex import (
 from geoconvex.checker import _ConvexityScan, _finish_scan, check_geodesic_phiE_convex_fn
 from geoconvex.exprlang import differentiate_numeric, parse, point_vars
 from geoconvex.instances import (
-    closure_family,
+    closure_case,
     intersection_case,
     quad_epigraph_set,
     sphere_cap_instance,
@@ -101,27 +101,27 @@ def test_closure_sum_square_plus_exp():
         Instance(E1, ScalarFn.from_source("x1^2", 1), E, phi, dom),
         Instance(E1, ScalarFn.from_source("exp(x1)", 1), E, phi, dom),
     ]
-    rep = verify_closure("Sum", insts, None, CFG)
+    rep = verify_closure(TheoremId.SUM_41B, insts, None, CFG)
     assert rep.holds
 
 
 def test_closure_scaling_seeded():
-    insts, weights = closure_family("Scaling", 3)
-    rep = verify_closure("Scaling", insts, weights, CFG)
+    rep = verify_closure(**closure_case(TheoremId.SCALING_41A, 3), cfg=CFG)
     assert rep.holds
 
 
 def test_closure_negative_weight_fails():
-    insts, _ = closure_family("Scaling", 3)
-    rep = verify_closure("Scaling", insts, [-1.0], CFG)
+    insts = closure_case(TheoremId.SCALING_41A, 3)["insts"]
+    rep = verify_closure(TheoremId.SCALING_41A, insts, [-1.0], CFG)
     assert rep.verdict is Verdict.PREMISE_FAILED
 
 
 @pytest.mark.parametrize("change", ["short", "long"])
 def test_weighted_sum_needs_one_weight_per_member(change):
-    insts, weights = closure_family("WeightedSum", 3)
+    case = closure_case(TheoremId.WEIGHTED_SUM, 3)
+    insts, weights = case["insts"], case["weights"]
     w = weights[:-1] if change == "short" else weights + [1.0]
-    rep = verify_closure("WeightedSum", insts, w, CFG)
+    rep = verify_closure(TheoremId.WEIGHTED_SUM, insts, w, CFG)
     assert rep.verdict is Verdict.PREMISE_FAILED and rep.conclusion_report is None
     (premise,) = [p for p in rep.premise_reports if "premise: weights nonnegative" in p.notes]
     assert not premise.holds
@@ -132,9 +132,9 @@ def test_closure_conclusion_that_cannot_be_built():
     from geoconvex.errors import ExprDepthError
 
     # no weights: the weights premise fails before the combination is needed
-    insts, _ = closure_family("Scaling", 3)
+    insts = closure_case(TheoremId.SCALING_41A, 3)["insts"]
     for weights in (None, []):
-        rep = verify_closure("Scaling", insts, weights, CFG)
+        rep = verify_closure(TheoremId.SCALING_41A, insts, weights, CFG)
         assert rep.verdict is Verdict.PREMISE_FAILED
         assert rep.conclusion_report is None
     # every member is within the depth limit, their sum is not: it raises
@@ -145,7 +145,7 @@ def test_closure_conclusion_that_cannot_be_built():
     family = [Instance(E1, ScalarFn.from_source(deep, 1), EndoMap.identity(1),
                        Bifunction.from_source("a - b"), dom)] * 2
     with pytest.raises(ExprDepthError):
-        verify_closure("Sum", family, None, CFG)
+        verify_closure(TheoremId.SUM_41B, family, None, CFG)
 
 
 def test_sup_family_difference_gap_premise_fails():
@@ -156,15 +156,14 @@ def test_sup_family_difference_gap_premise_fails():
         Instance(E1, ScalarFn.from_source("x1", 1), E, phi, dom),
         Instance(E1, ScalarFn.from_source("1 - x1", 1), E, phi, dom),
     ]
-    rep = verify_closure("SupFamily", insts, None, CFG)
+    rep = verify_closure(TheoremId.SUP_FAMILY, insts, None, CFG)
     assert rep.verdict is Verdict.PREMISE_FAILED
     failing = [p for p in rep.premise_reports if not p.holds]
     assert any("sequentially upper bounded" in p.notes[0] for p in failing)
 
 
 def test_sup_family_first_component_gap_holds():
-    insts, _ = closure_family("SupFamily", 1)
-    rep = verify_closure("SupFamily", insts, None, CFG)
+    rep = verify_closure(**closure_case(TheoremId.SUP_FAMILY, 1), cfg=CFG)
     assert rep.holds
 
 
@@ -263,14 +262,14 @@ def test_local_min_sphere_pole():
 def test_phi_limit_decreasing_offsets():
     inst = _inst("x1^2")
     phis = [Bifunction.from_source(f"a - b + {1.0 / i!r}") for i in range(1, 33)]
-    rep = verify_phi_limit(inst, phis, "Pointwise", CFG)
+    rep = verify_phi_limit(TheoremId.PHI_LIMIT, inst, phis, CFG)
     assert rep.holds
     assert rep.conclusion_report.flags["phi_sequence_converged"] is True
 
 
 def test_phi_limit_constant_sequence_matches_base():
     inst = _inst("x1^2")
-    rep = verify_phi_limit(inst, [inst.phi] * 4, "Pointwise", CFG)
+    rep = verify_phi_limit(TheoremId.PHI_LIMIT, inst, [inst.phi] * 4, CFG)
     assert rep.conclusion_report.verdict == check_geodesic_phiE_convex_fn(inst, CFG).verdict
 
 
@@ -278,7 +277,7 @@ def test_phi_limit_oscillation_flags_nonconvergence():
     inst = _inst("x1^2")
     phis = [Bifunction.from_source("a - b + 1"), Bifunction.from_source("a - b")] * 3
     phis.append(Bifunction.from_source("a - b + 1"))
-    rep = verify_phi_limit(inst, phis, "Pointwise", CFG)
+    rep = verify_phi_limit(TheoremId.PHI_LIMIT, inst, phis, CFG)
     assert rep.holds  # verdict unaffected
     assert rep.conclusion_report.flags["phi_sequence_converged"] is False
 
@@ -286,8 +285,8 @@ def test_phi_limit_oscillation_flags_nonconvergence():
 def test_phi_series_limit():
     inst = _inst("x1^2")
     parts = ["a - b + 0.5"] + [f"{-(2.0 ** -l)!r}" for l in range(2, 9)]
-    rep = verify_phi_limit(inst, [Bifunction.from_source(p) for p in parts],
-                           "PartialSums", CFG)
+    rep = verify_phi_limit(TheoremId.PHI_SERIES_LIMIT, inst,
+                           [Bifunction.from_source(p) for p in parts], CFG)
     assert rep.holds
 
 
@@ -332,8 +331,7 @@ def test_epigraph_equiv_affine():
 # intersections ---------------------------------------------------------------
 
 def test_intersection_of_epigraphs():
-    m, E, phi, sets = intersection_case(0)
-    rep = verify_intersection(m, E, phi, sets, CFG)
+    rep = verify_intersection(**intersection_case(0), cfg=CFG)
     assert rep.holds
 
 
@@ -365,7 +363,7 @@ def test_intersection_disjoint_vacuous():
 def test_sup_epigraph_family():
     from geoconvex.instances import sup_epigraph_case
 
-    rep = verify_sup_epigraph(sup_epigraph_case(4), CFG)
+    rep = verify_sup_epigraph(**sup_epigraph_case(4), cfg=CFG)
     assert rep.holds
 
 
@@ -416,12 +414,12 @@ _EARLY_EXITS = {
         lambda: verify_three_point(_inst("x1^2", E="log(x1)"), -1.0, 0.5, 1.0, _EXIT_CFG),
         ["h, E evaluable at the three points"], ()),
     "phi_limit_empty": (
-        lambda: verify_phi_limit(_inst("x1^2"), [], "Pointwise", _EXIT_CFG),
+        lambda: verify_phi_limit(TheoremId.PHI_LIMIT, _inst("x1^2"), [], _EXIT_CFG),
         ["nonempty gap sequence"], ()),
     "phi_limit_failing_member": (
         lambda: verify_phi_limit(
-            _inst("x1^2"), [Bifunction.from_source(s) for s in ("a - b - 1", "a - b")],
-            "Pointwise", _EXIT_CFG),
+            TheoremId.PHI_LIMIT, _inst("x1^2"),
+            [Bifunction.from_source(s) for s in ("a - b - 1", "a - b")], _EXIT_CFG),
         ["convexity under member 0", "convexity under member 1"],
         ("deviation from the limit on sampled value pairs: first 1.0000000000000004, "
          "max 1.0000000000000004, last 0.0", "convergence evidence flag: True")),
@@ -438,7 +436,7 @@ _EARLY_EXITS = {
         ["phi bounded above by K on sampled value pairs", "eps positive", "convexity",
          "pairs exist inside the inset region"], ()),
     "sum_family_differs": (
-        lambda: verify_closure("Sum", _FAMILY, None, _EXIT_CFG),
+        lambda: verify_closure(TheoremId.SUM_41B, _FAMILY, None, _EXIT_CFG),
         ["family shares manifold, E, phi, domain"], ()),
     "sup_epigraph_family_differs": (
         lambda: verify_sup_epigraph(_FAMILY, _EXIT_CFG),
@@ -452,7 +450,7 @@ _EARLY_EXITS = {
         lambda: verify_chart_continuity(_NO_MEMBER, K=10.0, eps=0.1, cfg=_EXIT_CFG),
         ["domain sampleable"], ()),
     "sup_family_no_valid_image": (
-        lambda: verify_closure("SupFamily", _OFF_SPHERE, None, _EXIT_CFG),
+        lambda: verify_closure(TheoremId.SUP_FAMILY, _OFF_SPHERE, None, _EXIT_CFG),
         ["family shares manifold, E, phi, domain", "member 0 convexity", "member 1 convexity",
          "value streams sampleable"], ()),
     "sup_epigraph_member_nowhere_finite": (
