@@ -65,7 +65,8 @@ __all__ = [
     "EpigraphMembership",
 ]
 
-# refinement triggers when the best gap is within this factor of tolerance
+# refinement triggers when the best candidate lane is within this factor of
+# tolerance; a convexity scan's t = 1 lanes are candidates only above threshold
 NEAR_VIOLATION_FACTOR = 10.0
 # golden-section probes per coordinate line search; 0.618^40 of the interval
 # is ~4.5e-9, fine enough to pin witnesses and preimages at tolerance scale
@@ -346,13 +347,18 @@ class _Scan:
             counted.ravel()[p:] = False
         violated = bool(np.any(counted & (viol > thr)))
         viol[~counted] = -np.inf
+        max_viol = float(viol.max())
+        self.hold_back(viol, thr)
         cands = []
         for v, p in _select_candidates(viol, k=8):
             r, j = divmod(p, G)
             c = self.first_t + j
             cands.append((v, (i0 + r, c), rows[r] if T is None else np.append(rows[r], T[0, c])))
         extra = {"unsampled": int(np.sum(~ok)), "counted": int(np.sum(counted)), **extra}
-        return _ChunkScan(i0, err_at, err_note, cands, float(viol.max()), violated, extra)
+        return _ChunkScan(i0, err_at, err_note, cands, max_viol, violated, extra)
+
+    def hold_back(self, viol, thr):
+        """Set to -inf, in place, the bulk lanes that may not start refinement."""
 
     def finish(self, report: Report, extras) -> Report:
         """The scan's report from the one `_finish_scan` built and the
@@ -512,6 +518,11 @@ class _ConvexityScan(_InstanceScan, _CurveScan):
             v = np.where(elig & (t > 0.0) & (t < 1.0), v + STRICT_MARGIN_FACTOR * tau, v)
         return v, tau, ~np.isfinite(lhs)
 
+    def hold_back(self, viol, thr):
+        # the t = 1 lane is h1 - h2 - phi(h1, h2): neither t nor the curve
+        # enters it, so refining it below threshold climbs rounding noise
+        viol[:, -1][~(viol[:, -1] > thr[:, -1])] = -np.inf
+
     def intervals(self):
         iv = super().intervals()
         if self.strict:
@@ -571,8 +582,8 @@ def _emitted_witness(scan, cfg: CheckConfig, zs, origin: int) -> Witness | None:
 def _finish_scan(scan, cfg: CheckConfig, notes=(), force_refine: bool = False,
                  chunks=None) -> Report:
     """The report of `scan` from its chunks (scanned here when None): merge,
-    refinement of the best candidate (of the best 8 when `force_refine`)
-    and scalar re-validation."""
+    refinement of the best candidate lane that `hold_back` left (of the best
+    8 when `force_refine`) and scalar re-validation."""
     if chunks is None:
         (chunks,) = _run_pass([scan], cfg)
     err_at, err_note, cands, max_viol, violated, extras = _merge_chunks(

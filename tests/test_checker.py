@@ -405,6 +405,50 @@ def test_line_refine_pins_a_smooth_maximum():
     assert calls == [1, LINE_PROBES] + [LINE_PROBES] * (3 * LINE_ROUNDS)
 
 
+# the implication suite's budget
+IMPLICATION_CFG = CheckConfig(seed=1234, samples=160, t_grid=9, refine_steps=12)
+
+
+def test_t1_only_violation_is_refined_and_confirmed():
+    from geoconvex import rng
+    from geoconvex.checker import _ConvexityScan
+
+    # the t = 1 lane is h1 - h2 - phi(h1, h2) = 1e-6 on every pair, and the
+    # interior lanes t*1e-6 - t*(1-t)*(e1 - e2)^2 stay below threshold
+    inst = _inst1d("x1^2", "a - b - 1e-6", (-1.0, 1.0))
+    cfg = IMPLICATION_CFG
+    scan = _ConvexityScan(inst, cfg)
+    rows, ok = scan.sample(rng.base_array(cfg.seed, np.arange(cfg.samples, dtype=np.uint64)))
+    viol, thr, err = scan.lanes(rows, np.linspace(0.0, 1.0, cfg.t_grid)[None, :])
+    assert ok.all() and not err.any()
+    assert (viol[:, 1:-1] <= thr[:, 1:-1]).all()
+    assert (viol[:, -1] > thr[:, -1]).all()
+    # without refinement steps the witness is the bulk lane it starts from
+    for c in (cfg, cfg.replace(refine_steps=0)):
+        for rep in (check_phiE_convex_interval(inst, c), check_geodesic_phiE_convex_fn(inst, c)):
+            assert rep.verdict is Verdict.VIOLATED
+            w = rep.witness
+            assert w.t == 1.0
+            gap, rhs = _convexity_gap(inst, w)
+            assert gap == pytest.approx(w.violation, abs=1e-12)
+            assert gap > cfg.threshold(rhs)
+
+
+def test_holding_convexity_check_runs_no_line_search(monkeypatch):
+    from geoconvex import checker
+
+    calls = []
+    line_refine = checker._line_refine
+    monkeypatch.setattr(checker, "_line_refine", lambda *a: calls.append(1) or line_refine(*a))
+    inst = _inst1d("x1^2", "a - b", (-1.0, 1.0))
+    for check in (check_phiE_convex_interval, check_geodesic_phiE_convex_fn):
+        rep = check(inst, IMPLICATION_CFG)
+        assert rep.holds
+        # the t = 1 lanes, 0 up to rounding, still set the maximum
+        assert abs(rep.max_violation) <= 1e-15
+    assert calls == []
+
+
 def _fn_check_two_scans(inst, cfg, strict=False):
     """Reference for the one-pass function check: the set check and the
     convexity scan run as two separate scans."""

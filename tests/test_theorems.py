@@ -67,6 +67,56 @@ def test_mean_value_constant_premise_fails():
     assert rep.verdict is Verdict.PREMISE_FAILED
 
 
+def _bowl(z):
+    """A smooth maximum of 0 at (0.3, -0.7)."""
+    return -((z[0] - 0.3) ** 2) - (z[1] + 0.7) ** 2
+
+
+def test_golden_refine_pins_a_smooth_maximum():
+    from geoconvex.theorems import _golden_refine
+
+    z, v = _golden_refine(_bowl, [0.9, 0.9], [(-1.0, 1.0), (-1.0, 1.0)], steps=4)
+    assert z == pytest.approx([0.3, -0.7], abs=1e-8)
+    assert v == _bowl(z) and v == pytest.approx(0.0, abs=1e-15)
+
+
+def test_golden_refine_skips_an_empty_interval():
+    from geoconvex.checker import GOLDEN_PROBES
+    from geoconvex.theorems import _golden_refine
+
+    seen = []
+
+    def f(z):
+        seen.append(list(z))
+        return _bowl(z)
+
+    z, v = _golden_refine(f, [0.9, 0.9], [(0.5, 0.5), (-1.0, 1.0)], steps=4)
+    assert z[0] == 0.9 and z[1] == pytest.approx(-0.7, abs=1e-8)
+    # the start, then two golden searches over the second coordinate only
+    assert len(seen) == 1 + 2 * (2 + GOLDEN_PROBES)
+    assert all(p[0] == 0.9 for p in seen)
+
+
+def test_golden_refine_never_falls_below_the_start():
+    from geoconvex.theorems import _golden_refine
+
+    # a narrow spike at the start that no golden probe lands on
+    def spike(z):
+        return max(0.0, 1.0 - 1e3 * abs(z[0] - 0.123))
+
+    assert _golden_refine(spike, [0.123], [(-1.0, 1.0)], steps=3) == ([0.123], 1.0)
+    gen = np.random.default_rng(3)
+    for _ in range(20):
+        a, w = gen.normal(size=3), gen.uniform(5.0, 40.0, size=3)
+
+        def wavy(z, a=a, w=w):
+            return float(np.sum(a * np.sin(w * np.asarray(z))))
+
+        z0 = list(gen.uniform(-1.0, 1.0, size=3))
+        z, v = _golden_refine(wavy, z0, [(-1.0, 1.0)] * 3, steps=6)
+        assert v >= wavy(z0) and v == wavy(z)
+
+
 # three points ---------------------------------------------------------------
 
 def test_three_point_square():
