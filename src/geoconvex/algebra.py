@@ -24,6 +24,7 @@ from .reports import CheckConfig, Report, Verdict, Witness
 # stream so draws never depend on how work is chunked across workers.
 REGION_SIZE = 1 << 20
 MAX_REJECTION_ROUNDS = 4096
+TAIL_ROWS = 2048  # candidate rows per rejection call once few rows are left
 
 # Every stream region that is drawn from.  Member k of a scan row (a pair,
 # a triple or one point) comes from REGION_ROWS[k]; the preimage search of
@@ -115,7 +116,7 @@ def outside_margin_batch(domain: DomainSet, X: np.ndarray) -> np.ndarray:
 
 
 def _draw_box_uniform(domain: DomainSet, bases: np.ndarray, pos0: int) -> np.ndarray:
-    out = np.empty((bases.shape[0], len(domain.box)))
+    out = np.empty((bases.shape[0], len(domain.box)), order="F")
     for j, (lo, hi) in enumerate(domain.box):
         out[:, j] = lo + (hi - lo) * rng.unit_array(bases, pos0 + j)
     return out
@@ -123,7 +124,7 @@ def _draw_box_uniform(domain: DomainSet, bases: np.ndarray, pos0: int) -> np.nda
 
 def _draw_sphere(bases: np.ndarray, pos0: int, d: int) -> np.ndarray:
     # d standard normals per row via Box-Muller, then normalize
-    out = np.empty((bases.shape[0], d))
+    out = np.empty((bases.shape[0], d), order="F")
     for j in range(d):
         u1 = np.maximum(rng.unit_array(bases, pos0 + 2 * j), 2.0 ** -53)
         u2 = rng.unit_array(bases, pos0 + 2 * j + 1)
@@ -147,24 +148,28 @@ def _attempt_stride(domain: DomainSet) -> int:
     return 2 * d if domain.manifold.kind is ManifoldKind.SPHERE else d
 
 
-def _rejection_sample(bases: np.ndarray, region: int, stride: int, width: int, draw, accept):
-    """One accepted row of `width` values per stream base.  Attempt a of a
-    row draws `draw(bases, pos0)` at pos0 = region*REGION_SIZE + a*stride of
-    its own stream, so results are independent of batching, until
-    `accept(rows)` takes it.  Returns (rows, ok), ok False where a row
-    exhausted MAX_REJECTION_ROUNDS."""
-    n = bases.shape[0]
-    rows = np.zeros((n, width))
-    active = np.ones(n, dtype=bool)
-    for attempt in range(MAX_REJECTION_ROUNDS):
-        if not np.any(active):
-            break
-        idx = np.nonzero(active)[0]
-        cand = draw(bases[idx], region * REGION_SIZE + attempt * stride)
-        ok = accept(cand)
-        rows[idx[ok]] = cand[ok]
-        active[idx[ok]] = False
-    return rows, ~active
+def _rejection_sample(bases: np.ndarray, region: int, stride: int, draw, accept):
+    """One accepted row per stream base: attempt a of a row draws `draw(bases,
+    pos0)` at pos0 = region*REGION_SIZE + a*stride of its own stream until
+    `accept(rows)` takes it.  Attempt 0 of every row is one call, then the k
+    rows left draw TAIL_ROWS // k attempts each per call.  Returns (rows, ok),
+    a row that exhausted MAX_REJECTION_ROUNDS all zeros and not ok."""
+    rows = draw(bases, region * REGION_SIZE)
+    ok = accept(rows)
+    if ok.all():
+        return rows, ok
+    rows = np.where(ok[:, None], rows, 0.0)
+    idx, attempt = np.flatnonzero(~ok), 1
+    while idx.size and attempt < MAX_REJECTION_ROUNDS:
+        r = max(1, min(TAIL_ROWS // idx.size, MAX_REJECTION_ROUNDS - attempt))
+        tries = attempt + np.tile(np.arange(r), idx.size)
+        cand = draw(np.repeat(bases[idx], r), region * REGION_SIZE + tries * stride)
+        hits = accept(cand).reshape(idx.size, r)
+        hit = hits.any(axis=1)  # a row keeps its first accepted attempt
+        rows[idx[hit]] = cand[(np.arange(idx.size) * r + hits.argmax(axis=1))[hit]]
+        ok[idx[hit]] = True
+        idx, attempt = idx[~hit], attempt + r
+    return rows, ok
 
 
 def sample_members(domain: DomainSet, bases: np.ndarray, region: int):
@@ -173,7 +178,7 @@ def sample_members(domain: DomainSet, bases: np.ndarray, region: int):
     budget, and that row is all zeros, not a member.  Callers mask such
     rows; a domain with no member gives found all False."""
     return _rejection_sample(
-        bases, region, _attempt_stride(domain), len(domain.box), partial(_draw, domain),
+        bases, region, _attempt_stride(domain), partial(_draw, domain),
         # ball draws keep clear of the boundary by more than members must
         lambda X: member_mask_batch(domain, X, ball_radius=BALL_SAMPLE_RADIUS),
     )
@@ -253,7 +258,7 @@ def sample_product_members(ps: ProductSet, bases: np.ndarray, region: int):
         u = _draw(ps.base, sub, pos0)
         return np.hstack([u, (lo + (hi - lo) * rng.unit_array(sub, pos0 + stride - 1))[:, None]])
 
-    return _rejection_sample(bases, region, stride, d + 1, draw,
+    return _rejection_sample(bases, region, stride, draw,
                              lambda R: ps.member_mask(R[:, :d], R[:, d]))
 
 

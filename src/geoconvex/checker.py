@@ -170,17 +170,24 @@ def _merge_chunks(chunks: list[_ChunkScan], top_k: int):
 
 
 def _select_candidates(masked: np.ndarray, k: int):
-    """Top-k (violation, position) among the finite lanes of `masked`, best
-    first.  Ties go to the least position, which is the least lane."""
-    v = masked.ravel()
-    if v.size > k:
-        kth = v[np.argpartition(v, v.size - k)[v.size - k:]].min()
-        above = np.flatnonzero(v > kth)
-        idx = np.concatenate([above, np.flatnonzero(v == kth)[: k - above.size]])
-    else:
-        idx = np.arange(v.size)
-    idx = idx[np.lexsort((idx, -v[idx]))]
-    return [(float(v[p]), int(p)) for p in idx if np.isfinite(v[p])]
+    """Top-k (violation, lane) among the finite entries of the (N, G) matrix
+    `masked`, best first, where lane r*G + c is entry (r, c); ties go to the least."""
+    v = masked.ravel(order="K")  # a view in C or t-major layout
+    q = max(v.size - k, 0)
+    kth = v[np.argpartition(v, q)[q:]].min()
+    above = _first_lanes(masked > kth, k)
+    idx = np.concatenate([above, _first_lanes(masked == kth, k - above.size)])
+    vals = masked.flat[idx]  # flat indices are row-major in any layout
+    return [(float(vals[o]), int(idx[o])) for o in np.lexsort((idx, -vals)) if np.isfinite(vals[o])]
+
+
+def _first_lanes(hit: np.ndarray, count: int) -> np.ndarray:
+    """The least `count` lanes where the (N, G) mask `hit` holds."""
+    if hit.flags.c_contiguous:
+        return np.flatnonzero(hit)[:count]
+    rows = np.flatnonzero(hit.any(axis=1))[:count]  # a t-major mask is not copied
+    r, c = np.nonzero(hit[rows])
+    return (rows[r] * hit.shape[1] + c)[:count]
 
 
 def _line_refine(f, z0, intervals, steps: int):
@@ -337,14 +344,12 @@ class _Scan:
         counted = ok[:, None] & (err == _OK) & np.isfinite(viol)
         err_at, err_note = None, None
         if np.any(err):
-            # a row code fills its row, so the first error in ravel order is
-            # the first lane, a row's error before its lanes
-            p = int(np.argmax(err.ravel() != _OK))
-            r, j = divmod(p, G)
+            # a row code fills its row, so the row-major first error is the first lane
+            r, j = divmod(int(_first_lanes(err != _OK, 1)[0]), G)
             code = int(err[r, j])
             err_at = (i0 + r, self.first_t + j if code == _LANE else -1)
             err_note = self.notes[code].format(i=i0 + r)
-            counted.ravel()[p:] = False
+            counted[r + 1:] = counted[r, j:] = False
         violated = bool(np.any(counted & (viol > thr)))
         viol[~counted] = -np.inf
         max_viol = float(viol.max())
@@ -445,10 +450,10 @@ class _CurveScan(_Scan):
 
 
 def _curve_lanes(scans, rows, T, offsets):
-    """Lanes `(viol, thr, err)` of curve scans that share manifold, E and row
-    layout, scan k over the t-columns T[:, offsets[k]:].  The E-images, their
-    row codes and the geodesic fan are computed once, and each curve point
-    once per t-column.  Also returns the stacked images and row codes."""
+    """Lanes `(viol, thr, err)`, t-major (N, G) views of (G, N) arrays, of curve
+    scans that share manifold, E and row layout, scan k over the t-columns
+    T[:, offsets[k]:].  E-images, row codes and the geodesic fan are computed
+    once, each curve point once per t-column.  Also returns images and codes."""
     lead = scans[0]
     m = lead.manifold
     n, G = rows.shape[0], T.shape[1]
@@ -458,9 +463,9 @@ def _curve_lanes(scans, rows, T, offsets):
         for s, off in zip(scans, offsets):
             c = code.copy()
             state = s.prelude(rows, W, c)
-            shape = (n, G - off)
-            thr = s.cfg.tol_abs + s.cfg.tol_rel if s.margin_test else np.empty(shape)
-            out = (np.empty(shape), thr, np.repeat(c[:, None], G - off, axis=1))
+            shape = (G - off, n)
+            thr = s.cfg.tol_abs + s.cfg.tol_rel if s.margin_test else np.empty(shape).T
+            out = (np.empty(shape).T, thr, np.repeat(c[None, :], G - off, axis=0).T)
             lanes.append(out)
             per_scan.append((s, off, state, c == _OK, *out))
         curve = geodesic_fan(m, *_halves(W))

@@ -41,6 +41,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifierError,
 )
+from .manifold import row_norm
 
 MAX_SOURCE_BYTES = 64 * 1024
 MAX_DEPTH = 64
@@ -738,7 +739,7 @@ class EndoMap:
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         cols = self._batch_fn(dict(zip(self.exprs[0].variables, X.T)))
-        return np.stack([_filled(col, X.shape[0]) for col in cols], axis=1)
+        return np.stack([_filled(col, X.shape[0]) for col in cols]).T
 
     def sources(self) -> list[str]:
         return [expr_to_source(e) for e in self.exprs]
@@ -788,7 +789,7 @@ def differentiate_numeric(f: ScalarFn, at, direction) -> float:
 
 
 def directional_derivative_batch(f: ScalarFn, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-    steps = np.maximum(1e-6, 1e-6 * np.linalg.norm(X, axis=1))
+    steps = np.maximum(1e-6, 1e-6 * row_norm(X))
     hi = f.eval_batch(X + steps[:, None] * V)
     lo = f.eval_batch(X - steps[:, None] * V)
     return (hi - lo) / (2.0 * steps)

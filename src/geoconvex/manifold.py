@@ -7,7 +7,7 @@ of curvature -1.  All curves are minimal geodesics with the convention
     curve(0) = mu2,   curve(1) = mu1,
 
 constant-speed in t.  Everything is a pure function; batch variants operate
-on (N, d) coordinate arrays and are what the samplers call in bulk.
+on (N, d) coordinate arrays of any memory order, the samplers' bulk path.
 """
 
 from __future__ import annotations
@@ -104,16 +104,24 @@ def validate_point(m: Manifold, p: Point) -> None:
 def row_norm(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (N, d) array.
 
-    Bit-identical to np.linalg.norm(X, axis=1): below 8 columns numpy sums
-    the squares sequentially, which this column-by-column sum repeats
-    without numpy's per-row overhead on short rows."""
+    Bit-identical to np.linalg.norm(X, axis=1) on C-ordered rows, in any
+    layout: below 8 columns numpy sums the squares in order, as this column
+    sum does without its per-row overhead; from 8 its order follows the layout."""
     if X.shape[1] >= 8:
-        return np.linalg.norm(X, axis=1)
+        return np.linalg.norm(np.ascontiguousarray(X), axis=1)
     s = X[:, 0] * X[:, 0]
     for j in range(1, X.shape[1]):
         c = X[:, j]
         s += c * c
     return np.sqrt(s)
+
+
+def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row dot products, bit-identical in any layout to np.einsum("ij,ij->i")
+    on C-ordered rows: 0.0 + p0 + p1 below 3 columns, from 3 einsum's order."""
+    if X.shape[1] > 2:
+        return np.einsum("ij,ij->i", np.ascontiguousarray(X), np.ascontiguousarray(Y))
+    return sum((X[:, j] * Y[:, j] for j in range(X.shape[1])), 0.0)
 
 
 def row_finite(X: np.ndarray) -> np.ndarray:
@@ -160,7 +168,7 @@ class GeodesicSpec:
 
 
 def antipodal_mask(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    dots = np.einsum("ij,ij->i", X, Y)
+    dots = row_dot(X, Y)
     return dots <= -1.0 + ANTIPODAL_TOL
 
 
@@ -181,7 +189,7 @@ def geodesic_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
 
         return at
     if m.kind is ManifoldKind.SPHERE:
-        dots = np.clip(np.einsum("ij,ij->i", X2, X1), -1.0, 1.0)
+        dots = np.clip(row_dot(X2, X1), -1.0, 1.0)
         theta = np.arccos(dots)
         sin_theta = np.sin(theta)
         small = sin_theta < 1e-9
@@ -215,7 +223,7 @@ def geodesic_batch(m: Manifold, X1: np.ndarray, X2: np.ndarray, t) -> np.ndarray
 def _sphere_angle(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Angle between unit rows; the chord form keeps small angles accurate
     where arccos loses half the significant digits."""
-    dots = np.clip(np.einsum("ij,ij->i", X, Y), -1.0, 1.0)
+    dots = np.clip(row_dot(X, Y), -1.0, 1.0)
     chord = row_norm(X - Y)
     small = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
     return np.where(dots > 0.9, small, np.arccos(dots))
@@ -226,7 +234,7 @@ def distance_batch(m: Manifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return row_norm(X - Y)
     if m.kind is ManifoldKind.SPHERE:
         return _sphere_angle(X, Y)
-    w = _mobius_add_batch(-X, Y, np.einsum("ij,ij->i", X, X))
+    w = _mobius_add_batch(-X, Y, row_dot(X, X))
     nw = np.clip(row_norm(w), 0.0, 1.0 - 1e-16)
     return 2.0 * np.arctanh(nw)
 
@@ -236,7 +244,7 @@ def log_batch(m: Manifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if m.kind is ManifoldKind.EUCLIDEAN:
         return Y - X
     if m.kind is ManifoldKind.SPHERE:
-        dots = np.clip(np.einsum("ij,ij->i", X, Y), -1.0, 1.0)
+        dots = np.clip(row_dot(X, Y), -1.0, 1.0)
         theta = _sphere_angle(X, Y)
         w = Y - dots[:, None] * X
         nw = row_norm(w)
@@ -250,7 +258,7 @@ def exp_batch(m: Manifold, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         return X + V
     if m.kind is ManifoldKind.SPHERE:
         # project out any residual normal component before flowing
-        dots = np.einsum("ij,ij->i", X, V)
+        dots = row_dot(X, V)
         V = V - dots[:, None] * X
         nv = row_norm(V)[:, None]
         unit = np.where(nv > 1e-300, V / np.maximum(nv, 1e-300), 0.0)
@@ -261,8 +269,8 @@ def exp_batch(m: Manifold, X: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _mobius_add_batch(X: np.ndarray, Y: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Mobius sum of the rows of X and Y, given x2 = |X|^2 per row."""
-    xy = np.einsum("ij,ij->i", X, Y)[:, None]
-    y2 = np.einsum("ij,ij->i", Y, Y)[:, None]
+    xy = row_dot(X, Y)[:, None]
+    y2 = row_dot(Y, Y)[:, None]
     x2 = x2[:, None]
     num = (1.0 + 2.0 * xy + y2) * X + (1.0 - x2) * Y
     den = 1.0 + 2.0 * xy + x2 * y2
@@ -271,7 +279,7 @@ def _mobius_add_batch(X: np.ndarray, Y: np.ndarray, x2: np.ndarray) -> np.ndarra
 
 def _ball_frame(P: np.ndarray):
     """|P|^2 and the conformal factor lambda = 2 / (1 - |P|^2) per row."""
-    p2 = np.einsum("ij,ij->i", P, P)
+    p2 = row_dot(P, P)
     return p2, 2.0 / (1.0 - p2)
 
 

@@ -64,9 +64,10 @@ def base_array(seed: int, indices: np.ndarray) -> np.ndarray:
     return _mix64_np(s ^ ((indices + np.uint64(1)) * _U_GOLDEN))
 
 
-def unit_array(bases: np.ndarray, pos: int) -> np.ndarray:
-    """Uniform [0,1) draws at position pos for precomputed stream bases."""
-    step = np.uint64(((pos + 1) * GOLDEN) & _MASK)
+def unit_array(bases: np.ndarray, pos) -> np.ndarray:
+    """Uniform [0,1) draws at position pos, an int or one per base."""
+    step = ((pos.astype(np.uint64) + np.uint64(1)) * _U_GOLDEN if isinstance(pos, np.ndarray)
+            else np.uint64(((pos + 1) * GOLDEN) & _MASK))
     u = _mix64_np(bases + step)
     return (u >> np.uint64(11)).astype(np.float64) * _UNIT
 

@@ -198,6 +198,64 @@ def test_sampler_first_rows_golden(name):
     assert [[x.hex() for x in r] for r in rows.tolist()] == expected
 
 
+def _one_attempt_per_call(bases, region, stride, draw, accept):
+    """The rejection loop drawing one attempt of every active row per call,
+    the reference the batched tail must equal."""
+    from geoconvex.algebra import MAX_REJECTION_ROUNDS, REGION_SIZE
+
+    rows = np.zeros((bases.shape[0], draw(bases[:1], 0).shape[1]))
+    active = np.ones(bases.shape[0], dtype=bool)
+    for attempt in range(MAX_REJECTION_ROUNDS):
+        if not np.any(active):
+            break
+        idx = np.nonzero(active)[0]
+        cand = draw(bases[idx], region * REGION_SIZE + attempt * stride)
+        ok = accept(cand)
+        rows[idx[ok]] = cand[ok]
+        active[idx[ok]] = False
+    return rows, ~active
+
+
+# disks of 1 in about 2000 draws, where some rows are found in none of the
+# MAX_REJECTION_ROUNDS attempts, and of 1 in 30, where one call of the
+# batched tail often draws several members of a row
+@pytest.mark.parametrize("r2, some_lost", [("0.00064", True), ("0.04", False)])
+def test_rejection_tail_keeps_each_rows_first_accepted_attempt(r2, some_lost):
+    from functools import partial
+
+    from geoconvex.algebra import _attempt_stride, _draw, _rejection_sample
+
+    speck = DomainSet(euclidean(2), ((-1.0, 1.0), (-1.0, 1.0)),
+                      parse(f"{r2} - x1^2 - x2^2", point_vars(2)))
+    bases = rng.base_array(8, np.arange(40, dtype=np.uint64))
+    args = (bases, 4, _attempt_stride(speck), partial(_draw, speck),
+            partial(member_mask_batch, speck))
+    rows, found = _rejection_sample(*args)
+    ref_rows, ref_found = _one_attempt_per_call(*args)
+    assert (not found.all()) == some_lost and found.any()
+    assert np.array_equal(found, ref_found)
+    assert rows.tobytes() == ref_rows.tobytes()
+    assert not rows[~found].any()
+
+
+def test_never_accepted_row_costs_few_draw_calls():
+    from geoconvex.algebra import MAX_REJECTION_ROUNDS, TAIL_ROWS, _rejection_sample
+
+    calls, drawn = [], []
+
+    def draw(bases, pos0):
+        calls.append(1)
+        drawn.extend(np.broadcast_to(pos0, bases.shape).tolist())
+        return rng.unit_array(bases, pos0)[:, None]
+
+    bases = rng.base_array(0, np.arange(3, dtype=np.uint64))
+    rows, found = _rejection_sample(bases, 0, 1, draw, lambda R: np.zeros(len(R), bool))
+    assert not found.any() and not rows.any()
+    # every attempt of every row is drawn once, in few calls
+    assert sorted(drawn) == sorted(list(range(MAX_REJECTION_ROUNDS)) * 3)
+    assert len(calls) <= 2 + 3 * MAX_REJECTION_ROUNDS // TAIL_ROWS
+
+
 def test_sphere_and_ball_sampling_valid():
     cap = DomainSet(
         sphere(2), ((-1.0, 1.0),) * 3, parse("x3 - 0.5", point_vars(3))

@@ -639,6 +639,59 @@ def test_chunk_reduce_matches_flat_index_reference(skips_unsampled):
         assert (got.max_viol, got.violated, got.extra["counted"]) == want[3:]
 
 
+def _t_major(A):
+    """A copy of the (N, G) matrix A laid out t-major, as `_curve_lanes` does."""
+    return np.ascontiguousarray(A.T).T
+
+
+def test_lane_order_does_not_change_selection_or_reduce():
+    from geoconvex.checker import _E_BAD, _LANE, _OK, _Scan, _select_candidates
+
+    class Lanes(_Scan):
+        cfg = CheckConfig(t_grid=6)
+        first_t = 1
+        notes = {c: f"{c}:{{i}}" for c in range(1, 6)}
+
+    n, G = 30, 5
+    gen = np.random.default_rng(3)
+    ties = gen.integers(-2, 2, size=(n, G)).astype(float)  # many ties at the k-th value
+    ties[ties == -2] = -np.inf
+    all_inf = np.full((n, G), -np.inf)
+    mid_err = np.repeat(np.where(np.arange(n) == 20, _E_BAD, _OK)[:, None], G, axis=1)
+    mid_err[12, 3] = _LANE  # the first error, in the middle of row 12
+    cases = [
+        (ties, np.zeros((n, G), np.int8)),
+        (all_inf, np.zeros((n, G), np.int8)),
+        (gen.normal(size=(n, G)), mid_err.astype(np.int8)),
+    ]
+    T = np.linspace(0.0, 1.0, 6)[None, :]
+    rows = np.arange(n, dtype=float)[:, None]
+    ok = np.ones(n, dtype=bool)
+    results = []
+    for viol, err in cases:
+        tm = _t_major(viol)
+        assert tm.flags.f_contiguous and not tm.flags.c_contiguous
+        for k in (1, 3, 8, n * G + 1):
+            assert _select_candidates(tm, k) == _select_candidates(viol.copy(), k)
+        got = [Lanes().reduce(100, rows, ok, T, v, 0.5, e, {})
+               for v, e in ((viol.copy(), err.copy()), (_t_major(viol), _t_major(err)))]
+        c_scan, t_scan = got
+        assert (t_scan.err_at, t_scan.err_note, t_scan.max_viol, t_scan.violated,
+                t_scan.extra) == (c_scan.err_at, c_scan.err_note, c_scan.max_viol,
+                                  c_scan.violated, c_scan.extra)
+        assert [(v, at, z.tolist()) for v, at, z in t_scan.cands] == \
+            [(v, at, z.tolist()) for v, at, z in c_scan.cands]
+        results.append(c_scan)
+    assert [v for v, _ in _select_candidates(_t_major(ties), 8)] == sorted(
+        ties.ravel(), reverse=True)[:8]
+    assert results[1].cands == [] and results[1].max_viol == -np.inf
+    # lanes from (112, 4) on are cut off by the error, and row 20's code with them
+    mid = results[2]
+    assert mid.err_at == (112, 1 + 3) and mid.err_note == f"{_LANE}:112"
+    assert mid.extra["counted"] == 12 * G + 3
+    assert mid.cands and all(at < (112, 4) for _, at, _ in mid.cands)
+
+
 @pytest.mark.parametrize("field, value", [
     ("samples", 1.5), ("samples", True), ("samples", 0), ("samples", "100"),
     ("workers", 2.5), ("workers", False), ("seed", 1.0), ("seed", None),

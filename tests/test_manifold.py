@@ -310,6 +310,24 @@ def test_row_kernels_match_numpy_reductions(width):
         assert np.array_equal(row_finite(A), np.all(np.isfinite(A), axis=1))
 
 
+@pytest.mark.parametrize("width", range(1, 10))
+def test_row_dot_matches_einsum_on_c_rows_in_any_layout(width):
+    from geoconvex.manifold import row_dot, row_norm
+
+    rng = np.random.default_rng(100 + width)
+    X = _awkward_rows(rng, width)
+    Y = rng.normal(size=X.shape)
+    Y[5] = -1.0  # with X[5] = 0.0: products of -0.0, which einsum sums to 0.0
+    with np.errstate(all="ignore"):
+        ref = np.einsum("ij,ij->i", X, Y)
+        norm = np.linalg.norm(X, axis=1)
+        for order_x in "CF":
+            for order_y in "CF":
+                A, B = np.asarray(X, order=order_x), np.asarray(Y, order=order_y)
+                assert _same_bits(row_dot(A, B), ref)
+            assert _same_bits(row_norm(np.asarray(X, order=order_x)), norm)
+
+
 def _old_mobius_add(X, Y):
     xy = np.einsum("ij,ij->i", X, Y)[:, None]
     x2 = np.einsum("ij,ij->i", X, X)[:, None]
@@ -377,3 +395,25 @@ def test_geodesic_fan_matches_per_t_formula(m):
         ref = _old_geodesic_batch(m, X1, X2, t)
         assert _same_bits(curve(t), ref)
         assert _same_bits(geodesic_batch(m, X1, X2, t), ref)
+
+
+@pytest.mark.parametrize("m", [euclidean(1), E2, S2, sphere(3), B2, poincare_ball(3)],
+                         ids=lambda m: f"{m.kind.value}{m.dim}")
+def test_geodesic_fan_is_bit_identical_in_any_layout(m):
+    from geoconvex.manifold import geodesic_fan
+
+    rng = np.random.default_rng(50 + m.dim)
+    n, d = 48, m.ambient_dim
+    X1 = rng.uniform(-0.6, 0.6, size=(n, d))
+    X2 = rng.uniform(-0.6, 0.6, size=(n, d))
+    if m.kind.value == "Sphere":
+        X1 /= np.linalg.norm(X1, axis=1, keepdims=True)
+        X2 /= np.linalg.norm(X2, axis=1, keepdims=True)
+    X1[:4] = X2[:4]
+    c_curve = geodesic_fan(m, X1, X2)
+    f_curve = geodesic_fan(m, np.asfortranarray(X1), np.asfortranarray(X2))
+    for t in (0.0, 1.0, 0.3, np.array([0.7]), rng.uniform(0.0, 1.0, n)):
+        ref = c_curve(t)
+        got = f_curve(t)
+        assert _same_bits(got, ref)
+        assert got.flags.f_contiguous or d == 1

@@ -11,6 +11,10 @@ def test_scalar_vector_agreement():
         vec = rng.unit_array(bases, pos)
         for i in range(40):
             assert vec[i] == (rng.value_at(seed, i, pos) >> 11) * 2.0**-53
+    per_row = (1 << 20) + 4099 * np.arange(40)  # one position per base
+    vec = rng.unit_array(bases, per_row)
+    for i in range(40):
+        assert vec[i] == (rng.value_at(seed, i, int(per_row[i])) >> 11) * 2.0**-53
 
 
 def test_stream_matches_counter_values():
