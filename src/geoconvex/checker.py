@@ -183,9 +183,7 @@ def _select_candidates(masked: np.ndarray, k: int):
 
 def _first_lanes(hit: np.ndarray, count: int) -> np.ndarray:
     """The least `count` lanes where the (N, G) mask `hit` holds."""
-    if hit.flags.c_contiguous:
-        return np.flatnonzero(hit)[:count]
-    rows = np.flatnonzero(hit.any(axis=1))[:count]  # a t-major mask is not copied
+    rows = np.flatnonzero(hit.any(axis=1))[:count]  # no copy in any layout
     r, c = np.nonzero(hit[rows])
     return (rows[r] * hit.shape[1] + c)[:count]
 
