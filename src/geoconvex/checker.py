@@ -68,17 +68,12 @@ __all__ = [
 # refinement triggers when the best candidate lane is within this factor of
 # tolerance; a convexity scan's t = 1 lanes are candidates only above threshold
 NEAR_VIOLATION_FACTOR = 10.0
-# golden-section probes per coordinate line search; 0.618^40 of the interval
-# is ~4.5e-9, fine enough to pin witnesses and preimages at tolerance scale
-GOLDEN_PROBES = 40
 # evenly spaced probes per round of the batched line search; each round
 # shrinks the bracket to the two neighbours of its best probe
 LINE_PROBES = 129
-# rounds per line search: the final bracket is no wider than the one left
-# by GOLDEN_PROBES golden-section steps
-LINE_ROUNDS = math.ceil(
-    GOLDEN_PROBES * math.log((math.sqrt(5.0) - 1.0) / 2.0) / math.log(2.0 / (LINE_PROBES - 1))
-)
+# rounds per line search: the final bracket is (2/128)^5 ~ 9.3e-10 of the
+# interval, fine enough to pin witnesses and preimages at tolerance scale
+LINE_ROUNDS = 5
 # strict mode demands rhs - lhs > tol; folded into rhs as a 2*tol shift
 STRICT_MARGIN_FACTOR = 2.0
 # strict lanes need separated images: the margin of a strictly convex
@@ -152,21 +147,20 @@ def _run_pass(scans, cfg: CheckConfig) -> list[list[_ChunkScan]]:
 
 def _merge_chunks(chunks: list[_ChunkScan], top_k: int):
     err_at = min((c.err_at for c in chunks if c.err_at is not None), default=None)
+    # a chunk entirely after the first domain error adds nothing, counters included
+    chunks = [c for c in chunks if err_at is None or c.i0 <= err_at[0]]
     err_note = None
     cands = []
     max_viol = -np.inf
     violated = False
-    extras = [c.extra for c in chunks]
     for c in chunks:
-        if err_at is not None and c.i0 > err_at[0]:
-            continue  # entirely after the first domain error
         if c.err_at == err_at and c.err_note is not None:
             err_note = c.err_note
         cands.extend(c.cands)
         max_viol = max(max_viol, c.max_viol)
         violated = violated or c.violated
     cands.sort(key=lambda c: (-c[0], c[1]))
-    return err_at, err_note, cands[:top_k], max_viol, violated, extras
+    return err_at, err_note, cands[:top_k], max_viol, violated, [c.extra for c in chunks]
 
 
 def _select_candidates(masked: np.ndarray, k: int):
@@ -330,13 +324,14 @@ class _Scan:
 
     def pass_lanes(self, scans, rows, ok, T):
         """Bulk lanes `(viol, thr, err, extra)` of each of `scans` on rows
-        this scan sampled, `extra` holding the chunk's own counters; a scan
-        that shares no pass runs alone."""
-        return [(*self.lanes(rows, T), {})]
+        this scan sampled, `extra(n)` giving the scan's own counters over
+        the chunk's first n rows; a scan that shares no pass runs alone."""
+        return [(*self.lanes(rows, T), lambda n: {})]
 
     def reduce(self, i0: int, rows, ok, T, viol, thr, err, extra) -> _ChunkScan:
         """The chunk's first domain error, candidates, maximum and counters
-        from its bulk lanes, which it overwrites."""
+        from its bulk lanes, which it overwrites.  Counters cover only the
+        rows that `counted` covers."""
         G = viol.shape[1]
         err[~ok] = _OK if self.skips_unsampled else _PAIR_BAD
         counted = ok[:, None] & (err == _OK) & np.isfinite(viol)
@@ -348,6 +343,8 @@ class _Scan:
             err_at = (i0 + r, self.first_t + j if code == _LANE else -1)
             err_note = self.notes[code].format(i=i0 + r)
             counted[r + 1:] = counted[r, j:] = False
+        # the rows before the first error, and its row when a lane of it came first
+        cover = ok.size if err_at is None else r + (j > 0)
         violated = bool(np.any(counted & (viol > thr)))
         viol[~counted] = -np.inf
         max_viol = float(viol.max())
@@ -357,7 +354,8 @@ class _Scan:
             r, j = divmod(p, G)
             c = self.first_t + j
             cands.append((v, (i0 + r, c), rows[r] if T is None else np.append(rows[r], T[0, c])))
-        extra = {"unsampled": int(np.sum(~ok)), "counted": int(np.sum(counted)), **extra}
+        extra = {"unsampled": int(np.sum(~ok[:cover])), "counted": int(np.sum(counted)),
+                 **extra(cover)}
         return _ChunkScan(i0, err_at, err_note, cands, max_viol, violated, extra)
 
     def hold_back(self, viol, thr):
@@ -365,7 +363,7 @@ class _Scan:
 
     def finish(self, report: Report, extras) -> Report:
         """The scan's report from the one `_finish_scan` built and the
-        counters (`extra`) of every chunk."""
+        counters (`extra`) of every chunk up to the first domain error."""
         return report
 
     def endpoints(self, rows):
@@ -436,8 +434,8 @@ class _CurveScan(_Scan):
 
     margin_test = True
 
-    def pass_extra(self, rows, ok, W, code) -> dict:
-        return {}
+    def pass_extra(self, rows, ok, W, code):
+        return lambda n: {}
 
     def pass_lanes(self, scans, rows, ok, T):
         outs, W, code = _curve_lanes(scans, rows, T, [s.first_t for s in scans])
@@ -565,7 +563,7 @@ class _ConvexityScan(_InstanceScan, _CurveScan):
 
 
 def _margin_witness(points, t: float, margin: float) -> Witness | None:
-    """Witness of a point outside a set by `margin` (a test whose rhs is 0)."""
+    """Witness of a test whose rhs is 0, such as a point outside a set by `margin`."""
     if not math.isfinite(margin):
         return None
     return Witness(points=points, t=t, lhs=margin, rhs=0.0, violation=margin)
@@ -811,10 +809,9 @@ class _SetScan(_CurveScan):
             d_base = distance_batch(m, U1, U2)
         len_disc = np.where(ok_rows, np.abs(d_im - d_base), 0.0)
         len_thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(d_base))
-        return {
-            "len_bad": int(np.sum(ok_rows & (len_disc > len_thr))),
-            "max_len_disc": float(np.max(len_disc, initial=0.0)),
-        }
+        bad = ok_rows & (len_disc > len_thr)
+        return lambda n: {"len_bad": int(np.sum(bad[:n])),
+                          "max_len_disc": float(np.max(len_disc[:n], initial=0.0))}
 
     def finish(self, report, extras):
         len_bad = sum(e["len_bad"] for e in extras)

@@ -44,7 +44,6 @@ from .checker import (
     _OK,
     _PAIR_NOTES,
     _VAL_BAD,
-    GOLDEN_PROBES,
     STRICT_SEP_FRACTION,
     _ConvexityScan,
     _InstanceScan,
@@ -55,6 +54,7 @@ from .checker import (
     _finite,
     _fn_checks,
     _halves,
+    _line_refine,
     _pair_images,
     check_geodesic_phiE_convex_fn,
     check_geodesic_phiE_convex_set,
@@ -86,10 +86,11 @@ from .manifold import (
     ManifoldKind,
     Point,
     distance_batch,
-    exp_map,
+    exp_batch,
     geodesic_batch,  # unused here; bench/test_bench.py reads theorems.geodesic_batch
     log_batch,
     row_norm,
+    valid_mask,
 )
 from .reports import CheckConfig, Report, Verdict, Witness
 
@@ -97,47 +98,6 @@ STRICT_DERIVATIVE_TOL = 1e-6
 ROUNDTRIP_TOL = 1e-8
 LOCAL_MIN_RADII = (1e-2, 1e-3, 1e-4)
 LOCAL_MIN_DIRECTIONS = 16
-
-
-def _golden_refine(objective, z0, intervals, steps: int):
-    """Round-robin coordinate ascent; each step runs one golden-section line
-    search over the coordinate's full admissible interval.  The best point
-    ever evaluated is kept, so the result never falls below the start."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    best_z = list(z0)
-    best_v = objective(best_z)
-    nv = len(z0)
-    for it in range(steps):
-        k = it % nv
-        lo, hi = intervals[k]
-        if not hi > lo:
-            continue
-        base = list(best_z)
-
-        def f(x):
-            nonlocal best_z, best_v
-            trial = list(base)
-            trial[k] = x
-            v = objective(trial)
-            if v > best_v:
-                best_v = v
-                best_z = trial
-            return v
-
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(GOLDEN_PROBES):
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-            else:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-    return best_z, best_v
 
 
 class TheoremId(Enum):
@@ -293,8 +253,9 @@ def verify_mean_value(inst: Instance, u1: float, u2: float, cfg: CheckConfig,
         h'(alpha) >= R * h'(beta) >= h'(beta),
         R = phi(h(E(u1)), h(E(u2))) / (h(E(u1)) - h(E(u2))).
 
-    Searched on a derivative grid plus golden refinement, within a budget
-    of well under 1e4 function evaluations.
+    Searched on a `grid` of derivatives at cell midpoints; a miss is refined
+    by the checkers' batched line search, one step over alpha and one over
+    beta, about 5.3e3 evaluations of h at the default grid.
     """
     ps = _Premises(TheoremId.MEAN_VALUE_31, cfg)
     with ps.evaluable("h, E evaluable at u1, u2"):
@@ -306,36 +267,39 @@ def verify_mean_value(inst: Instance, u1: float, u2: float, cfg: CheckConfig,
     sep = cfg.threshold(h2)
     ps.flag("h(E(u1)) differs from h(E(u2))", abs(h1 - h2) > sep, f"|{h1!r} - {h2!r}| vs {sep!r}")
     ps.require("E(u1) != E(u2)", lo != hi)
-    with ps.evaluable("h numerically differentiable"):
-        for x in np.linspace(lo, hi, 5)[1:-1]:
-            differentiate_numeric(inst.h, (float(x),), (1.0,))
+
+    def dh(x):  # h' at the points x, NaN where h does not evaluate
+        with np.errstate(all="ignore"):
+            return directional_derivative_batch(inst.h, x[:, None], np.ones((x.size, 1)))
+
+    xs = lo + (np.arange(grid) + 0.5) / grid * (hi - lo)
+    ds = dh(xs)
+    bad = np.flatnonzero(~np.isfinite(ds))
+    ps.flag("h numerically differentiable", bad.size == 0,
+            f"derivative non-finite at {float(xs[bad[0]])!r}" if bad.size else "", need=True)
     ps.check("combination inequality", check_phiE_convex_interval(inst, cfg))
     ps.gate()
 
     R = inst.phi(h1, h2) / (h1 - h2)
-    span = hi - lo
-    xs = lo + (np.arange(grid) + 0.5) / grid * span
-    ds = np.array([differentiate_numeric(inst.h, (float(x),), (1.0,)) for x in xs])
     tol = cfg.threshold(0.0)
 
-    def deficiency(da: float, db: float) -> float:
-        return max(R * db - da, db - R * db)
+    def deficiency(da, db):
+        # never increases with h'(alpha), so the best alpha does not depend
+        # on beta and one step per coordinate reaches the coordinate optimum
+        return np.maximum(R * db - da, db - R * db)
 
-    gaps = np.maximum(R * ds[None, :] - ds[:, None], ds[None, :] - R * ds[None, :])
-    k = int(np.argmin(gaps))
-    ai, bi = divmod(k, grid)
+    gaps = deficiency(ds[:, None], ds[None, :])
+    ai, bi = divmod(int(np.argmin(gaps)), grid)
     best = float(gaps[ai, bi])
     alpha, beta = float(xs[ai]), float(xs[bi])
     if best > tol:
-        def objective(z):
-            try:
-                da = differentiate_numeric(inst.h, (z[0],), (1.0,))
-                db = differentiate_numeric(inst.h, (z[1],), (1.0,))
-            except EvalDomainError:
-                return -np.inf
-            return -deficiency(da, db)
+        def objective(Z):
+            with np.errstate(all="ignore"):
+                v = -deficiency(*dh(Z.ravel()).reshape(Z.shape).T)
+            return np.where(np.isfinite(v), v, -np.inf)
 
-        z, v = _golden_refine(objective, [alpha, beta], [(lo, hi), (lo, hi)], cfg.refine_steps)
+        z, v = _line_refine(objective, [alpha, beta], [(lo, hi), (lo, hi)],
+                            min(cfg.refine_steps, 2))
         if math.isfinite(v) and -v < best:
             best = -v
             alpha, beta = float(z[0]), float(z[1])
@@ -345,10 +309,7 @@ def verify_mean_value(inst: Instance, u1: float, u2: float, cfg: CheckConfig,
             notes=(f"witness pair alpha={alpha!r}, beta={beta!r}, R={R!r}",),
         )
     else:
-        witness = Witness(
-            points=(Point((alpha,)), Point((beta,))), t=None,
-            lhs=float(best), rhs=0.0, violation=float(best),
-        )
+        witness = _margin_witness((Point((alpha,)), Point((beta,))), None, best)
         conclusion = Report(
             Verdict.VIOLATED, best, witness, grid, cfg.seed,
             notes=(f"no grid/refined pair met the chain, R={R!r}",),
@@ -378,21 +339,15 @@ def verify_three_point(inst: Instance, mu1: float, mu2: float, mu3: float,
     h1, h2, h3 = hs
     ps.flag("ordering E(mu1) < E(mu2) < E(mu3)", e1 < e2 < e3,
             f"images {e1!r}, {e2!r}, {e3!r}", need=True)
-    # the proof only manipulates the inequality family along the two fixed
-    # pairs, so that is what the convexity premise samples
+    # the proof only uses the inequality along the two fixed pairs; they are
+    # scanned one lane per row, as refinement does, not a call per t-column
     ts = np.linspace(0.0, 1.0, 129)
-    for (ea, eb, ha, hb, name) in (
-        (e1, e2, h1, h2, "pair (mu1, mu2)"),
-        (e2, e3, h2, h3, "pair (mu2, mu3)"),
-    ):
-        pts = (ts * ea + (1.0 - ts) * eb)[:, None]
-        vals = inst.h.eval_batch(pts)
-        p = inst.phi(ha, hb)
-        rhs = hb + ts * p
-        viol = vals - rhs
-        thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
-        ok = bool(np.all(np.isfinite(viol)) and np.all(viol <= thr))
-        ps.flag(f"combination inequality along {name}", ok, f"max gap {float(np.max(viol))!r}")
+    rows = np.repeat(np.array([[mu1, mu2], [mu2, mu3]], dtype=np.float64), ts.size, axis=0)
+    viol, thr, err = _ConvexityScan(inst, cfg).lanes(rows, np.tile(ts, 2)[:, None])
+    ok = ((err == _OK) & np.isfinite(viol) & (viol <= thr)).reshape(2, -1)
+    for k, name in enumerate(("pair (mu1, mu2)", "pair (mu2, mu3)")):
+        ps.flag(f"combination inequality along {name}", bool(ok[k].all()),
+                f"max gap {float(np.max(viol.reshape(2, -1)[k]))!r}")
     with ps.evaluable("h numerically differentiable"):
         d2 = differentiate_numeric(inst.h, (e2,), (1.0,))
         d3 = differentiate_numeric(inst.h, (e3,), (1.0,))
@@ -792,40 +747,40 @@ def verify_local_min(inst: Instance, mu_star: Point, cfg: CheckConfig) -> Theore
     except EvalDomainError:
         w_star = None
     ps.flag("E(mu*) and h(E(mu*)) evaluable", w_star is not None, need=True)
-    scale = inst.domain.scale()
-    interior_ok = member_mask_batch(inst.domain, w_star.array()[None, :])[0]
+    w = w_star.array()
+    interior_ok = member_mask_batch(inst.domain, w[None, :])[0]
+    # the probe ladder in draw order: LOCAL_MIN_DIRECTIONS tangent directions
+    # at each radius of the domain scale
     stream = rng.Stream(cfg.seed, STREAM_DIRS)
-    amb = m.ambient_dim
-    probes_ok = True
-    min_ok = True
-    detail = ""
+    radii, V = [], []
     for radius in LOCAL_MIN_RADII:
-        r = radius * scale
+        r = radius * inst.domain.scale()
         for _ in range(LOCAL_MIN_DIRECTIONS):
-            raw = np.array([stream.normal() for _ in range(amb)])
+            raw = np.array([stream.normal() for _ in range(m.ambient_dim)])
             if m.kind is ManifoldKind.SPHERE:
-                raw = raw - np.dot(raw, w_star.array()) * w_star.array()
+                raw = raw - np.dot(raw, w) * w
             nrm = float(np.linalg.norm(raw))
-            if nrm < 1e-12:
-                continue
-            v = tuple(r * raw / nrm)
-            try:
-                q = exp_map(m, w_star, v)
-                hq = inst.h(q.coords)
-            except Exception:
-                probes_ok = False
-                detail = f"probe at radius {r!r} not evaluable"
-                break
-            if not member_mask_batch(inst.domain, q.array()[None, :])[0]:
-                interior_ok = False
-                detail = f"probe at radius {r!r} leaves the set"
-                break
-            if hq < h_star - cfg.threshold(h_star):
-                min_ok = False
-                detail = f"h={hq!r} below h(E(mu*))={h_star!r} at radius {r!r}"
-                break
-        if not (probes_ok and min_ok and interior_ok):
-            break
+            if nrm >= 1e-12:
+                radii.append(r)
+                V.append(r * raw / nrm)
+    with np.errstate(all="ignore"):
+        Q = exp_batch(m, np.repeat(w[None, :], len(V), axis=0), np.reshape(V, (len(V), w.size)))
+        H = inst.h.eval_batch(Q)
+    # only a non-finite h or a point off the manifold is not evaluable
+    evaluable = valid_mask(m, Q) & np.isfinite(H)
+    inside = member_mask_batch(inst.domain, Q)
+    low = H < h_star - cfg.threshold(h_star)
+    probes_ok = min_ok = True
+    detail = ""
+    failed = np.flatnonzero(~evaluable | ~inside | low)
+    if failed.size:  # the first failing probe in draw order
+        k, r = failed[0], radii[failed[0]]
+        if not evaluable[k]:
+            probes_ok, detail = False, f"probe at radius {r!r} not evaluable"
+        elif not inside[k]:
+            interior_ok, detail = False, f"probe at radius {r!r} leaves the set"
+        else:
+            min_ok, detail = False, f"h={float(H[k])!r} below h(E(mu*))={h_star!r} at radius {r!r}"
     ps.flag("E(mu*) interior with evaluable probes", probes_ok and interior_ok, detail)
     ps.flag("mu* is a sampled local minimum", min_ok, detail)
     ps.gate()

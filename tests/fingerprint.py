@@ -3,7 +3,8 @@
 A fixed list of entries covers every statement id at two instance seeds,
 the function, strict, counterexample-search, interval and slope checks, the
 set check, product sets that hold, are violated, are vacuous or are partly
-sampled, one epigraph query, and one DomainError and one PremiseFailed case.
+sampled, one epigraph query, one DomainError and one PremiseFailed case, and
+a slope and a set check that meet a domain error in mid-run.
 Every entry runs at workers 1 and 2, which must agree.  `fingerprint.json`
 pins, per entry, its verdict, `repr(max_violation)` (of the conclusion for a
 statement), `samples_used` (summed over nested reports) and a sha256 prefix
@@ -56,10 +57,13 @@ CHECK_CFG = CheckConfig(seed=42, samples=2000, refine_steps=12)
 # sets whose draws exhaust the rejection budget: every such draw costs
 # MAX_REJECTION_ROUNDS rounds, so these take fewer samples
 RARE_CFG = CHECK_CFG.replace(samples=200)
+# checks that meet a domain error in mid-run, at the seed of a slope job
+# whose counters once depended on the worker count
+MID_ERROR_CFG = CHECK_CFG.replace(seed=3)
 WORKERS = (1, 2)
 HASH_CHARS = 16
 
-E1, S2, B2 = euclidean(1), sphere(2), poincare_ball(2)
+E1, E2, S2, B2 = euclidean(1), euclidean(2), sphere(2), poincare_ball(2)
 DIFF = Bifunction.from_source("a - b")
 
 
@@ -147,8 +151,16 @@ def entries() -> list[tuple[str, CheckConfig, object]]:
         ("product.partly_sampled", _product_check(
             _product_set("1e-4 - x1^2 - (v - 0.5)^2", (0.0, 1.0)))),
     ]
+    log_E = "log(x1 + 0.99)"
+    mid_error = [
+        ("slope.mid_error", lambda cfg: check_slope_inequality(
+            _inst1d("x1^2", "a - b", (-1.0, 1.0), E=log_E), cfg)),
+        ("set.mid_error", lambda cfg: check_geodesic_E_convex_set(
+            E2, EndoMap.from_source([log_E, "2*x2"], 2), DomainSet(E2, ((-1.0, 1.0),) * 2), cfg)),
+    ]
     return (out + [(label, CHECK_CFG, run) for label, run in checks]
-            + [(label, RARE_CFG, run) for label, run in rare])
+            + [(label, RARE_CFG, run) for label, run in rare]
+            + [(label, MID_ERROR_CFG, run) for label, run in mid_error])
 
 
 def _samples_used(d) -> int:

@@ -29,7 +29,7 @@ from geoconvex import (
     sphere,
 )
 from geoconvex import rng
-from geoconvex.checker import GOLDEN_PROBES
+from geoconvex.checker import LINE_PROBES, LINE_ROUNDS
 from geoconvex.cli import main as cli_main
 from geoconvex.instances import (
     epigraph_instance,
@@ -251,7 +251,8 @@ def test_criterion_7_three_point_undivided():
 def test_criterion_8_mean_value_witnesses():
     cfg = CheckConfig(seed=8, samples=1200)
     grid = 64
-    budget = 2 * grid + cfg.refine_steps * GOLDEN_PROBES * 4 + 16
+    # the grid, then at most two line-search steps, each probe two derivatives
+    budget = 2 * grid + min(cfg.refine_steps, 2) * LINE_ROUNDS * LINE_PROBES * 4 + 16
     assert budget <= 10_000  # structural evaluation budget per instance
     failures = []
     for seed in range(20):

@@ -387,9 +387,9 @@ def test_select_candidates_ties_straddle_kth():
 
 
 def test_line_refine_pins_a_smooth_maximum():
-    from geoconvex.checker import GOLDEN_PROBES, LINE_PROBES, LINE_ROUNDS, _line_refine
+    from geoconvex.checker import LINE_PROBES, LINE_ROUNDS, _line_refine
 
-    golden_width = ((5 ** 0.5 - 1) / 2) ** GOLDEN_PROBES
+    golden_width = ((5 ** 0.5 - 1) / 2) ** 40
     assert (2 / (LINE_PROBES - 1)) ** LINE_ROUNDS <= golden_width
     calls = []
 
@@ -403,6 +403,39 @@ def test_line_refine_pins_a_smooth_maximum():
     assert v == pytest.approx(0.0, abs=1e-15)
     # the first step finds no admissible probe and stops after one round
     assert calls == [1, LINE_PROBES] + [LINE_PROBES] * (3 * LINE_ROUNDS)
+
+
+def test_line_refine_skips_empty_intervals_and_never_falls_below_the_start():
+    from geoconvex.checker import LINE_PROBES, LINE_ROUNDS, _line_refine
+
+    seen = []
+
+    def bowl(Z):
+        seen.append(Z.copy())
+        return -((Z[:, 0] - 0.3) ** 2) - (Z[:, 1] + 0.7) ** 2
+
+    z, v = _line_refine(bowl, [0.9, 0.9], [(0.5, 0.5), (-1.0, 1.0)], steps=4)
+    assert z[0] == 0.9 and z[1] == pytest.approx(-0.7, abs=1e-8)
+    # the start, then two searches over the second coordinate only
+    assert [Z.shape[0] for Z in seen] == [1] + [LINE_PROBES] * (2 * LINE_ROUNDS)
+    assert all((Z[:, 0] == 0.9).all() for Z in seen)
+
+    # a narrow spike at the start that no probe lands on
+    def spike(Z):
+        return np.maximum(0.0, 1.0 - 1e3 * np.abs(Z[:, 0] - 0.123))
+
+    z, v = _line_refine(spike, [0.123], [(-1.0, 1.0)], steps=3)
+    assert z.tolist() == [0.123] and v == 1.0
+    gen = np.random.default_rng(3)
+    for _ in range(20):
+        a, w = gen.normal(size=3), gen.uniform(5.0, 40.0, size=3)
+
+        def wavy(Z, a=a, w=w):
+            return sum(a[j] * np.sin(w[j] * Z[:, j]) for j in range(3))
+
+        z0 = gen.uniform(-1.0, 1.0, size=3)
+        z, v = _line_refine(wavy, z0, [(-1.0, 1.0)] * 3, steps=6)
+        assert v >= wavy(z0[None, :])[0] and v == wavy(z[None, :])[0]
 
 
 # the implication suite's budget
@@ -625,7 +658,7 @@ def test_chunk_reduce_matches_flat_index_reference(skips_unsampled):
         T = np.linspace(0.0, 1.0, 6)[None, :]
         rows = np.arange(n, dtype=float)[:, None]
         want = _reduce_with_flats(i0, L, scan.first_t + 1, viol, thr, err, ok, skips_unsampled)
-        got = scan.reduce(i0, rows, ok, T, viol.copy(), thr, err.copy(), {})
+        got = scan.reduce(i0, rows, ok, T, viol.copy(), thr, err.copy(), lambda n: {})
         assert flat(got.err_at) == want[0]
         if want[1] is not None:
             assert got.err_note == f"{want[1][0]}:{want[1][1]}"
@@ -673,7 +706,7 @@ def test_lane_order_does_not_change_selection_or_reduce():
         assert tm.flags.f_contiguous and not tm.flags.c_contiguous
         for k in (1, 3, 8, n * G + 1):
             assert _select_candidates(tm, k) == _select_candidates(viol.copy(), k)
-        got = [Lanes().reduce(100, rows, ok, T, v, 0.5, e, {})
+        got = [Lanes().reduce(100, rows, ok, T, v, 0.5, e, lambda n: {})
                for v, e in ((viol.copy(), err.copy()), (_t_major(viol), _t_major(err)))]
         c_scan, t_scan = got
         assert (t_scan.err_at, t_scan.err_note, t_scan.max_viol, t_scan.violated,
@@ -690,6 +723,31 @@ def test_lane_order_does_not_change_selection_or_reduce():
     assert mid.err_at == (112, 1 + 3) and mid.err_note == f"{_LANE}:112"
     assert mid.extra["counted"] == 12 * G + 3
     assert mid.cands and all(at < (112, 4) for _, at, _ in mid.cands)
+
+
+def test_reduce_counters_cover_only_the_lanes_before_the_first_error():
+    from geoconvex.checker import _E_BAD, _LANE, _Scan
+
+    class Lanes(_Scan):
+        first_t = 1
+        skips_unsampled = True
+        notes = {c: f"{c}:{{i}}" for c in range(1, 6)}
+
+    n, G = 10, 4
+    T = np.linspace(0.0, 1.0, G + 1)[None, :]
+    rows = np.arange(n, dtype=float)[:, None]
+    ok = np.arange(n) != 8  # an unsampled row after the error
+    # (error code, its t-column in row 6, lanes counted, rows covered)
+    for code, j, counted, cover in ((_LANE, 2, 6 * G + 2, 7), (_LANE, 0, 6 * G, 6),
+                                    (_E_BAD, 0, 6 * G, 6)):
+        err = np.zeros((n, G), np.int8)
+        err[6, j:j + 1 if code == _LANE else G] = code
+        got = Lanes().reduce(0, rows, ok, T, np.zeros((n, G)), 0.5, err, lambda k: {"rows": k})
+        assert got.err_at == (6, 1 + j if code == _LANE else -1)
+        assert got.extra == {"unsampled": 0, "counted": counted, "rows": cover}
+    clean = Lanes().reduce(0, rows, ok, T, np.zeros((n, G)), 0.5, np.zeros((n, G), np.int8),
+                           lambda k: {"rows": k})
+    assert clean.extra == {"unsampled": 1, "counted": (n - 1) * G, "rows": n}
 
 
 @pytest.mark.parametrize("field, value", [

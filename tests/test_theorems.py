@@ -11,6 +11,7 @@ from geoconvex import (
     ScalarFn,
     Verdict,
     euclidean,
+    poincare_ball,
     sphere,
 )
 from geoconvex.checker import _ConvexityScan, _finish_scan, check_geodesic_phiE_convex_fn
@@ -67,54 +68,49 @@ def test_mean_value_constant_premise_fails():
     assert rep.verdict is Verdict.PREMISE_FAILED
 
 
-def _bowl(z):
-    """A smooth maximum of 0 at (0.3, -0.7)."""
-    return -((z[0] - 0.3) ** 2) - (z[1] + 0.7) ** 2
+def _mean_value_miss(refine_steps):
+    """x^2 on [0, 1] under phi = a - b + 200*(a - b)^2, where R = 201 and
+    the chain reads alpha >= 201*beta: the default 64-point grid misses it,
+    a beta below 1/201 with alpha near 1 meets it."""
+    inst = _inst("x1^2", phi="a - b + 200*(a - b)^2", box=(0.0, 1.0))
+    return verify_mean_value(inst, 1.0, 0.0, CFG.replace(refine_steps=refine_steps))
 
 
-def test_golden_refine_pins_a_smooth_maximum():
-    from geoconvex.theorems import _golden_refine
-
-    z, v = _golden_refine(_bowl, [0.9, 0.9], [(-1.0, 1.0), (-1.0, 1.0)], steps=4)
-    assert z == pytest.approx([0.3, -0.7], abs=1e-8)
-    assert v == _bowl(z) and v == pytest.approx(0.0, abs=1e-15)
-
-
-def test_golden_refine_skips_an_empty_interval():
-    from geoconvex.checker import GOLDEN_PROBES
-    from geoconvex.theorems import _golden_refine
-
-    seen = []
-
-    def f(z):
-        seen.append(list(z))
-        return _bowl(z)
-
-    z, v = _golden_refine(f, [0.9, 0.9], [(0.5, 0.5), (-1.0, 1.0)], steps=4)
-    assert z[0] == 0.9 and z[1] == pytest.approx(-0.7, abs=1e-8)
-    # the start, then two golden searches over the second coordinate only
-    assert len(seen) == 1 + 2 * (2 + GOLDEN_PROBES)
-    assert all(p[0] == 0.9 for p in seen)
+def test_mean_value_refinement_meets_the_chain_the_grid_missed():
+    rep = _mean_value_miss(CFG.refine_steps)
+    assert all(p.holds for p in rep.premise_reports)
+    assert rep.holds
+    assert rep.conclusion_report.max_violation < 0.0
+    note = rep.conclusion_report.notes[0]
+    alpha, beta = (float(note.split(f"{k}=")[1].split(",")[0]) for k in ("alpha", "beta"))
+    assert "R=201.0" in note
+    assert alpha >= 201 * beta > 0.0
 
 
-def test_golden_refine_never_falls_below_the_start():
-    from geoconvex.theorems import _golden_refine
+def test_mean_value_grid_miss_without_refinement_is_violated():
+    rep = _mean_value_miss(0)
+    assert all(p.holds for p in rep.premise_reports)
+    assert rep.verdict is Verdict.VIOLATED
+    w = rep.conclusion_report.witness
+    assert [p.coords for p in w.points] == [(127 / 128,), (1 / 128,)]
+    # the deficiency max(R*h'(beta) - h'(alpha), h'(beta) - R*h'(beta)), h' = 2x
+    gap = max(201 * 2 / 128 - 2 * 127 / 128, 2 / 128 - 201 * 2 / 128)
+    assert w.violation == rep.conclusion_report.max_violation == pytest.approx(gap, abs=1e-6)
 
-    # a narrow spike at the start that no golden probe lands on
-    def spike(z):
-        return max(0.0, 1.0 - 1e3 * abs(z[0] - 0.123))
 
-    assert _golden_refine(spike, [0.123], [(-1.0, 1.0)], steps=3) == ([0.123], 1.0)
-    gen = np.random.default_rng(3)
-    for _ in range(20):
-        a, w = gen.normal(size=3), gen.uniform(5.0, 40.0, size=3)
+def test_mean_value_search_stays_within_its_evaluation_budget(monkeypatch):
+    from geoconvex import theorems
 
-        def wavy(z, a=a, w=w):
-            return float(np.sum(a * np.sin(w * np.asarray(z))))
-
-        z0 = list(gen.uniform(-1.0, 1.0, size=3))
-        z, v = _golden_refine(wavy, z0, [(-1.0, 1.0)] * 3, steps=6)
-        assert v >= wavy(z0) and v == wavy(z)
+    rows = []
+    batch = theorems.directional_derivative_batch
+    monkeypatch.setattr(theorems, "directional_derivative_batch",
+                        lambda h, X, V: rows.append(X.shape[0]) or batch(h, X, V))
+    rep = _mean_value_miss(CheckConfig().refine_steps)
+    assert rep.holds
+    # the grid, the start, and two line-search steps of 5 rounds of 129
+    # probes, each probe two derivatives; a derivative evaluates h twice
+    assert rows[0] == 64 and sum(rows) == 64 + 2 * (1 + 2 * 5 * 129)
+    assert 2 * sum(rows) <= 10_000
 
 
 # three points ---------------------------------------------------------------
@@ -307,6 +303,36 @@ def test_local_min_sphere_pole():
     assert rep.holds
 
 
+def _ball_edge_local_min():
+    """A local-minimum case whose E(mu*) sits 1e-11 inside the Poincare
+    ball's boundary, so the probes' exponential map leaves the ball."""
+    B2 = poincare_ball(2)
+    return Instance(B2, ScalarFn.from_source("x1 + x2", 2),
+                    EndoMap.from_source(["0.99999999999", "0"], 2),
+                    Bifunction.from_source("a - b"), DomainSet(B2, ((-1.0, 1.0),) * 2))
+
+
+def test_local_min_probe_off_the_manifold_is_not_evaluable():
+    rep = verify_local_min(_ball_edge_local_min(), Point((0.0, 0.0)), CFG)
+    assert rep.verdict is Verdict.PREMISE_FAILED
+    interior = rep.premise_reports[1]
+    assert not interior.holds
+    assert interior.notes == ("premise: E(mu*) interior with evaluable probes",
+                              "probe at radius 0.02 not evaluable")
+
+
+def test_local_min_probe_errors_propagate(monkeypatch):
+    from geoconvex import theorems
+
+    def broken(*args):
+        raise RuntimeError("exp_batch bug")
+
+    # a fault in the probe path is a bug to report, not a failed premise
+    monkeypatch.setattr(theorems, "exp_batch", broken)
+    with pytest.raises(RuntimeError, match="exp_batch bug"):
+        verify_local_min(_inst("x1^2"), Point((0.0,)), CFG)
+
+
 # gap-function limits --------------------------------------------------------
 
 def test_phi_limit_decreasing_offsets():
@@ -406,6 +432,25 @@ def test_intersection_disjoint_vacuous():
     rep = verify_intersection(E1, EndoMap.identity(1), phi, [s1, s2], CFG)
     assert rep.holds
     assert any("vacuous" in n for n in rep.conclusion_report.notes)
+
+
+def test_intersect_product_sets_meets_memberships_and_disjoint_v_ranges():
+    from geoconvex.algebra import ProductSet, member_mask_batch
+    from geoconvex.theorems import intersect_product_sets
+
+    graph = parse("v - x1^2", point_vars(1) + ("v",))
+    below = DomainSet(E1, ((-1.0, 1.0),), parse("0.5 - x1", point_vars(1)))
+    above = DomainSet(E1, ((-2.0, 0.8),), parse("x1 + 0.5", point_vars(1)))
+    plain = DomainSet(E1, ((-3.0, 3.0),))
+    both = intersect_product_sets([ProductSet(below, graph, (0.0, 1.0)),
+                                   ProductSet(plain, graph, (0.5, 4.0)),
+                                   ProductSet(above, graph, (2.0, 3.0))])
+    assert both.base.box == ((-1.0, 0.8),)
+    # both predicates hold only on (-0.5, 0.5)
+    X = np.array([[-0.7], [-0.4], [0.4], [0.7]])
+    assert member_mask_batch(both.base, X).tolist() == [False, True, True, False]
+    # v-ranges (0, 1) and (2, 3) do not meet: a sliver at the larger low end
+    assert both.v_range == (2.0, 2.0 + 1e-9)
 
 
 # supremum via epigraphs -------------------------------------------------------
