@@ -405,39 +405,6 @@ def test_line_refine_pins_a_smooth_maximum():
     assert calls == [1, LINE_PROBES] + [LINE_PROBES] * (3 * LINE_ROUNDS)
 
 
-def test_line_refine_skips_empty_intervals_and_never_falls_below_the_start():
-    from geoconvex.checker import LINE_PROBES, LINE_ROUNDS, _line_refine
-
-    seen = []
-
-    def bowl(Z):
-        seen.append(Z.copy())
-        return -((Z[:, 0] - 0.3) ** 2) - (Z[:, 1] + 0.7) ** 2
-
-    z, v = _line_refine(bowl, [0.9, 0.9], [(0.5, 0.5), (-1.0, 1.0)], steps=4)
-    assert z[0] == 0.9 and z[1] == pytest.approx(-0.7, abs=1e-8)
-    # the start, then two searches over the second coordinate only
-    assert [Z.shape[0] for Z in seen] == [1] + [LINE_PROBES] * (2 * LINE_ROUNDS)
-    assert all((Z[:, 0] == 0.9).all() for Z in seen)
-
-    # a narrow spike at the start that no probe lands on
-    def spike(Z):
-        return np.maximum(0.0, 1.0 - 1e3 * np.abs(Z[:, 0] - 0.123))
-
-    z, v = _line_refine(spike, [0.123], [(-1.0, 1.0)], steps=3)
-    assert z.tolist() == [0.123] and v == 1.0
-    gen = np.random.default_rng(3)
-    for _ in range(20):
-        a, w = gen.normal(size=3), gen.uniform(5.0, 40.0, size=3)
-
-        def wavy(Z, a=a, w=w):
-            return sum(a[j] * np.sin(w[j] * Z[:, j]) for j in range(3))
-
-        z0 = gen.uniform(-1.0, 1.0, size=3)
-        z, v = _line_refine(wavy, z0, [(-1.0, 1.0)] * 3, steps=6)
-        assert v >= wavy(z0[None, :])[0] and v == wavy(z[None, :])[0]
-
-
 # the implication suite's budget
 IMPLICATION_CFG = CheckConfig(seed=1234, samples=160, t_grid=9, refine_steps=12)
 
