@@ -34,7 +34,7 @@ from .checker import (
     epigraph_membership, search_counterexample,
 )
 from .errors import ConfigError, GeoconvexError, InverseSearchFailedError
-from .exprlang import BUILTIN_ARITY, Bifunction, EndoMap, ScalarFn, parse, point_vars
+from .exprlang import BUILTINS, COMPARE_OPS, Bifunction, EndoMap, ScalarFn, parse, point_vars
 from .instances import quad_epigraph_set
 from .manifold import ManifoldKind, Point, euclidean, manifold_from_name
 from .theorems import (
@@ -50,8 +50,8 @@ def list_builtins() -> str:
         "diffeomorphism pairs:",
         *(f"  {name}: {desc}" for name, desc in sorted(BUILTIN_DIFFEOS.items())),
         "theorem ids:", *(f"  {tid.value}" for tid in TheoremId),
-        "expression builtins:", "  " + ", ".join(sorted(BUILTIN_ARITY)) + ", if(cond, then, else)",
-        "comparison operators: <, <=, >, >=, ==",
+        "expression builtins:", "  " + ", ".join(sorted(BUILTINS)) + ", if(cond, then, else)",
+        "comparison operators: " + ", ".join(COMPARE_OPS),
     ])
 
 
@@ -200,8 +200,8 @@ def _check_function(raw: dict, cfg: CheckConfig):
     inst = _instance(raw)
     strict = _get(raw, "", "strict", BOOL, False)
     form = _get(raw, "", "form", _one_of("interval", "slope"), None)
-    if form == "interval" and inst.manifold != euclidean(1):
-        raise ConfigError("form: interval needs the Euclidean(1) manifold")
+    if form is not None and inst.manifold != euclidean(1):
+        raise ConfigError(f"form: {form} needs the Euclidean(1) manifold")
     check = {"interval": check_phiE_convex_interval, "slope": check_slope_inequality}.get(form)
     return check(inst, cfg) if check else check_geodesic_phiE_convex_fn(inst, cfg, strict=strict)
 
@@ -302,9 +302,18 @@ def _number(t: dict, inst: Instance, key: str) -> float:
     return float(_get(t, "theorem", key, NUMBER))
 
 
+def _coordinate(t: dict, inst: Instance, key: str) -> float:
+    if inst.manifold.ambient_dim != 1:
+        m = inst.manifold
+        raise ConfigError(f"manifold: theorem.{key} needs a manifold with one coordinate, "
+                          f"not {m.kind.value}({m.dim})")
+    return _number(t, inst, key)
+
+
 # verifier parameter -> reader(t, inst, key)
 _ARGUMENTS = {
-    **dict.fromkeys(("u1", "u2", "mu1", "mu2", "mu3", "K", "eps"), _number),
+    **dict.fromkeys(("u1", "u2", "mu1", "mu2", "mu3"), _coordinate),
+    **dict.fromkeys(("K", "eps"), _number),
     "tol_strict": lambda t, inst, key: float(
         _get(t, "theorem", key, NUMBER, STRICT_DERIVATIVE_TOL)),
     "inst": lambda t, inst, key: inst,

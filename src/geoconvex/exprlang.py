@@ -19,18 +19,21 @@ well-formed expression terminates.
 Evaluation follows IEEE double semantics except that any non-finite value
 (log of a nonpositive number, division by zero, 0^negative, overflow)
 raises EvalDomainError instead of propagating silently.  `compile_batch`
-produces a vectorized numpy twin used by the samplers; it returns raw
-arrays and leaves non-finite rows to the caller's masking, with the scalar
-evaluator remaining the authority wherever single values are re-checked.
+produces a vectorized numpy twin used by the samplers.  A lane is NaN where
+the scalar evaluator raises (+-inf where an overflow or log(0) carries), so
+it is finite exactly where the scalar value exists; non-finite lanes are
+left to the caller's masking.  Each operator is stated once, as its scalar
+rule beside its batch kernel in `BINARY_OPS`, `BUILTINS` or `COMPARE_OPS`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -46,20 +49,119 @@ from .manifold import row_norm
 MAX_SOURCE_BYTES = 64 * 1024
 MAX_DEPTH = 64
 
-BUILTIN_ARITY = {
-    "exp": 1,
-    "log": 1,
-    "sin": 1,
-    "cos": 1,
-    "tanh": 1,
-    "artanh": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
+# ---------------------------------------------------------------------------
+# Operators: each one's scalar rule beside its batch kernel.  A binary rule's
+# non-finite value raises in `_eval_node`.  A kernel's lane is NaN where its
+# rule fails a domain test, +-inf where it overflows, and NaN where it would
+# make a non-finite operand, whose scalar has raised, finite (1/inf = 0).
+
+
+class Operator(NamedTuple):
+    scalar: Callable
+    batch: Callable
+
+
+class Builtin(NamedTuple):
+    arity: int
+    scalar: Callable
+    batch: Callable
+
+
+def _require_finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise EvalDomainError(f"non-finite value from {what}")
+    return value
+
+
+def _nan_where(bad, out):
+    """`out` with NaN where `bad`, copied only when some lane is bad."""
+    return np.where(bad, np.nan, out) if bad.any() else out
+
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalDomainError("division by zero")
+    return a / b
+
+
+def _np_div(a, b):
+    out = np.divide(a, b)
+    if isinstance(b, float) and b != 0.0 and math.isfinite(b):  # a constant divisor
+        return out
+    return _nan_where((b == 0.0) | ~np.isfinite(b), out)
+
+
+def _pow(a: float, b: float) -> float:
+    if a == 0.0 and b < 0.0:
+        raise EvalDomainError("zero raised to a negative power")
+    try:
+        return math.pow(a, b)
+    except (ValueError, OverflowError):
+        raise EvalDomainError(f"invalid power {a!r} ^ {b!r}") from None
+
+
+def _np_pow(a, b):
+    out = np.power(a, b)
+    if isinstance(b, float) and 0.0 < b < math.inf:  # a^b is non-finite iff a is, or overflows
+        return out
+    return _nan_where(((a == 0.0) & (b < 0.0)) | ~(np.isfinite(a) & np.isfinite(b)), out)
+
+
+def _exp(x: float) -> float:
+    try:
+        return _require_finite(math.exp(x), "exp")
+    except OverflowError:
+        raise EvalDomainError("exp overflow") from None
+
+
+def _guarded(fn: Callable, outside: Callable, message: str) -> Callable:
+    """The scalar rule fn(x), raising `message` and x where outside(x)."""
+    def rule(x: float) -> float:
+        if outside(x):
+            raise EvalDomainError(f"{message} {x!r}")
+        return fn(x)
+
+    return rule
+
+
+def _absorbing(ufunc) -> Callable:
+    """`ufunc` with NaN wherever an operand is not finite, which it could
+    map to a finite value: exp(-inf) = 0, tanh(inf) = 1, min(inf, 0) = 0."""
+    if ufunc.nin == 1:
+        return lambda x: _nan_where(~np.isfinite(x), ufunc(x))
+    return lambda x, y: _nan_where(~(np.isfinite(x) & np.isfinite(y)), ufunc(x, y))
+
+
+BINARY_OPS = {
+    "+": Operator(operator.add, np.add),
+    "-": Operator(operator.sub, np.subtract),
+    "*": Operator(operator.mul, np.multiply),
+    "/": Operator(_div, _np_div),
+    "^": Operator(_pow, _np_pow),
 }
 
-COMPARISONS = ("<=", ">=", "==", "<", ">")
+BUILTINS = {
+    "exp": Builtin(1, _exp, _absorbing(np.exp)),
+    "log": Builtin(1, _guarded(math.log, lambda x: x <= 0.0, "log of nonpositive value"), np.log),
+    "sin": Builtin(1, math.sin, np.sin),
+    "cos": Builtin(1, math.cos, np.cos),
+    "tanh": Builtin(1, math.tanh, _absorbing(np.tanh)),
+    "artanh": Builtin(1, _guarded(math.atanh, lambda x: abs(x) >= 1.0, "artanh outside (-1, 1):"),
+                      lambda x: _nan_where(np.abs(x) >= 1.0, np.arctanh(x))),
+    "sqrt": Builtin(1, _guarded(math.sqrt, lambda x: x < 0.0, "sqrt of negative value"), np.sqrt),
+    "abs": Builtin(1, abs, np.abs),
+    "min": Builtin(2, min, _absorbing(np.minimum)),
+    "max": Builtin(2, max, _absorbing(np.maximum)),
+}
+
+# the condition of if(cond, then, else); `geoconvex list` prints this order
+COMPARE_OPS = {
+    "<": Operator(operator.lt, np.less),
+    "<=": Operator(operator.le, np.less_equal),
+    ">": Operator(operator.gt, np.greater),
+    ">=": Operator(operator.ge, np.greater_equal),
+    "==": Operator(operator.eq, np.equal),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -150,62 +252,37 @@ def _filled(values, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+def _alternatives(names) -> str:
+    return "|".join(re.escape(n) for n in sorted(names, key=len, reverse=True))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUM IDENT OP CMP LPAREN RPAREN COMMA EOF
+# one named group per token kind, tried in order; BAD takes any other character
+_TOKEN_RE = re.compile(
+    r"(?P<WS>[ \t\r\n]+)"
+    r"|(?P<NUM>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<CMP>{_alternatives(COMPARE_OPS)})"
+    rf"|(?P<OP>{_alternatives(BINARY_OPS)})"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
+
+
+class _Token(NamedTuple):
+    kind: str  # a group name of _TOKEN_RE but WS and BAD, or EOF
     text: str
     pos: int
 
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        two = src[i : i + 2]
-        if two in ("<=", ">=", "=="):
-            tokens.append(_Token("CMP", two, i))
-            i += 2
-            continue
-        if c in "<>":
-            tokens.append(_Token("CMP", c, i))
-            i += 1
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("OP", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("LPAREN", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("RPAREN", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("COMMA", c, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(src, i)
-        if m:
-            tokens.append(_Token("NUM", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), i))
-            i = m.end()
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("EOF", "", n))
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "BAD":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "WS":
+            tokens.append(_Token(m.lastgroup, m.group(), m.start()))
+    tokens.append(_Token("EOF", "", len(src)))
     return tokens
 
 
@@ -234,38 +311,34 @@ class _Parser:
             expected,
         )
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            self.fail({text or kind})
+    def expect(self, kind: str) -> _Token:
+        if self.peek().kind != kind:
+            self.fail({kind})
         return self.advance()
+
+    def accept(self, ops: str) -> str | None:
+        """The next token, consumed, when it is one of the operators `ops`."""
+        tok = self.peek()
+        return self.advance().text if tok.kind == "OP" and tok.text in ops else None
 
     def parse_expr(self) -> Node:
         node = self.parse_term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
+        while op := self.accept("+-"):
             node = Binary(op, node, self.parse_term())
         return node
 
     def parse_term(self) -> Node:
         node = self.parse_factor()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
+        while op := self.accept("*/"):
             node = Binary(op, node, self.parse_factor())
         return node
 
     def parse_factor(self) -> Node:
         node = self.parse_unary()
-        if self.peek().kind == "OP" and self.peek().text == "^":
-            self.advance()
-            node = Binary("^", node, self.parse_factor())
-        return node
+        return Binary("^", node, self.parse_factor()) if self.accept("^") else node
 
     def parse_unary(self) -> Node:
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            self.advance()
-            return Unary("-", self.parse_unary())
-        return self.parse_atom()
+        return Unary("-", self.parse_unary()) if self.accept("-") else self.parse_atom()
 
     def parse_atom(self) -> Node:
         tok = self.peek()
@@ -285,13 +358,11 @@ class _Parser:
             name = tok.text
             if self.peek().kind == "LPAREN":
                 return self.parse_call(name, tok.pos)
-            if name in BUILTIN_ARITY or name == "if":
+            if name in BUILTINS or name == "if":
                 self.fail({"("})
             if name not in self.variables:
-                raise UnknownIdentifierError(
-                    f"unknown variable {name!r} at offset {tok.pos}; "
-                    f"declared: {', '.join(self.variables)}"
-                )
+                raise UnknownIdentifierError(f"unknown variable {name!r} at offset {tok.pos}; "
+                                             f"declared: {', '.join(self.variables)}")
             return Var(name)
         self.fail({"number", "identifier", "(", "-"})
 
@@ -301,7 +372,7 @@ class _Parser:
             cond_lhs = self.parse_expr()
             cmp_tok = self.peek()
             if cmp_tok.kind != "CMP":
-                self.fail(set(COMPARISONS))
+                self.fail(set(COMPARE_OPS))
             self.advance()
             cond_rhs = self.parse_expr()
             self.expect("COMMA")
@@ -310,17 +381,16 @@ class _Parser:
             orelse = self.parse_expr()
             self.expect("RPAREN")
             return IfExpr(cmp_tok.text, cond_lhs, cond_rhs, then, orelse)
-        if name not in BUILTIN_ARITY:
+        if name not in BUILTINS:
             raise UnknownIdentifierError(f"unknown function {name!r} at offset {pos}")
         args = [self.parse_expr()]
         while self.peek().kind == "COMMA":
             self.advance()
             args.append(self.parse_expr())
         self.expect("RPAREN")
-        if len(args) != BUILTIN_ARITY[name]:
-            raise ArityMismatchError(
-                f"{name} takes {BUILTIN_ARITY[name]} argument(s), got {len(args)}"
-            )
+        arity = BUILTINS[name].arity
+        if len(args) != arity:
+            raise ArityMismatchError(f"{name} takes {arity} argument(s), got {len(args)}")
         return Call(name, tuple(args))
 
 
@@ -334,7 +404,7 @@ def parse(src: str, variables) -> Expr:
     parser = _Parser(_tokenize(src), variables)
     root = parser.parse_expr()
     if parser.peek().kind != "EOF":
-        parser.fail({"+", "-", "*", "/", "^", "end of input"})
+        parser.fail({*BINARY_OPS, "end of input"})
     return Expr(root, variables)
 
 
@@ -355,10 +425,8 @@ def to_source(node: Node) -> str:
         return f"({to_source(node.lhs)} {node.op} {to_source(node.rhs)})"
     if isinstance(node, Call):
         return f"{node.fn}({', '.join(to_source(a) for a in node.args)})"
-    return (
-        f"if({to_source(node.lhs)} {node.cmp} {to_source(node.rhs)}, "
-        f"{to_source(node.then)}, {to_source(node.orelse)})"
-    )
+    return (f"if({to_source(node.lhs)} {node.cmp} {to_source(node.rhs)}, "
+            f"{to_source(node.then)}, {to_source(node.orelse)})")
 
 
 def expr_to_source(expr: Expr) -> str:
@@ -367,24 +435,6 @@ def expr_to_source(expr: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # Scalar evaluation
-
-def _compare(op: str, a: float, b: float) -> bool:
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    return a == b
-
-
-def _require_finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise EvalDomainError(f"non-finite value from {what}")
-    return value
-
 
 def _eval_node(node: Node, env) -> float:
     if isinstance(node, Const):
@@ -399,60 +449,13 @@ def _eval_node(node: Node, env) -> float:
     if isinstance(node, Binary):
         a = _eval_node(node.lhs, env)
         b = _eval_node(node.rhs, env)
-        op = node.op
-        if op == "+":
-            return _require_finite(a + b, "+")
-        if op == "-":
-            return _require_finite(a - b, "-")
-        if op == "*":
-            return _require_finite(a * b, "*")
-        if op == "/":
-            if b == 0.0:
-                raise EvalDomainError("division by zero")
-            return _require_finite(a / b, "/")
-        # op == "^"
-        if a == 0.0 and b < 0.0:
-            raise EvalDomainError("zero raised to a negative power")
-        try:
-            return _require_finite(math.pow(a, b), "^")
-        except (ValueError, OverflowError):
-            raise EvalDomainError(f"invalid power {a!r} ^ {b!r}") from None
+        return _require_finite(BINARY_OPS[node.op].scalar(a, b), node.op)
     if isinstance(node, Call):
-        args = [_eval_node(a, env) for a in node.args]
-        fn = node.fn
-        x = args[0]
-        if fn == "exp":
-            try:
-                return _require_finite(math.exp(x), "exp")
-            except OverflowError:
-                raise EvalDomainError("exp overflow") from None
-        if fn == "log":
-            if x <= 0.0:
-                raise EvalDomainError(f"log of nonpositive value {x!r}")
-            return math.log(x)
-        if fn == "sin":
-            return math.sin(x)
-        if fn == "cos":
-            return math.cos(x)
-        if fn == "tanh":
-            return math.tanh(x)
-        if fn == "artanh":
-            if abs(x) >= 1.0:
-                raise EvalDomainError(f"artanh outside (-1, 1): {x!r}")
-            return math.atanh(x)
-        if fn == "sqrt":
-            if x < 0.0:
-                raise EvalDomainError(f"sqrt of negative value {x!r}")
-            return math.sqrt(x)
-        if fn == "abs":
-            return abs(x)
-        if fn == "min":
-            return min(args)
-        return max(args)
+        return BUILTINS[node.fn].scalar(*[_eval_node(a, env) for a in node.args])
     # IfExpr: condition operands are strict, only one branch is evaluated
     lhs = _eval_node(node.lhs, env)
     rhs = _eval_node(node.rhs, env)
-    branch = node.then if _compare(node.cmp, lhs, rhs) else node.orelse
+    branch = node.then if COMPARE_OPS[node.cmp].scalar(lhs, rhs) else node.orelse
     return _eval_node(branch, env)
 
 
@@ -464,46 +467,20 @@ def evaluate(expr: Expr, env) -> float:
 # ---------------------------------------------------------------------------
 # Vectorized evaluation
 
-_NP_CMP = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-}
-
-_NP_UNARY_FN = {
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tanh": np.tanh,
-    "artanh": np.arctanh,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
-
-
 def compile_batch(node: Node) -> Callable:
     """Compile to a closure mapping {name: array} to an array.
 
-    Non-finite lanes are returned as-is for the caller to mask, without
-    floating-point warnings.  Lanes whose if-condition operands are
+    Non-finite lanes are returned for the caller to mask, without
+    floating-point warnings.  A lane is non-finite exactly where the scalar
+    evaluator raises on its values: the kernels of `BINARY_OPS` and
+    `BUILTINS` see to it, and lanes whose if-condition operands are
     non-finite are poisoned with NaN so a bad condition cannot silently
     select a branch.  A subtree that occurs more than once is evaluated
     once per call.
     """
-    shared = _repeated_subtrees((node,))
-    f = _compile(node, shared)
-
     # not compile_batch_all((node,)): its list costs calls on every probe
-    def run(env):
-        if shared:
-            env = {**env, _MEMO: {}}
-        with np.errstate(all="ignore"):
-            return f(env)
-
-    return run
+    shared = _repeated_subtrees((node,))
+    return _run(_compile(node, shared), shared)
 
 
 def compile_batch_all(nodes) -> Callable:
@@ -512,12 +489,15 @@ def compile_batch_all(nodes) -> Callable:
     per call."""
     shared = _repeated_subtrees(nodes)
     fns = [_compile(n, shared) for n in nodes]
+    return _run(lambda env: [f(env) for f in fns], shared)
 
+
+def _run(f: Callable, shared: dict) -> Callable:
     def run(env):
         if shared:
             env = {**env, _MEMO: {}}
         with np.errstate(all="ignore"):
-            return [f(env) for f in fns]
+            return f(env)
 
     return run
 
@@ -573,9 +553,6 @@ def _memoized(f: Callable, slot: int) -> Callable:
     return g
 
 
-_NP_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply}
-
-
 def _compile(node: Node, shared: dict) -> Callable:
     """The closure of `node`, memoized per call when `shared` gives it a
     slot."""
@@ -594,55 +571,22 @@ def _compile_node(node: Node, shared: dict) -> Callable:
     if isinstance(node, Unary):
         f = _compile(node.operand, shared)
         return lambda env: -f(env)
-    if isinstance(node, Binary):
-        fl = _compile(node.lhs, shared)
-        fr = _compile(node.rhs, shared)
-        op = node.op
-        if op in _NP_ARITH:
-            uf = _NP_ARITH[op]
-            return lambda env: uf(fl(env), fr(env))
-        if op == "/":
-            def _div(env):
-                b = fr(env)
-                return np.where(b == 0.0, np.nan, np.divide(fl(env), b))
-
-            return _div
-
-        def _pow(env):
-            a = fl(env)
-            b = fr(env)
-            return np.where((a == 0.0) & (b < 0.0), np.nan, np.power(a, b))
-
-        return _pow
-    if isinstance(node, Call):
-        fns = [_compile(a, shared) for a in node.args]
-        if node.fn == "min":
-            return lambda env: np.minimum(fns[0](env), fns[1](env))
-        if node.fn == "max":
-            return lambda env: np.maximum(fns[0](env), fns[1](env))
-        uf = _NP_UNARY_FN[node.fn]
-        f0 = fns[0]
-        if node.fn == "artanh":
-            def _artanh(env):
-                x = f0(env)
-                return np.where(np.abs(x) >= 1.0, np.nan, np.arctanh(x))
-
-            return _artanh
-        return lambda env: uf(f0(env))
-    fl = _compile(node.lhs, shared)
-    fr = _compile(node.rhs, shared)
-    ft = _compile(node.then, shared)
-    fe = _compile(node.orelse, shared)
-    cmp = _NP_CMP[node.cmp]
+    fns = [_compile(c, shared) for c in _parts(node)[1]]
+    if isinstance(node, (Binary, Call)):
+        kernel = (BINARY_OPS[node.op] if isinstance(node, Binary) else BUILTINS[node.fn]).batch
+        if len(fns) == 1:
+            (f,) = fns
+            return lambda env: kernel(f(env))
+        fl, fr = fns
+        return lambda env: kernel(fl(env), fr(env))
+    cmp = COMPARE_OPS[node.cmp].batch
+    fl, fr, ft, fe = fns
 
     def _ifexpr(env):
         a = np.asarray(fl(env), dtype=np.float64)
         b = np.asarray(fr(env), dtype=np.float64)
         out = np.where(cmp(a, b), ft(env), fe(env))
-        bad = ~(np.isfinite(a) & np.isfinite(b))
-        if np.any(bad):
-            out = np.where(bad, np.nan, out)
-        return out
+        return _nan_where(~(np.isfinite(a) & np.isfinite(b)), out)
 
     return _ifexpr
 
@@ -655,19 +599,9 @@ def substitute(node: Node, mapping: dict[str, Node]) -> Node:
         return node
     if isinstance(node, Var):
         return mapping.get(node.name, node)
-    if isinstance(node, Unary):
-        return Unary(node.op, substitute(node.operand, mapping))
-    if isinstance(node, Binary):
-        return Binary(node.op, substitute(node.lhs, mapping), substitute(node.rhs, mapping))
-    if isinstance(node, Call):
-        return Call(node.fn, tuple(substitute(a, mapping) for a in node.args))
-    return IfExpr(
-        node.cmp,
-        substitute(node.lhs, mapping),
-        substitute(node.rhs, mapping),
-        substitute(node.then, mapping),
-        substitute(node.orelse, mapping),
-    )
+    label, children = _parts(node)
+    parts = [substitute(c, mapping) for c in children]
+    return Call(label, tuple(parts)) if isinstance(node, Call) else type(node)(label, *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -828,9 +762,7 @@ def _compose(outer: Expr, parts) -> Expr:
     """outer with its i-th variable replaced by parts[i], over the variables
     of the parts."""
     if len(parts) != len(outer.variables):
-        raise ValueError(
-            f"outer takes {len(outer.variables)} variables, inner gives {len(parts)}"
-        )
+        raise ValueError(f"outer takes {len(outer.variables)} variables, inner gives {len(parts)}")
     mapping = {name: p.root for name, p in zip(outer.variables, parts)}
     return Expr(substitute(outer.root, mapping), parts[0].variables)
 

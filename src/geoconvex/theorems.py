@@ -255,7 +255,8 @@ def verify_mean_value(inst: Instance, u1: float, u2: float, cfg: CheckConfig,
 
     Searched on a `grid` of derivatives at cell midpoints; a miss is refined
     by the checkers' batched line search, one step over alpha and one over
-    beta, about 5.3e3 evaluations of h at the default grid.
+    beta, about 5.3e3 evaluations of h at the default grid.  As for a scan,
+    a miss is Violated only when the scalar `differentiate_numeric` confirms it.
     """
     ps = _Premises(TheoremId.MEAN_VALUE_31, cfg)
     with ps.evaluable("h, E evaluable at u1, u2"):
@@ -304,17 +305,21 @@ def verify_mean_value(inst: Instance, u1: float, u2: float, cfg: CheckConfig,
             best = -v
             alpha, beta = float(z[0]), float(z[1])
     if best <= tol:
-        conclusion = Report(
+        return ps.report(Report(
             Verdict.HOLDS_ON_SAMPLES, best, None, grid, cfg.seed,
             notes=(f"witness pair alpha={alpha!r}, beta={beta!r}, R={R!r}",),
-        )
-    else:
-        witness = _margin_witness((Point((alpha,)), Point((beta,))), None, best)
-        conclusion = Report(
-            Verdict.VIOLATED, best, witness, grid, cfg.seed,
-            notes=(f"no grid/refined pair met the chain, R={R!r}",),
-        )
-    return ps.report(conclusion)
+        ))
+    try:
+        gap = float(deficiency(*(differentiate_numeric(inst.h, (x,), (1.0,))
+                                 for x in (alpha, beta))))
+    except EvalDomainError:
+        gap = math.nan
+    if not (math.isfinite(gap) and gap > tol):
+        return ps.report(Report(Verdict.HOLDS_ON_SAMPLES, best, None, grid, cfg.seed, notes=(
+            "unconfirmed raw violation did not survive re-evaluation",)))
+    witness = _margin_witness((Point((alpha,)), Point((beta,))), None, gap)
+    return ps.report(Report(Verdict.VIOLATED, gap, witness, grid, cfg.seed,
+                            notes=(f"no grid/refined pair met the chain, R={R!r}",)))
 
 
 # ---------------------------------------------------------------------------
@@ -770,19 +775,19 @@ def verify_local_min(inst: Instance, mu_star: Point, cfg: CheckConfig) -> Theore
     evaluable = valid_mask(m, Q) & np.isfinite(H)
     inside = member_mask_batch(inst.domain, Q)
     low = H < h_star - cfg.threshold(h_star)
-    probes_ok = min_ok = True
-    detail = ""
+    probe_detail = min_detail = ""  # of the first failing probe in draw order
     failed = np.flatnonzero(~evaluable | ~inside | low)
-    if failed.size:  # the first failing probe in draw order
+    if failed.size:
         k, r = failed[0], radii[failed[0]]
         if not evaluable[k]:
-            probes_ok, detail = False, f"probe at radius {r!r} not evaluable"
+            probe_detail = f"probe at radius {r!r} not evaluable"
         elif not inside[k]:
-            interior_ok, detail = False, f"probe at radius {r!r} leaves the set"
+            probe_detail = f"probe at radius {r!r} leaves the set"
         else:
-            min_ok, detail = False, f"h={float(H[k])!r} below h(E(mu*))={h_star!r} at radius {r!r}"
-    ps.flag("E(mu*) interior with evaluable probes", probes_ok and interior_ok, detail)
-    ps.flag("mu* is a sampled local minimum", min_ok, detail)
+            min_detail = f"h={float(H[k])!r} below h(E(mu*))={h_star!r} at radius {r!r}"
+    ps.flag("E(mu*) interior with evaluable probes", interior_ok and not probe_detail,
+            probe_detail)
+    ps.flag("mu* is a sampled local minimum", not min_detail, min_detail)
     ps.gate()
     return ps.report(_finish_scan(_LocalMinScan(inst, cfg, w_star, h_star), cfg))
 

@@ -356,11 +356,13 @@ def test_witness_revalidates_every_scan_kind():
 
 
 def test_batch_finite_where_scalar_raises():
-    # past x1 = 709.78 exp overflows: the batch lane of 1/exp(x1) is a
-    # finite 0, the scalar evaluator raises
+    # past x1 = 709.78 exp overflows: the scalar evaluator raises, and the
+    # batch lane of 1/exp(x1) is NaN rather than the 0 of IEEE division, so
+    # the first pair with an image there ends the scan as a domain error
     inst = _inst1d("1/exp(x1) - (x1 - 710)^2", "a - b", (700.0, 720.0))
     for rep in (check_phiE_convex_interval(inst, CFG), search_counterexample(inst, CFG)):
-        assert rep.verdict in (Verdict.VIOLATED, Verdict.HOLDS_ON_SAMPLES)
+        assert rep.verdict is Verdict.DOMAIN_ERROR and rep.samples_used == 0
+        assert rep.notes[-1] == "h or phi non-finite at an E-image (pair 0)"
         for w in ((rep.witness,) if rep.witness else ()) + rep.refined:
             gap, rhs = _convexity_gap(inst, w)
             assert gap == pytest.approx(w.violation, abs=1e-12)

@@ -13,6 +13,9 @@ from geoconvex.errors import (
     UnknownIdentifierError,
 )
 from geoconvex.exprlang import (
+    BINARY_OPS,
+    BUILTINS,
+    COMPARE_OPS,
     Bifunction,
     Binary,
     Call,
@@ -23,7 +26,6 @@ from geoconvex.exprlang import (
     ScalarFn,
     Unary,
     Var,
-    _compare,
     compile_batch,
     compose_endomaps,
     compose_scalar,
@@ -125,6 +127,9 @@ def _nodes(children):
         ),
         st.tuples(st.sampled_from(["exp", "sin", "cos", "tanh", "abs"]), children).map(
             lambda t: Call(t[0], (t[1],))
+        ),
+        st.tuples(st.sampled_from(["min", "max"]), children, children).map(
+            lambda t: Call(t[0], (t[1], t[2]))
         ),
         st.tuples(st.sampled_from(["<", "<=", ">", ">=", "=="]),
                   children, children, children, children).map(
@@ -243,37 +248,46 @@ def test_batch_overflow_raises_no_warning():
 
 # numpy's elementwise exp and tanh are not always the math module's: on
 # the same input they were measured up to 1 and 3 ulps apart.  A lane may
-# differ from the scalar value by this many ulps per operation, and by
-# what that propagates to through the tree.
+# differ from the scalar value by this many ulps per such operation, and by
+# what that propagates to through the tree; + - * / abs min max and the
+# comparisons are IEEE-exact in both, so on exact operands they agree bitwise.
 ULPS_PER_OP = 4
+_INEXACT = ("exp", "sin", "cos", "tanh")
 
 
 class _TooCloseToCall(Exception):
-    """An if-condition or divisor lies within the propagated bound."""
+    """An if-condition, divisor or domain edge lies within the propagated bound."""
 
 
 def _scalar_with_bound(node, env):
     """The scalar value of `node` and a bound on how far its batch lane may
-    be from it; raises EvalDomainError exactly where the scalar does."""
-    v = evaluate(Expr(node, ("x1", "x2")), env)
+    be from it.  Raises EvalDomainError where the scalar raises on operands
+    that the lane shares bitwise, so the lane must not be finite."""
     if isinstance(node, (Const, Var)):
-        return v, 0.0
+        return evaluate(Expr(node, ("x1", "x2")), env), 0.0
     if isinstance(node, IfExpr):
         (a, ea), (b, eb) = (_scalar_with_bound(n, env) for n in (node.lhs, node.rhs))
         if ea + eb > 0.0 and abs(a - b) <= ea + eb:
             raise _TooCloseToCall
-        taken = node.then if _compare(node.cmp, a, b) else node.orelse
+        taken = node.then if COMPARE_OPS[node.cmp].scalar(a, b) else node.orelse
         return _scalar_with_bound(taken, env)
+    parts = [_scalar_with_bound(n, env) for n in exprlang._parts(node)[1]]
+    try:
+        v = evaluate(Expr(node, ("x1", "x2")), env)
+    except EvalDomainError:
+        if any(e > 0.0 for _, e in parts):
+            raise _TooCloseToCall from None  # the lane's operands may lie inside
+        raise
+    (a, ea), *rest = parts
     if isinstance(node, Unary):
-        return v, _scalar_with_bound(node.operand, env)[1]
-    if isinstance(node, Call):
-        a, ea = _scalar_with_bound(node.args[0], env)
-        # exp grows by a factor exp(ea); sin, cos, tanh, abs are 1-Lipschitz
+        e = ea
+    elif isinstance(node, Call):
+        # exp grows by a factor exp(ea); sin, cos, tanh, abs, min, max are 1-Lipschitz
         if node.fn == "exp" and ea > 700.0:
             raise _TooCloseToCall
-        e = abs(v) * math.expm1(ea) if node.fn == "exp" else ea
+        e = abs(v) * math.expm1(ea) if node.fn == "exp" else max(e for _, e in parts)
     else:
-        (a, ea), (b, eb) = (_scalar_with_bound(n, env) for n in (node.lhs, node.rhs))
+        (b, eb), = rest
         if node.op in "+-":
             e = ea + eb
         elif node.op == "*":
@@ -283,7 +297,8 @@ def _scalar_with_bound(node, env):
             if not den > 0.0:
                 raise _TooCloseToCall
             e = (abs(a) * eb + abs(b) * ea) / den
-    e += ULPS_PER_OP * math.ulp(abs(v) + e)
+    if e > 0.0 or (isinstance(node, Call) and node.fn in _INEXACT):
+        e += ULPS_PER_OP * math.ulp(abs(v) + e)
     if not math.isfinite(abs(v) + e):
         raise _TooCloseToCall
     return v, e
@@ -299,18 +314,102 @@ def test_batch_lanes_agree_with_scalar(root, x1, x2):
     try:
         value, bound = _scalar_with_bound(root, env)
     except EvalDomainError:
-        return  # the lane may be anything, finite included
+        assert not math.isfinite(lane)  # the scalar raises, so the lane is not finite
+        return
     except _TooCloseToCall:
         assume(False)
     assert math.isfinite(lane)  # a non-finite lane implies the scalar raises
     assert abs(lane - value) <= bound
 
 
-def test_batch_finite_where_scalar_raises():
-    f = ScalarFn.from_source("1/exp(x1)", 1)
-    assert f.eval_batch(np.array([[800.0]]))[0] == 0.0
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_leaf, _nodes, max_leaves=6),
+       st.sampled_from(["/", "^", "exp", "tanh", "min", "max"]), st.booleans(),
+       st.floats(709.8, 800.0), st.floats(-800.0, 800.0))
+def test_operators_that_could_absorb_an_overflow_do_not(u, op, swap, x1, x2):
+    # exp(x1) overflows, so the scalar raises wherever the tree reaches it;
+    # 1/inf, u^inf, exp(-inf), tanh(inf), min(inf, u) would be finite in IEEE
+    big = Call("exp", (Var("x1"),))
+    a, b = (u, big) if swap else (big, u)
+    if op in BINARY_OPS:
+        root = Binary(op, a, b)
+    else:
+        root = Call(op, (a, b) if BUILTINS[op].arity == 2 else (Binary("-", a, b),))
     with pytest.raises(EvalDomainError):
+        evaluate(Expr(root, ("x1", "x2")), {"x1": x1, "x2": x2})
+    lane = compile_batch(root)({"x1": np.array([x1]), "x2": np.array([x2])})
+    assert not np.isfinite(np.asarray(lane)).any()
+
+
+def test_batch_finite_where_scalar_raises():
+    # past x1 = 709.78 exp overflows and the scalar evaluator raises; IEEE
+    # division would make the lane of 1/exp(x1) a finite 0, the kernel of /
+    # makes it NaN
+    f = ScalarFn.from_source("1/exp(x1)", 1)
+    assert np.isnan(f.eval_batch(np.array([[800.0]]))[0])
+    with pytest.raises(EvalDomainError, match="exp overflow"):
         f((800.0,))
+
+
+# per table entry: an in-domain (source, x1), then (source, x1, scalar
+# message, lane) for each way its scalar raises; exp(x1) overflows at 800,
+# and each operator that could absorb an infinity is fed one there
+_TABLE_CASES = {
+    "+": (("x1 + 0.25", 0.5), [("x1 + x1", 1e308, "non-finite value from +", math.inf)]),
+    "-": (("x1 - 0.25", 0.5), [("-x1 - x1", 1e308, "non-finite value from -", -math.inf)]),
+    "*": (("x1 * 3", 0.7), [("x1 * x1", 1e200, "non-finite value from *", math.inf)]),
+    "/": (("1 / x1", 3.0), [
+        ("x1 / (x1 - x1)", 2.0, "division by zero", math.nan),
+        ("x1 / 0", 2.0, "division by zero", math.nan),
+        ("x1 / 1e-300", 1e10, "non-finite value from /", math.inf),
+        ("1 / exp(x1)", 800.0, "exp overflow", math.nan),
+    ]),
+    "^": (("x1 ^ 3.5", 1.1), [
+        ("x1 ^ (-1)", 0.0, "zero raised to a negative power", math.nan),
+        ("x1 ^ 0.5", -8.0, "invalid power -8.0 ^ 0.5", math.nan),
+        ("x1 ^ 2", 1e200, "invalid power 1e+200 ^ 2.0", math.inf),
+        ("0.5 ^ exp(x1)", 800.0, "exp overflow", math.nan),
+        ("exp(x1) ^ 0", 800.0, "exp overflow", math.nan),
+    ]),
+    "exp": (("exp(x1)", 0.3), [
+        ("exp(x1)", 800.0, "exp overflow", math.inf),
+        ("exp(-exp(x1))", 800.0, "exp overflow", math.nan),
+    ]),
+    "log": (("log(x1)", 2.5), [
+        ("log(x1)", -1.0, "log of nonpositive value -1.0", math.nan),
+        ("log(x1)", 0.0, "log of nonpositive value 0.0", -math.inf),
+    ]),
+    "sin": (("sin(x1)", 0.3), []),
+    "cos": (("cos(x1)", 0.3), []),
+    "tanh": (("tanh(x1)", 0.3), [("tanh(exp(x1))", 800.0, "exp overflow", math.nan)]),
+    "artanh": (("artanh(x1)", 0.5), [("artanh(x1)", 1.0, "artanh outside (-1, 1): 1.0", math.nan)]),
+    "sqrt": (("sqrt(x1)", 2.0), [("sqrt(x1)", -1.0, "sqrt of negative value -1.0", math.nan)]),
+    "abs": (("abs(x1)", -0.7), []),
+    "min": (("min(x1, 0.25)", 0.5), [("min(exp(x1), 0)", 800.0, "exp overflow", math.nan)]),
+    "max": (("max(x1, 0.25)", 0.5), [("max(-exp(x1), 0)", 800.0, "exp overflow", math.nan)]),
+    **{cmp: ((f"if(x1 {cmp} 0.5, 1, 2)", 0.3),
+             [(f"if(exp(x1) {cmp} 0.5, 1, 2)", 800.0, "exp overflow", math.nan)])
+       for cmp in COMPARE_OPS},
+}
+_BITWISE = ("+", "-", "*", "/", "abs", "min", "max", *COMPARE_OPS)
+
+
+@pytest.mark.parametrize("name", [*BINARY_OPS, *BUILTINS, *COMPARE_OPS])
+def test_operator_table_entry(name):
+    (src, x), raising = _TABLE_CASES[name]
+    f = ScalarFn.from_source(src, 1)
+    value, lane = f((x,)), f.eval_batch(np.array([[x]]))[0]
+    if name in _BITWISE:
+        assert np.float64(lane).tobytes() == np.float64(value).tobytes()
+    else:
+        assert abs(lane - value) <= ULPS_PER_OP * math.ulp(value)
+    for src, x, message, want in raising:
+        f = ScalarFn.from_source(src, 1)
+        with pytest.raises(EvalDomainError) as err:
+            f((x,))
+        assert str(err.value) == message, src
+        lane = f.eval_batch(np.array([[x]]))[0]
+        assert np.isnan(lane) if math.isnan(want) else lane == want, src
 
 
 def _plain_batch(root):
@@ -345,7 +444,7 @@ def test_repeated_subtree_evaluates_once(monkeypatch):
         calls.append(1)
         return np.exp(x)
 
-    monkeypatch.setitem(exprlang._NP_UNARY_FN, "exp", counted_exp)
+    monkeypatch.setitem(exprlang.BUILTINS, "exp", BUILTINS["exp"]._replace(batch=counted_exp))
     X = np.stack([_X, _ENV["x2"]], axis=1)
     f = ScalarFn.from_source("exp(x1 + 1)*x2 + exp(x1 + 1)/(1 + exp(x1 + 1))", 2)
     out = f.eval_batch(X)

@@ -14,6 +14,7 @@ from geoconvex import (
     poincare_ball,
     sphere,
 )
+from geoconvex.errors import EvalDomainError
 from geoconvex.checker import _ConvexityScan, _finish_scan, check_geodesic_phiE_convex_fn
 from geoconvex.exprlang import differentiate_numeric, parse, point_vars
 from geoconvex.instances import (
@@ -135,6 +136,25 @@ def test_mean_value_grid_miss_without_refinement_is_violated():
     # the deficiency max(R*h'(beta) - h'(alpha), h'(beta) - R*h'(beta)), h' = 2x
     gap = max(201 * 2 / 128 - 2 * 127 / 128, 2 / 128 - 201 * 2 / 128)
     assert w.violation == rep.conclusion_report.max_violation == pytest.approx(gap, abs=1e-6)
+
+
+@pytest.mark.parametrize("scalar_derivative", ["flat", "raises"])
+def test_mean_value_violation_needs_the_scalar_derivative(monkeypatch, scalar_derivative):
+    from geoconvex import theorems
+
+    def patched(f, at, direction):
+        if scalar_derivative == "raises":
+            raise EvalDomainError("patched derivative")
+        return 0.0  # h'(alpha) = h'(beta) = 0 meets the chain with equality
+
+    raw = _mean_value_miss(0).conclusion_report.max_violation
+    monkeypatch.setattr(theorems, "differentiate_numeric", patched)
+    rep = _mean_value_miss(0)
+    assert all(p.holds for p in rep.premise_reports)
+    assert rep.verdict is Verdict.HOLDS_ON_SAMPLES
+    c = rep.conclusion_report
+    assert c.witness is None and c.max_violation == raw > 0.0
+    assert c.notes == ("unconfirmed raw violation did not survive re-evaluation",)
 
 
 def test_mean_value_search_stays_within_its_evaluation_budget(monkeypatch):
@@ -358,6 +378,9 @@ def test_local_min_probe_off_the_manifold_is_not_evaluable():
     assert not interior.holds
     assert interior.notes == ("premise: E(mu*) interior with evaluable probes",
                               "probe at radius 0.02 not evaluable")
+    # the failing probe's detail stays on the premise it failed
+    minimum = rep.premise_reports[2]
+    assert minimum.holds and minimum.notes == ("premise: mu* is a sampled local minimum",)
 
 
 def test_local_min_probe_errors_propagate(monkeypatch):
