@@ -417,6 +417,8 @@ def _raw(job: dict, key: str, text: str) -> str:
     (_malformed(form="intervall"), "form"),
     (_malformed(form="interval", manifold={"kind": "Euclidean", "dim": 2},
                 domain={"box": [[-1, 1], [-1, 1]]}, E=["x2", "x1"]), "form"),
+    (("check-phi", {"phi": "a - b", "properties": "additive"}), "properties"),
+    (_malformed(domain={"box": [[-1e308, 1e308]]}), "domain.box[0]"),
     (_malformed(form="slope", manifold={"kind": "Euclidean", "dim": 2},
                 domain={"box": [[-1, 1], [-1, 1]]}, E=["x2", "x1"]), "form"),
     (_malformed(form="slope", manifold={"kind": "Sphere", "dim": 1},
@@ -427,8 +429,6 @@ def _raw(job: dict, key: str, text: str) -> str:
       for tid, points in (("MeanValue31", {"u1": 0.3, "u2": 0.0}),
                           ("ThreePoint32", {"mu1": 0.0, "mu2": 0.1, "mu3": 0.2}))
       for kind in ("Euclidean", "Sphere", "PoincareBall")),
-    (("check-phi", {"phi": "a - b", "properties": "additive"}), "properties"),
-    (_malformed(domain={"box": [[-1e308, 1e308]]}), "domain.box[0]"),
 ])
 def test_malformed_job_type_exit_three(tmp_path, capsys, job, key):
     command, job = job if isinstance(job, tuple) else ("check", job)
