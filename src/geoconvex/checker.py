@@ -16,6 +16,7 @@ identical Report.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -24,29 +25,14 @@ import numpy as np
 
 from . import rng
 from .algebra import (
-    REGION_PREIMAGE,
-    REGION_ROWS,
-    DomainSet,
-    Instance,
-    ProductSet,
-    member_mask_batch,
-    outside_margin_batch,
-    sample_members,
-    sample_product_members,
+    REGION_PREIMAGE, REGION_ROWS, DomainSet, Instance, ProductSet, member_mask_batch,
+    outside_margin_batch, sample_members, sample_product_members,
 )
 from .errors import EvalDomainError, InverseSearchFailedError
 from .exprlang import Bifunction, EndoMap
 from .manifold import (
-    Manifold,
-    ManifoldKind,
-    Point,
-    antipodal_mask,
-    distance_batch,
-    geodesic_batch,
-    geodesic_fan,
-    row_finite,
-    row_norm,
-    valid_mask,
+    Manifold, ManifoldKind, Point, antipodal_mask, distance_batch, geodesic_batch, geodesic_fan,
+    row_finite, row_norm, valid_mask,
 )
 from .reports import CheckConfig, Report, Verdict, Witness
 
@@ -83,8 +69,8 @@ STRICT_SEP_FRACTION = 0.01
 # slope triples need separated E-values: the difference quotients lose
 # digits as 1/gap, and refinement would otherwise climb into rounding noise
 SLOPE_SEP_FRACTION = 1e-5
-# rows per chunk of a single scan; a pass of k scans holds the lanes of all
-# k at once and takes MAX_CHUNK // k rows, keeping per-chunk scratch modest
+# rows per chunk of a single scan (a pass of k scans takes MAX_CHUNK // k)
+# and lanes per folded block of t-columns, so chunk scratch ignores t_grid
 MAX_CHUNK = 1 << 16
 # accepted preimage distance for epigraph membership
 INVERSE_TOL = 1e-6
@@ -101,8 +87,7 @@ class _ChunkScan:
     i0: int
     err_at: tuple[int, int] | None  # lane of the first domain error, None when clean
     err_note: str | None
-    # candidates: list of (violation, lane, start point), best first
-    cands: list
+    cands: list  # candidates (violation, lane, start point), best first
     max_viol: float  # max violation among counted lanes, -inf if none
     violated: bool
     extra: dict
@@ -120,26 +105,31 @@ def _chunk_ranges(n: int, workers: int, cap: int = MAX_CHUNK):
 
 
 def _run_chunks(n: int, cfg: CheckConfig, chunk_fn, cap: int = MAX_CHUNK) -> list:
+    """`chunk_fn` over `_chunk_ranges`, on as many threads as the workers,
+    the CPUs this process may run on and the chunks all allow."""
     ranges = _chunk_ranges(n, cfg.workers, cap)
-    if cfg.workers == 1 or len(ranges) == 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(cfg.workers, cpus or 1, len(ranges))
+    if threads == 1:
         return [chunk_fn(i0, i1) for i0, i1 in ranges]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda r: chunk_fn(*r), ranges))
 
 
-def _run_pass(scans, cfg: CheckConfig) -> list[list[_ChunkScan]]:
+def _run_pass(scans, cfg: CheckConfig, top_k: int = 1) -> list[list[_ChunkScan]]:
     """One sampled pass over `scans`, which share sampled rows (the first
-    scan draws them), per chunk the bulk lanes of all and the reduction of
-    each.  Chunks hold the lanes of every scan at once, so their rows are
-    capped at MAX_CHUNK / len(scans).  Returns each scan's chunks."""
+    scan draws them), per chunk each scan's bulk lanes folded by a `_Fold`.
+    Chunks hold every scan's rows, so their rows are capped at MAX_CHUNK /
+    len(scans).  Returns each scan's chunks, with `top_k` candidates each."""
 
     def chunk(i0, i1):
         lead = scans[0]
         bases = rng.base_array(cfg.seed, np.arange(i0, i1, dtype=np.uint64))
         rows, ok = lead.sample(bases)
         T = np.linspace(0.0, 1.0, lead.cfg.t_grid)[None, :] if lead.has_t else None
-        outs = lead.pass_lanes(scans, rows, ok, T)
-        return [s.reduce(i0, rows, ok, T, *out) for s, out in zip(scans, outs)]
+        folds = [_Fold(s, ok, T.shape[1] - s.first_t if s.has_t else 1) for s in scans]
+        extras = lead.pass_lanes(scans, rows, ok, T, folds)
+        return [f.finish(i0, rows, T, top_k, extra) for f, extra in zip(folds, extras)]
 
     per_chunk = _run_chunks(cfg.samples, cfg, chunk, max(1, MAX_CHUNK // len(scans)))
     return [list(c) for c in zip(*per_chunk)]
@@ -163,23 +153,78 @@ def _merge_chunks(chunks: list[_ChunkScan], top_k: int):
     return err_at, err_note, cands[:top_k], max_viol, violated, [c.extra for c in chunks]
 
 
-def _select_candidates(masked: np.ndarray, k: int):
-    """Top-k (violation, lane) among the finite entries of the (N, G) matrix
-    `masked`, best first, where lane r*G + c is entry (r, c); ties go to the least."""
-    v = masked.ravel(order="K")  # a view in C or t-major layout
-    q = max(v.size - k, 0)
-    kth = v[np.argpartition(v, q)[q:]].min()
-    above = _first_lanes(masked > kth, k)
-    idx = np.concatenate([above, _first_lanes(masked == kth, k - above.size)])
-    vals = masked.flat[idx]  # flat indices are row-major in any layout
-    return [(float(vals[o]), int(idx[o])) for o in np.lexsort((idx, -vals)) if np.isfinite(vals[o])]
+class _Fold:
+    """A scan's bulk lanes over a chunk's N rows and G t-columns, folded a
+    block of t-columns at a time, in column order, into per-row state, so a
+    chunk's memory does not grow with the t-grid.  It keeps the row-major
+    first error lane, after which nothing counts, and per row the counted
+    lanes' count, whether one exceeded its threshold, and the best lane that
+    `hold_back` (applied with the last column) leaves: value, least column."""
 
+    def __init__(self, scan, ok, G: int):
+        n = ok.size
+        self.scan, self.ok, self.G, self.max_viol = scan, ok, G, -np.inf
+        # (row, column, code) of the first error lane, row n while there is none
+        self.err = (n, 0, _OK) if scan.skips_unsampled or ok.all() else (
+            int(np.argmin(ok)), 0, _PAIR_BAD)
+        self.count, self.over = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+        self.best, self.col = np.full(n, -np.inf), np.zeros(n, dtype=np.int32)
 
-def _first_lanes(hit: np.ndarray, count: int) -> np.ndarray:
-    """The least `count` lanes where the (N, G) mask `hit` holds."""
-    rows = np.flatnonzero(hit.any(axis=1))[:count]  # no copy in any layout
-    r, c = np.nonzero(hit[rows])
-    return (rows[r] * hit.shape[1] + c)[:count]
+    def add(self, c0: int, viol, thr, err):
+        """Fold the (N, w) lanes of t-columns c0 .. c0 + w - 1."""
+        r, j, _ = self.err
+        ok = self.ok
+        hit = (err[:r] != _OK) & ok[:r, None]
+        if hit.any():
+            r = int(np.flatnonzero(hit.any(axis=1))[0])
+            j = c0 + int(np.argmax(hit[r]))
+            self.err = (r, j, int(err[r, j - c0]))
+        n = min(r + 1, ok.size)
+        counted = np.isfinite(viol[:n]) & ok[:n, None]
+        counted[r:, max(j - c0, 0):] = False
+        self.count[:n] += counted.sum(axis=1)
+        v = np.where(counted, viol[:n], -np.inf)
+        thr = thr if np.ndim(thr) == 0 else thr[:n]
+        self.over[:n] |= (v > thr).any(axis=1)
+        best, col = self.best[:n], self.col[:n]
+        if c0 + v.shape[1] == self.G:
+            self.max_viol = max(float(v.max()), float(best.max()))
+            self.scan.hold_back(v, thr)
+        # branch-free: a row's last strict improvement is the least column
+        # holding its best, as columns come in increasing order
+        for b in range(v.shape[1]):
+            np.maximum(col, np.multiply(v[:, b] > best, c0 + b, dtype=col.dtype), out=col)
+            np.maximum(best, v[:, b], out=best)
+
+    def finish(self, i0: int, rows, T, k: int, extra, relanes=None) -> _ChunkScan:
+        """The chunk's first error, best k candidates, maximum and counters,
+        `extra(n)` giving the scan's own over the first n rows.  For k > 1 the
+        best k lanes lie in the k rows with the best candidates, whose lanes
+        `relanes(sel)` (by default the scan's `bulk_lanes`) gives again."""
+        scan, (r, j, code), N = self.scan, self.err, self.ok.size
+        n = min(r + 1, N)
+        best = self.best[:n]
+        if k == 1:
+            picks = [(best[a], a, self.col[a]) for a in [int(np.argmax(best))]]
+        else:
+            sel = np.argsort(-best, kind="stable")[:k]
+            sel = np.sort(sel[np.isfinite(best[sel])])
+            viol, thr = (relanes or (lambda s: scan.bulk_lanes(rows[s], T)))(sel)
+            v = np.where(np.isfinite(viol), viol, -np.inf)
+            v[sel == r, j:] = -np.inf
+            scan.hold_back(v, thr)
+            top = np.argsort(-v, axis=None, kind="stable")[:k]
+            picks = zip(v.flat[top], sel[top // self.G], top % self.G)
+        picks = [(float(x), int(a), scan.first_t + int(c)) for x, a, c in picks if np.isfinite(x)]
+        cands = [(x, (i0 + a, c), rows[a] if T is None else np.append(rows[a], T[0, c]))
+                 for x, a, c in picks]
+        err_at = None if r == N else (i0 + r, scan.first_t + j if code == _LANE else -1)
+        note = None if r == N else scan.notes[code].format(i=i0 + r)
+        # counters cover the rows before the error, and its row when a lane came first
+        cover = N if r == N else r + (j > 0)
+        extra = {"unsampled": int(np.sum(~self.ok[:cover])),
+                 "counted": int(self.count[:n].sum()), **extra(cover)}
+        return _ChunkScan(i0, err_at, note, cands, self.max_viol, bool(self.over[:n].any()), extra)
 
 
 def _line_refine(f, z0, intervals, steps: int):
@@ -188,10 +233,16 @@ def _line_refine(f, z0, intervals, steps: int):
     coordinate over its full admissible interval: LINE_ROUNDS rounds of
     LINE_PROBES evenly spaced probes, each round one call of `f`, with the
     bracket shrinking to the neighbours of the round's best probe.  The best
-    point ever evaluated is kept, so the result never falls below the start."""
+    point ever evaluated is kept, so the result never falls below the start.
+    A step's probes depend only on the best point, the coordinate and its
+    interval, so once a whole cycle of steps improves nothing every later
+    step would repeat one of them, and the search stops."""
     best_z = np.array(z0, dtype=np.float64)
     best_v = float(f(best_z[None, :])[0])
+    idle_from = 0  # the first step since the last improvement
     for it in range(steps):
+        if it - idle_from == best_z.size:
+            break
         k = it % best_z.size
         a, b = intervals[k]
         if not b > a:
@@ -205,7 +256,7 @@ def _line_refine(f, z0, intervals, steps: int):
             if v[i] == -np.inf:
                 break  # nothing on the bracket is admissible
             if v[i] > best_v:
-                best_v, best_z = float(v[i]), Z[i].copy()
+                best_v, best_z, idle_from = float(v[i]), Z[i].copy(), it + 1
             a, b = xs[max(i - 1, 0)], xs[min(i + 1, LINE_PROBES - 1)]
     return best_z, best_v
 
@@ -322,41 +373,23 @@ class _Scan:
         iv = list(self.domain.box) * self.members
         return iv + [(0.0, 1.0)] if self.has_t else iv
 
-    def pass_lanes(self, scans, rows, ok, T):
-        """Bulk lanes `(viol, thr, err, extra)` of each of `scans` on rows
-        this scan sampled, `extra(n)` giving the scan's own counters over
-        the chunk's first n rows; a scan that shares no pass runs alone."""
-        return [(*self.lanes(rows, T), lambda n: {})]
+    def pass_lanes(self, scans, rows, ok, T, folds):
+        """Fold the bulk lanes of each of `scans` on rows this scan sampled
+        into its fold; returns per scan `extra(n)`, its own counters over
+        the chunk's first n rows.  A scan that shares no pass runs alone."""
+        folds[0].add(0, *self.lanes(rows, T))
+        return [lambda n: {}]
 
-    def reduce(self, i0: int, rows, ok, T, viol, thr, err, extra) -> _ChunkScan:
-        """The chunk's first domain error, candidates, maximum and counters
-        from its bulk lanes, which it overwrites.  Counters cover only the
-        rows that `counted` covers."""
-        G = viol.shape[1]
-        err[~ok] = _OK if self.skips_unsampled else _PAIR_BAD
-        counted = ok[:, None] & (err == _OK) & np.isfinite(viol)
-        err_at, err_note = None, None
-        if np.any(err):
-            # a row code fills its row, so the row-major first error is the first lane
-            r, j = divmod(int(_first_lanes(err != _OK, 1)[0]), G)
-            code = int(err[r, j])
-            err_at = (i0 + r, self.first_t + j if code == _LANE else -1)
-            err_note = self.notes[code].format(i=i0 + r)
-            counted[r + 1:] = counted[r, j:] = False
-        # the rows before the first error, and its row when a lane of it came first
-        cover = ok.size if err_at is None else r + (j > 0)
-        violated = bool(np.any(counted & (viol > thr)))
-        viol[~counted] = -np.inf
-        max_viol = float(viol.max())
-        self.hold_back(viol, thr)
-        cands = []
-        for v, p in _select_candidates(viol, k=8):
-            r, j = divmod(p, G)
-            c = self.first_t + j
-            cands.append((v, (i0 + r, c), rows[r] if T is None else np.append(rows[r], T[0, c])))
-        extra = {"unsampled": int(np.sum(~ok[:cover])), "counted": int(np.sum(counted)),
-                 **extra(cover)}
-        return _ChunkScan(i0, err_at, err_note, cands, max_viol, violated, extra)
+    def bulk_lanes(self, rows, T):
+        """(viol, thr) of the bulk lanes of `rows`: the t-columns from first_t on."""
+        viol, thr, _ = self.lanes(rows, T)
+        return viol[:, self.first_t:], np.broadcast_to(thr, viol.shape)[:, self.first_t:]
+
+    def reduce(self, i0: int, rows, ok, T, viol, thr, err, extra, k: int = 8) -> _ChunkScan:
+        """The chunk from its (N, G) bulk lanes folded as one block."""
+        fold, thr = _Fold(self, ok, viol.shape[1]), np.broadcast_to(thr, viol.shape)
+        fold.add(0, viol, thr, err)
+        return fold.finish(i0, rows, T, k, extra, lambda sel: (viol[sel], thr[sel]))
 
     def hold_back(self, viol, thr):
         """Set to -inf, in place, the bulk lanes that may not start refinement."""
@@ -437,46 +470,55 @@ class _CurveScan(_Scan):
     def pass_extra(self, rows, ok, W, code):
         return lambda n: {}
 
-    def pass_lanes(self, scans, rows, ok, T):
-        outs, W, code = _curve_lanes(scans, rows, T, [s.first_t for s in scans])
-        return [(*out, s.pass_extra(rows, ok, W, code)) for s, out in zip(scans, outs)]
+    def pass_lanes(self, scans, rows, ok, T, folds):
+        width = max(1, MAX_CHUNK // rows.shape[0])
+        W, code = _curve_lanes(scans, rows, T, [s.first_t for s in scans],
+                               [f.add for f in folds], width)
+        return [s.pass_extra(rows, ok, W, code) for s in scans]
 
     def lanes(self, rows, T):
-        return _curve_lanes([self], rows, T, [0])[0][0]
+        out = []
+        _curve_lanes([self], rows, T, [0], [lambda c0, *lanes: out.extend(lanes)], T.shape[1])
+        return tuple(out)
 
 
-def _curve_lanes(scans, rows, T, offsets):
-    """Lanes `(viol, thr, err)`, t-major (N, G) views of (G, N) arrays, of curve
-    scans that share manifold, E and row layout, scan k over the t-columns
-    T[:, offsets[k]:].  E-images, row codes and the geodesic fan are computed
-    once, each curve point once per t-column.  Also returns images and codes."""
+def _curve_lanes(scans, rows, T, offsets, sinks, width: int):
+    """Lanes of curve scans that share manifold, E and row layout, scan k
+    over the t-columns T[:, offsets[k]:], to `sinks[k](c0, viol, thr, err)`
+    in blocks of at most `width` t-columns from its column c0 on: t-major
+    (N, w) views of (w, N) buffers that the next block reuses.  E-images,
+    row codes and the geodesic fan are computed once, each curve point once
+    per t-column.  Returns the images and row codes."""
     lead = scans[0]
     m = lead.manifold
     n, G = rows.shape[0], T.shape[1]
     with np.errstate(all="ignore"):
         W, code = _pair_images(m, lead.E, *lead.endpoints(rows))
-        lanes, per_scan = [], []
-        for s, off in zip(scans, offsets):
+        per_scan = []
+        for s, off, sink in zip(scans, offsets, sinks):
             c = code.copy()
             state = s.prelude(rows, W, c)
-            shape = (G - off, n)
+            shape = (min(width, G - off), n)
             thr = s.cfg.tol_abs + s.cfg.tol_rel if s.margin_test else np.empty(shape).T
-            out = (np.empty(shape).T, thr, np.repeat(c[None, :], G - off, axis=0).T)
-            lanes.append(out)
-            per_scan.append((s, off, state, c == _OK, *out))
+            per_scan.append((s, off, sink, state, c, np.empty(shape).T, thr,
+                             np.empty(shape, dtype=np.int8).T))
         curve = geodesic_fan(m, *_halves(W))
         for j in range(G):
             t = T[:, j]
             P = curve(t)
-            for s, off, state, ok_rows, viol, thr, err in per_scan:
+            for s, off, sink, state, c, viol, thr, err in per_scan:
                 if j < off:
                     continue
+                b = (j - off) % viol.shape[1]
                 v, tau, bad = s.lane(state, P, t)
-                viol[:, j - off] = v
+                viol[:, b] = v
                 if tau is not None:
-                    thr[:, j - off] = tau
-                np.copyto(err[:, j - off], _LANE, where=ok_rows & bad)
-    return lanes, W, code
+                    thr[:, b] = tau
+                err[:, b] = np.where((c == _OK) & bad, _LANE, c)
+                if b + 1 == viol.shape[1] or j + 1 == G:
+                    w = slice(0, b + 1)
+                    sink(j - off - b, viol[:, w], thr if s.margin_test else thr[:, w], err[:, w])
+    return W, code
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +627,10 @@ def _finish_scan(scan, cfg: CheckConfig, notes=(), force_refine: bool = False,
     """The report of `scan` from its chunks (scanned here when None): merge,
     refinement of the best candidate lane that `hold_back` left (of the best
     8 when `force_refine`) and scalar re-validation."""
+    top_k = 8 if force_refine else 1
     if chunks is None:
-        (chunks,) = _run_pass([scan], cfg)
-    err_at, err_note, cands, max_viol, violated, extras = _merge_chunks(
-        chunks, 8 if force_refine else 1)
+        (chunks,) = _run_pass([scan], cfg, top_k)
+    err_at, err_note, cands, max_viol, violated, extras = _merge_chunks(chunks, top_k)
     samples_used = cfg.samples if err_at is None else err_at[0]
     notes = tuple(notes)
 
@@ -651,18 +693,10 @@ def _fn_checks(insts, cfg: CheckConfig, strict: bool = False):
 
     def fn_report(scan, chunks) -> Report:
         if not set_report.holds:
-            return Report(
-                Verdict.PREMISE_FAILED,
-                set_report.max_violation,
-                None,
-                set_report.samples_used,
-                cfg.seed,
-                flags=dict(set_report.flags),
-                notes=(
-                    f"domain is not geodesic E-convex on samples ({set_report.verdict.value})",
-                )
-                + set_report.notes,
-            )
+            note = f"domain is not geodesic E-convex on samples ({set_report.verdict.value})"
+            return Report(Verdict.PREMISE_FAILED, set_report.max_violation, None,
+                          set_report.samples_used, cfg.seed, flags=dict(set_report.flags),
+                          notes=(note,) + set_report.notes)
         return _finish_scan(scan, cfg, notes=notes, chunks=chunks)
 
     return set_report, [partial(fn_report, s, c) for s, c in zip(scans, fn_chunks)]

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -369,12 +371,34 @@ def test_batch_finite_where_scalar_raises():
             assert gap > CFG.threshold(rhs)
 
 
-def test_select_candidates_ties_straddle_kth():
-    from geoconvex.checker import _select_candidates
+def _fold_blocks(scan, i0, rows, ok, T, viol, thr, err, extra, width, k):
+    """`_Scan.reduce` through a fold of the (N, G) lanes in blocks of
+    `width` t-columns."""
+    from geoconvex.checker import _Fold
 
+    G = viol.shape[1]
+    thr = np.broadcast_to(thr, viol.shape)
+    fold = _Fold(scan, ok, G)
+    for c0 in range(0, G, width):
+        fold.add(c0, viol[:, c0:c0 + width], thr[:, c0:c0 + width], err[:, c0:c0 + width])
+    return fold.finish(i0, rows, T, k, extra, lambda sel: (viol[sel], thr[sel]))
+
+
+def _fold_candidates(masked, k, width=None):
+    """The fold's best k (violation, lane) among the finite entries of the
+    (N, G) matrix `masked`, where lane r*G + c is entry (r, c)."""
+    from geoconvex.checker import _Scan
+
+    n, G = masked.shape
+    got = _fold_blocks(_Scan(), 0, np.arange(n, dtype=float)[:, None], np.ones(n, dtype=bool),
+                       None, masked, 0.0, np.zeros((n, G), np.int8), lambda n: {}, width or G, k)
+    return [(v, i * G + c) for v, (i, c), _ in got.cands]
+
+
+def test_select_candidates_ties_straddle_kth():
     # four lanes tie at the 3rd-best value; the two with the least position win
     masked = np.array([[0.5, 2.0, -np.inf], [2.0, 3.0, 2.0], [1.0, 2.0, -np.inf]])
-    got = _select_candidates(masked, k=3)
+    got = _fold_candidates(masked, k=3)
     assert got == [(3.0, 4), (2.0, 1), (2.0, 3)]
     # against a full stable sort, on data full of ties
     rng_ = np.random.default_rng(5)
@@ -385,7 +409,7 @@ def test_select_candidates_ties_straddle_kth():
             order = np.argsort(-m.ravel(), kind="stable")[:k]
             want = [(float(m.ravel()[p]), int(p)) for p in order
                     if np.isfinite(m.ravel()[p])]
-            assert _select_candidates(m, k) == want
+            assert _fold_candidates(m, k) == want
 
 
 def test_line_refine_pins_a_smooth_maximum():
@@ -405,6 +429,63 @@ def test_line_refine_pins_a_smooth_maximum():
     assert v == pytest.approx(0.0, abs=1e-15)
     # the first step finds no admissible probe and stops after one round
     assert calls == [1, LINE_PROBES] + [LINE_PROBES] * (3 * LINE_ROUNDS)
+
+
+def _line_refine_every_step(f, z0, intervals, steps):
+    """The line search without its stop rule: every one of `steps` steps runs."""
+    from geoconvex.checker import LINE_PROBES, LINE_ROUNDS
+
+    best_z = np.array(z0, dtype=np.float64)
+    best_v = float(f(best_z[None, :])[0])
+    for it in range(steps):
+        k = it % best_z.size
+        a, b = intervals[k]
+        if not b > a:
+            continue
+        Z = np.repeat(best_z[None, :], LINE_PROBES, axis=0)
+        for _ in range(LINE_ROUNDS):
+            xs = np.linspace(a, b, LINE_PROBES)
+            Z[:, k] = xs
+            v = f(Z)
+            i = int(np.argmax(v))
+            if v[i] == -np.inf:
+                break
+            if v[i] > best_v:
+                best_v, best_z = float(v[i]), Z[i].copy()
+            a, b = xs[max(i - 1, 0)], xs[min(i + 1, LINE_PROBES - 1)]
+    return best_z, best_v
+
+
+def test_line_refine_stops_after_a_cycle_without_improvement():
+    from geoconvex.checker import LINE_ROUNDS, _line_refine
+
+    gen = np.random.default_rng(11)
+    cases = []
+    for _ in range(10):
+        d = int(gen.integers(1, 4))
+        c, w, a = gen.uniform(-0.6, 0.6, d), gen.uniform(1.0, 4.0, d), gen.uniform(-0.3, 0.3, d)
+
+        def smooth(Z, c=c, w=w, a=a):
+            return -(((Z - c) * w) ** 2).sum(axis=1) + a.sum() * np.sin(Z.sum(axis=1))
+
+        cases.append((smooth, gen.uniform(-1.0, 1.0, d), [(-1.0, 1.0)] * d))
+    # plateaus: the start is already best, so no step improves on it
+    cases.append((lambda Z: -(Z ** 2).sum(axis=1), np.zeros(2), [(-1.0, 1.0)] * 2))
+    cases.append((lambda Z: np.zeros(Z.shape[0]), np.full(3, 0.25), [(-1.0, 1.0), (0.5, 0.5),
+                                                                      (-2.0, 0.0)]))
+    for f, z0, intervals in cases:
+        calls = {"stop": 0, "every": 0}
+
+        def counted(Z, f=f, key="stop"):
+            calls[key] += 1
+            return f(Z)
+
+        z, v = _line_refine(counted, z0, intervals, 30)
+        want_z, want_v = _line_refine_every_step(partial(counted, key="every"), z0, intervals, 30)
+        assert z.tobytes() == want_z.tobytes() and v == want_v
+        assert calls["stop"] < calls["every"]
+    # a plateau costs the start and one step per coordinate with an interval
+    assert calls == {"stop": 1 + 2 * LINE_ROUNDS, "every": 1 + 20 * LINE_ROUNDS}
 
 
 # the implication suite's budget
@@ -547,6 +628,41 @@ def test_chunk_ranges_split_evenly_within_the_cap():
     assert [i1 - i0 for i0, i1 in _chunk_ranges(100_000, 2, 32768)] == [25_000] * 4
 
 
+def test_threads_are_capped_by_cpus_and_chunks(monkeypatch):
+    import os
+
+    from geoconvex import checker
+
+    seen = []
+
+    class InlinePool:
+        """Records the thread count asked for and runs the chunks inline."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(checker, "ThreadPoolExecutor", InlinePool)
+    disk = DomainSet(euclidean(2), ((-1.0, 1.0),) * 2, parse("1 - x1^2 - x2^2", point_vars(2)))
+    cfg = CheckConfig(seed=3, samples=200)
+    # 10**6 workers make one chunk per sample; the pool gets at most a thread per CPU
+    got = check_geodesic_E_convex_set(euclidean(2), EndoMap.identity(2), disk,
+                                      cfg.replace(workers=10**6))
+    want = check_geodesic_E_convex_set(euclidean(2), EndoMap.identity(2), disk, cfg)
+    assert got.to_dict() == want.to_dict()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(cpus, cfg.samples)
+    assert seen == ([threads] if threads > 1 else [])
+
+
 def test_preimage_distance_same_at_any_worker_count():
     from geoconvex import rng
     from geoconvex.algebra import sample_members
@@ -647,7 +763,7 @@ def _t_major(A):
 
 
 def test_lane_order_does_not_change_selection_or_reduce():
-    from geoconvex.checker import _E_BAD, _LANE, _OK, _Scan, _select_candidates
+    from geoconvex.checker import _E_BAD, _LANE, _OK, _Scan
 
     class Lanes(_Scan):
         cfg = CheckConfig(t_grid=6)
@@ -674,17 +790,18 @@ def test_lane_order_does_not_change_selection_or_reduce():
         tm = _t_major(viol)
         assert tm.flags.f_contiguous and not tm.flags.c_contiguous
         for k in (1, 3, 8, n * G + 1):
-            assert _select_candidates(tm, k) == _select_candidates(viol.copy(), k)
-        got = [Lanes().reduce(100, rows, ok, T, v, 0.5, e, lambda n: {})
-               for v, e in ((viol.copy(), err.copy()), (_t_major(viol), _t_major(err)))]
-        c_scan, t_scan = got
-        assert (t_scan.err_at, t_scan.err_note, t_scan.max_viol, t_scan.violated,
-                t_scan.extra) == (c_scan.err_at, c_scan.err_note, c_scan.max_viol,
-                                  c_scan.violated, c_scan.extra)
-        assert [(v, at, z.tolist()) for v, at, z in t_scan.cands] == \
-            [(v, at, z.tolist()) for v, at, z in c_scan.cands]
+            assert _fold_candidates(tm, k) == _fold_candidates(viol.copy(), k)
+        for width in range(1, G + 1):
+            got = [_fold_blocks(Lanes(), 100, rows, ok, T, v, 0.5, e, lambda n: {}, width, 8)
+                   for v, e in ((viol.copy(), err.copy()), (_t_major(viol), _t_major(err)))]
+            c_scan, t_scan = got
+            assert (t_scan.err_at, t_scan.err_note, t_scan.max_viol, t_scan.violated,
+                    t_scan.extra) == (c_scan.err_at, c_scan.err_note, c_scan.max_viol,
+                                      c_scan.violated, c_scan.extra)
+            assert [(v, at, z.tolist()) for v, at, z in t_scan.cands] == \
+                [(v, at, z.tolist()) for v, at, z in c_scan.cands]
         results.append(c_scan)
-    assert [v for v, _ in _select_candidates(_t_major(ties), 8)] == sorted(
+    assert [v for v, _ in _fold_candidates(_t_major(ties), 8)] == sorted(
         ties.ravel(), reverse=True)[:8]
     assert results[1].cands == [] and results[1].max_viol == -np.inf
     # lanes from (112, 4) on are cut off by the error, and row 20's code with them
@@ -711,12 +828,121 @@ def test_reduce_counters_cover_only_the_lanes_before_the_first_error():
                                     (_E_BAD, 0, 6 * G, 6)):
         err = np.zeros((n, G), np.int8)
         err[6, j:j + 1 if code == _LANE else G] = code
-        got = Lanes().reduce(0, rows, ok, T, np.zeros((n, G)), 0.5, err, lambda k: {"rows": k})
-        assert got.err_at == (6, 1 + j if code == _LANE else -1)
-        assert got.extra == {"unsampled": 0, "counted": counted, "rows": cover}
-    clean = Lanes().reduce(0, rows, ok, T, np.zeros((n, G)), 0.5, np.zeros((n, G), np.int8),
-                           lambda k: {"rows": k})
-    assert clean.extra == {"unsampled": 1, "counted": (n - 1) * G, "rows": n}
+        for width in range(1, G + 1):
+            got = _fold_blocks(Lanes(), 0, rows, ok, T, np.zeros((n, G)), 0.5, err,
+                               lambda k: {"rows": k}, width, 1)
+            assert got.err_at == (6, 1 + j if code == _LANE else -1)
+            assert got.extra == {"unsampled": 0, "counted": counted, "rows": cover}
+    for width in range(1, G + 1):
+        clean = _fold_blocks(Lanes(), 0, rows, ok, T, np.zeros((n, G)), 0.5,
+                             np.zeros((n, G), np.int8), lambda k: {"rows": k}, width, 1)
+        assert clean.extra == {"unsampled": 1, "counted": (n - 1) * G, "rows": n}
+
+
+def _chunk_record(c):
+    return (c.i0, c.err_at, c.err_note, c.max_viol, c.violated, c.extra,
+            [(v, at, z.tolist()) for v, at, z in c.cands])
+
+
+def test_fold_in_blocks_of_any_width_matches_one_block():
+    from geoconvex.checker import _ANTI, _E_BAD, _LANE, _VAL_BAD, _ConvexityScan, _Scan
+
+    class Lanes(_Scan):
+        first_t = 1
+        notes = {c: f"{c}:{{i}}" for c in range(1, 6)}
+
+    class HeldLanes(Lanes):
+        hold_back = _ConvexityScan.hold_back  # the t = 1 lanes start a search only above thr
+
+    gen = np.random.default_rng(23)
+    n, G = 30, 6
+    T = np.linspace(0.0, 1.0, G + 1)[None, :]
+    rows = np.arange(n, dtype=float)[:, None]
+    for trial in range(24):
+        viol = gen.integers(-3, 3, size=(n, G)).astype(float)  # ties at every value
+        viol[viol == -3] = -np.inf
+        viol[gen.random((n, G)) < 0.05] = np.nan
+        thr = np.abs(gen.normal(size=(n, G)))
+        err = np.zeros((n, G), np.int8)
+        if trial % 3:
+            err[gen.integers(n // 2, n)] = gen.choice([_E_BAD, _ANTI, _VAL_BAD])
+        if trial % 2:
+            err[gen.integers(0, n), gen.integers(1, G)] = _LANE  # the first error, mid-row
+        ok = gen.random(n) > 0.05
+        for scan in (Lanes(), HeldLanes()):
+            scan.skips_unsampled = trial % 4 == 0
+            got = {}
+            for k in (1, 3, 8):
+                for width in range(G, 0, -1):
+                    got[k, width] = _chunk_record(_fold_blocks(
+                        scan, 40, rows, ok, T, viol, thr, err, lambda m: {"rows": m}, width, k))
+                    assert got[k, width] == got[k, G]
+            # the best row's least column is the first of the re-evaluated top lanes
+            assert got[1, G][:-1] == got[8, G][:-1] and got[1, G][-1] == got[8, G][-1][:1]
+
+
+def test_counterexample_search_takes_the_top_lanes_of_the_pass(monkeypatch):
+    from geoconvex import checker, rng
+    from geoconvex.checker import _ConvexityScan, _merge_chunks, _OK, _run_pass
+
+    # concave h: the widest pairs violate most, at t near 1/2, in several lanes each
+    inst = _inst1d("-(x1^2)", "a - b", (-1.0, 1.0))
+    cfg = CheckConfig(seed=4, samples=300)
+    scan = _ConvexityScan(inst, cfg)
+    rows, ok = scan.sample(rng.base_array(cfg.seed, np.arange(cfg.samples, dtype=np.uint64)))
+    viol, thr, err = scan.lanes(rows, np.linspace(0.0, 1.0, cfg.t_grid)[None, :])
+    v = np.where(ok[:, None] & (err == _OK) & np.isfinite(viol), viol, -np.inf)[:, 1:]
+    scan.hold_back(v, thr[:, 1:])
+    G = v.shape[1]
+    top = np.argsort(-v, axis=None, kind="stable")[:8]
+    want = [(float(v.flat[p]), (int(p // G), int(1 + p % G))) for p in top]
+    assert len({i for _, (i, _) in want}) <= 4  # several lanes of one row
+    for cap in (checker.MAX_CHUNK, 64):
+        monkeypatch.setattr(checker, "MAX_CHUNK", cap)
+        for w in (1, 3):
+            cands = _merge_chunks(_run_pass([scan], cfg.replace(workers=w), 8)[0], 8)[2]
+            assert [(v, at) for v, at, _ in cands] == want
+    rep = search_counterexample(inst, cfg)
+    assert rep.verdict is Verdict.VIOLATED and len(rep.refined) == 8
+
+
+def test_bulk_memory_does_not_grow_with_t_grid():
+    import tracemalloc
+
+    s2 = sphere(2)
+    cap = DomainSet(s2, ((-2.0, 2.0),) * 3, parse("x3 - 0.5", point_vars(3)))
+    peaks = {}
+    for t_grid in (17, 257):
+        tracemalloc.start()
+        try:
+            rep = check_geodesic_E_convex_set(s2, EndoMap.identity(3), cap,
+                                              CheckConfig(seed=0, samples=20_000, t_grid=t_grid))
+            peaks[t_grid] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds
+    assert peaks[257] <= 1.5 * peaks[17], peaks
+
+
+def test_unconfirmed_bulk_violation_holds_with_its_raw_maximum():
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class Disagreeing(ScalarFn):
+        """The scalar evaluator reads -h where the batch kernel reads h."""
+
+        def __call__(self, coords):
+            return -super().__call__(coords)
+
+    inst = _inst1d("-(x1^2)", "a - b", (-1.0, 1.0))
+    violated = check_phiE_convex_interval(inst, CFG)
+    assert violated.verdict is Verdict.VIOLATED
+    patched = inst.with_h(Disagreeing(inst.h.expr, inst.h.label))
+    rep = check_phiE_convex_interval(patched, CFG)
+    assert rep.verdict is Verdict.HOLDS_ON_SAMPLES and rep.witness is None
+    assert rep.notes == ("unconfirmed raw violation did not survive re-evaluation",)
+    # the bulk lanes and the line search run on the batch kernel alone
+    assert rep.max_violation == violated.max_violation > CFG.threshold(0.0)
 
 
 @pytest.mark.parametrize("field, value", [
