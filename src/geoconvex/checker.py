@@ -69,8 +69,8 @@ STRICT_SEP_FRACTION = 0.01
 # slope triples need separated E-values: the difference quotients lose
 # digits as 1/gap, and refinement would otherwise climb into rounding noise
 SLOPE_SEP_FRACTION = 1e-5
-# rows per chunk of a single scan (a pass of k scans takes MAX_CHUNK // k)
-# and lanes per folded block of t-columns, so chunk scratch ignores t_grid
+# rows per chunk of a single scan (a pass of k scans takes MAX_CHUNK // k),
+# and lanes per call of a block of t-columns, so chunk scratch ignores t_grid
 MAX_CHUNK = 1 << 16
 # accepted preimage distance for epigraph membership
 INVERSE_TOL = 1e-6
@@ -358,8 +358,17 @@ class _Scan:
         return U, ok & member_mask_batch(self.domain, U)
 
     def sample(self, bases):
-        parts, oks = zip(*(self.draw(bases, r) for r in REGION_ROWS[: self.members]))
-        return np.hstack(parts), np.logical_and.reduce(oks)
+        """The rows, and which found every member.  A row draws member k only
+        if it found the earlier ones, else stays zero: it reaches no report."""
+        parts, ok = [], np.ones(bases.size, dtype=bool)
+        for region in REGION_ROWS[: self.members]:
+            if ok.all():
+                X, ok = self.draw(bases, region)
+            else:
+                X, sel = np.zeros_like(parts[0]), ok.copy()
+                X[sel], ok[sel] = self.draw(bases[sel], region)
+            parts.append(X)
+        return np.hstack(parts), ok
 
     def probe_rows(self, rows):
         """Refinement probes mapped onto the manifold, and which rows hold
@@ -458,20 +467,19 @@ class _CurveScan(_Scan):
 
     * `prelude(rows, W, code)`: per-row state from the stacked images W
       (halves E(u1), E(u2)); it may mark rows in `code`;
-    * `lane(state, P, t) -> (viol, tau, bad)` at the curve points P of t:
-      thresholds tau (None for a margin test, whose rhs is 0) and the
-      lanes that failed to evaluate.
+    * `lane(state, P, t) -> (viol, tau, bad)` at the curve points P of t,
+      (w, 1) or (1, N), as (w * N, d) rows, t-major: (w, N) violations,
+      thresholds broadcastable to them and the lanes that failed to evaluate.
 
     Scans over the same manifold, E and sampled rows share one pass
     (`_curve_lanes`)."""
-
-    margin_test = True
 
     def pass_extra(self, rows, ok, W, code):
         return lambda n: {}
 
     def pass_lanes(self, scans, rows, ok, T, folds):
-        width = max(1, MAX_CHUNK // rows.shape[0])
+        # a call holds no more lanes than the pass lets a chunk hold rows
+        width = max(1, (MAX_CHUNK // len(scans)) // rows.shape[0])
         W, code = _curve_lanes(scans, rows, T, [s.first_t for s in scans],
                                [f.add for f in folds], width)
         return [s.pass_extra(rows, ok, W, code) for s in scans]
@@ -485,39 +493,29 @@ class _CurveScan(_Scan):
 def _curve_lanes(scans, rows, T, offsets, sinks, width: int):
     """Lanes of curve scans that share manifold, E and row layout, scan k
     over the t-columns T[:, offsets[k]:], to `sinks[k](c0, viol, thr, err)`
-    in blocks of at most `width` t-columns from its column c0 on: t-major
-    (N, w) views of (w, N) buffers that the next block reuses.  E-images,
-    row codes and the geodesic fan are computed once, each curve point once
-    per t-column.  Returns the images and row codes."""
-    lead = scans[0]
+    in blocks of at most `width` t-columns from its column c0 on.  E-images,
+    row codes and the geodesic fan are computed once; a block is one fan
+    call, whose w * N curve points every scan's `lane` reads in one call,
+    and its (w, N) lanes reach the sink as t-major (N, w) views.  Returns
+    the images and row codes."""
+    lead, n = scans[0], rows.shape[0]
     m = lead.manifold
-    n, G = rows.shape[0], T.shape[1]
     with np.errstate(all="ignore"):
         W, code = _pair_images(m, lead.E, *lead.endpoints(rows))
         per_scan = []
-        for s, off, sink in zip(scans, offsets, sinks):
+        for s in scans:
             c = code.copy()
-            state = s.prelude(rows, W, c)
-            shape = (min(width, G - off), n)
-            thr = s.cfg.tol_abs + s.cfg.tol_rel if s.margin_test else np.empty(shape).T
-            per_scan.append((s, off, sink, state, c, np.empty(shape).T, thr,
-                             np.empty(shape, dtype=np.int8).T))
+            per_scan.append((s, c, s.prelude(rows, W, c)))
         curve = geodesic_fan(m, *_halves(W))
-        for j in range(G):
-            t = T[:, j]
-            P = curve(t)
-            for s, off, sink, state, c, viol, thr, err in per_scan:
-                if j < off:
-                    continue
-                b = (j - off) % viol.shape[1]
-                v, tau, bad = s.lane(state, P, t)
-                viol[:, b] = v
-                if tau is not None:
-                    thr[:, b] = tau
-                err[:, b] = np.where((c == _OK) & bad, _LANE, c)
-                if b + 1 == viol.shape[1] or j + 1 == G:
-                    w = slice(0, b + 1)
-                    sink(j - off - b, viol[:, w], thr if s.margin_test else thr[:, w], err[:, w])
+        for j in range(min(offsets), T.shape[1], width):
+            t = T[:, j:j + width].T
+            P = curve(t).reshape(-1, W.shape[1])
+            for (s, c, state), off, sink in zip(per_scan, offsets, sinks):
+                k = max(off - j, 0)
+                if k < t.shape[0]:
+                    viol, thr, bad = s.lane(state, P[k * n:], t[k:])
+                    err = np.where((c == _OK) & bad, _LANE, c)
+                    sink(j + k - off, viol.T, np.transpose(thr), err.T)
     return W, code
 
 
@@ -532,7 +530,6 @@ class _ConvexityScan(_InstanceScan, _CurveScan):
 
     # lane t = 0 compares h(E(mu2)) with itself, so the bulk grid skips it
     first_t = 1
-    margin_test = False
     notes = {
         **_PAIR_NOTES,
         _VAL_BAD: "h or phi non-finite at an E-image (pair {i})",
@@ -553,7 +550,7 @@ class _ConvexityScan(_InstanceScan, _CurveScan):
     def lane(self, state, P, t):
         h2, p12, elig = state
         cfg = self.cfg
-        lhs = self.inst.h.eval_batch(P)
+        lhs = self.inst.h.eval_batch(P).reshape(len(t), -1)
         rhs = h2 + t * p12
         v = lhs - rhs
         tau = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
@@ -828,8 +825,8 @@ class _SetScan(_CurveScan):
         return None
 
     def lane(self, state, P, t):
-        margin = outside_margin_batch(self.domain, P)
-        return margin, None, ~np.isfinite(margin)
+        margin = outside_margin_batch(self.domain, P).reshape(len(t), -1)
+        return margin, self.cfg.threshold(0.0), ~np.isfinite(margin)
 
     def pass_extra(self, rows, ok, W, code):
         # length-discrepancy counters from the pass's E-images
@@ -922,8 +919,8 @@ class _ProductSetScan(_CurveScan):
 
     def lane(self, state, P, t):
         V2, pv = state
-        margin = self.domain.outside_margin(P, V2 + t * pv)
-        return margin, None, ~np.isfinite(margin)
+        margin = self.domain.outside_margin(P, (V2 + t * pv).ravel()).reshape(len(t), -1)
+        return margin, self.cfg.threshold(0.0), ~np.isfinite(margin)
 
     def finish(self, report, extras):
         unsampled = sum(e["unsampled"] for e in extras)

@@ -102,26 +102,29 @@ def validate_point(m: Manifold, p: Point) -> None:
 
 
 def row_norm(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (N, d) array.
+    """Euclidean norm of each row (last axis) of an (..., d) array.
 
-    Bit-identical to np.linalg.norm(X, axis=1) on C-ordered rows, in any
+    Bit-identical to np.linalg.norm(X, axis=-1) on C-ordered rows, in any
     layout: below 8 columns numpy sums the squares in order, as this column
     sum does without its per-row overhead; from 8 its order follows the layout."""
-    if X.shape[1] >= 8:
-        return np.linalg.norm(np.ascontiguousarray(X), axis=1)
-    s = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        c = X[:, j]
+    if X.shape[-1] >= 8:
+        return np.linalg.norm(np.ascontiguousarray(X), axis=-1)
+    s = X[..., 0] * X[..., 0]
+    for j in range(1, X.shape[-1]):
+        c = X[..., j]
         s += c * c
     return np.sqrt(s)
 
 
 def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row dot products, bit-identical in any layout to np.einsum("ij,ij->i")
-    on C-ordered rows: 0.0 + p0 + p1 below 3 columns, from 3 einsum's order."""
-    if X.shape[1] > 2:
-        return np.einsum("ij,ij->i", np.ascontiguousarray(X), np.ascontiguousarray(Y))
-    return sum((X[:, j] * Y[:, j] for j in range(X.shape[1])), 0.0)
+    """Dot products of the rows (last axis) of X and Y, whose leading axes
+    broadcast, bit-identical in any layout to np.einsum("ij,ij->i") on
+    C-ordered 2-D rows: 0.0 + p0 + p1 below 3 columns, from 3 einsum's order."""
+    if X.shape[-1] > 2:
+        X, Y = np.broadcast_arrays(X, Y)
+        rows = (np.ascontiguousarray(A).reshape(-1, A.shape[-1]) for A in (X, Y))
+        return np.einsum("ij,ij->i", *rows).reshape(X.shape[:-1])
+    return sum((X[..., j] * Y[..., j] for j in range(X.shape[-1])), 0.0)
 
 
 def row_finite(X: np.ndarray) -> np.ndarray:
@@ -146,7 +149,7 @@ def project_batch(m: Manifold, X: np.ndarray) -> np.ndarray:
     """Snap rows assumed near the manifold back onto it (sphere only)."""
     if m.kind is ManifoldKind.SPHERE:
         with np.errstate(all="ignore"):
-            return X / row_norm(X)[:, None]
+            return X / row_norm(X)[..., None]
     return X
 
 
@@ -168,8 +171,7 @@ class GeodesicSpec:
 
 
 def antipodal_mask(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    dots = row_dot(X, Y)
-    return dots <= -1.0 + ANTIPODAL_TOL
+    return row_dot(X, Y) <= -1.0 + ANTIPODAL_TOL
 
 
 def geodesic_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
@@ -177,9 +179,10 @@ def geodesic_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
 
     The per-pair part of the curve is computed once; the returned function
     maps t, one value for every row or an (N,) vector with one value per
-    row, to the (N, d) points at t.  Inputs are assumed valid and, on the
-    sphere, non-antipodal; callers screen rows with valid_mask/antipodal_mask
-    first.
+    row, to the (N, d) points at t; leading axes are allowed, so a (w, 1)
+    column of t gives (w, N, d) points, bit for bit those of each t alone.
+    Inputs are assumed valid and, on the sphere, non-antipodal; callers
+    screen rows with valid_mask/antipodal_mask first.
     """
     if m.kind is ManifoldKind.EUCLIDEAN:
         D = X1 - X2
@@ -202,7 +205,7 @@ def geodesic_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
             # nearly parallel rows fall back to normalized linear interpolation
             w2 = np.where(small, 1.0 - t, w2)
             w1 = np.where(small, t, w1)
-            return project_batch(m, w2[:, None] * X2 + w1[:, None] * X1)
+            return project_batch(m, w2[..., None] * X2 + w1[..., None] * X1)
 
         return at
     p2, lam = _ball_frame(X2)
@@ -269,9 +272,9 @@ def exp_batch(m: Manifold, X: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _mobius_add_batch(X: np.ndarray, Y: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Mobius sum of the rows of X and Y, given x2 = |X|^2 per row."""
-    xy = row_dot(X, Y)[:, None]
-    y2 = row_dot(Y, Y)[:, None]
-    x2 = x2[:, None]
+    xy = row_dot(X, Y)[..., None]
+    y2 = row_dot(Y, Y)[..., None]
+    x2 = x2[..., None]
     num = (1.0 + 2.0 * xy + y2) * X + (1.0 - x2) * Y
     den = 1.0 + 2.0 * xy + x2 * y2
     return num / den
@@ -291,9 +294,8 @@ def _ball_log_batch(P: np.ndarray, Q: np.ndarray, p2: np.ndarray, lam: np.ndarra
 
 
 def _ball_exp_batch(P: np.ndarray, V: np.ndarray, p2: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    nv = row_norm(V)
-    mag = np.tanh(lam * nv / 2.0)
-    w = np.where(nv[:, None] > 1e-300, mag[:, None] * V / np.maximum(nv[:, None], 1e-300), 0.0)
+    nv = row_norm(V)[..., None]
+    w = np.where(nv > 1e-300, np.tanh(lam[:, None] * nv / 2.0) * V / np.maximum(nv, 1e-300), 0.0)
     return _mobius_add_batch(P, w, p2)
 
 

@@ -1046,3 +1046,153 @@ def test_generic_row_layout_matches_per_scan_reference(name):
     assert 0 < ok.sum() < ok.size
     if ref_intervals is not None:
         assert scan.intervals() == ref_intervals(scan)
+
+
+def _sunk_columns(scans, rows, T, width):
+    """Per scan, each t-column's (viol, thr, err) as `_curve_lanes` sinks it
+    in blocks of `width` t-columns."""
+    from geoconvex.checker import _curve_lanes
+
+    cols = [{} for _ in scans]
+
+    def sink(k, c0, viol, thr, err):
+        thr = np.broadcast_to(thr, viol.shape)
+        for b in range(viol.shape[1]):
+            assert c0 + b not in cols[k]
+            cols[k][c0 + b] = (viol[:, b].copy(), thr[:, b].copy(), err[:, b].copy())
+
+    _curve_lanes(scans, rows, T, [s.first_t for s in scans],
+                 [partial(sink, k) for k in range(len(scans))], width)
+    return cols
+
+
+def _curve_scans():
+    """A set scan and plain and strict convexity scans sharing one pass, and
+    a product-set scan, on the 2-sphere, where arcs bulge past x1 = -0.5
+    between images on its near side: h = log(x1 + 0.5) leaves its domain."""
+    from geoconvex.checker import _ConvexityScan, _ProductSetScan, _SetScan
+
+    S2 = sphere(2)
+    dom = DomainSet(S2, ((-1.0, 1.0),) * 3)
+    inst = Instance(S2, ScalarFn.from_source("log(x1 + 0.5)", 3), EndoMap.identity(3),
+                    Bifunction.from_source("a - b"), dom)
+    cfg = CheckConfig(seed=5, samples=400, t_grid=7)
+    graph = parse("v - log(x1 + 0.5)", point_vars(3) + ("v",))
+    band = ProductSet(dom, graph, (-1.0, 2.0))
+    return cfg, [
+        [_SetScan(S2, inst.E, dom, cfg), _ConvexityScan(inst, cfg),
+         _ConvexityScan(inst, cfg, strict=True)],
+        [_ProductSetScan(S2, inst.E, inst.phi, band, cfg)],
+    ]
+
+
+def test_curve_lanes_sink_the_same_lanes_at_any_block_width():
+    from geoconvex import rng
+    from geoconvex.checker import _LANE, _OK, _VAL_BAD
+
+    cfg, passes = _curve_scans()
+    T = np.linspace(0.0, 1.0, cfg.t_grid)[None, :]
+    # the lane kinds each scan sees: a convexity scan also has rows whose
+    # images h cannot take
+    lane_kinds = [[{_OK}, {_OK, _LANE, _VAL_BAD}, {_OK, _LANE, _VAL_BAD}], [{_OK, _LANE}]]
+    for scans, kinds in zip(passes, lane_kinds):
+        rows, _ = scans[0].sample(rng.base_array(cfg.seed, np.arange(cfg.samples)))
+        want = _sunk_columns(scans, rows, T, 1)
+        for s, cols, k in zip(scans, want, kinds):
+            assert sorted(cols) == list(range(cfg.t_grid - s.first_t))
+            assert set(np.concatenate([e for _, _, e in cols.values()]).tolist()) == k
+        for width in range(2, cfg.t_grid + 1):
+            got = _sunk_columns(scans, rows, T, width)
+            for g, w in zip(got, want):
+                assert g.keys() == w.keys()
+                for c in w:
+                    for a, b in zip(g[c], w[c]):
+                        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+                        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _record_fan_lanes(monkeypatch):
+    """A list that receives (rows, t-columns) of every curve evaluation."""
+    from geoconvex import checker
+
+    calls, fan = [], checker.geodesic_fan
+
+    def recording_fan(m, X1, X2):
+        curve = fan(m, X1, X2)
+
+        def at(t):
+            P = curve(t)
+            calls.append((X1.shape[0], P.size // (X1.shape[0] * m.ambient_dim)))
+            return P
+
+        return at
+
+    monkeypatch.setattr(checker, "geodesic_fan", recording_fan)
+    return calls
+
+
+def test_a_curve_call_holds_no_more_lanes_than_a_chunk_holds_rows(monkeypatch):
+    from geoconvex import checker
+    from geoconvex.checker import _ConvexityScan, _SetScan
+
+    calls = _record_fan_lanes(monkeypatch)
+    inst = _inst1d("x1^2", "a - b", (-1.0, 1.0))
+    full = checker.MAX_CHUNK
+    for cap, samples in ((256, 40), (256, 1000), (full, 160)):
+        monkeypatch.setattr(checker, "MAX_CHUNK", cap)
+        for workers in (1, 2):
+            cfg = CheckConfig(seed=1234, samples=samples, t_grid=9, workers=workers)
+            scans = [_SetScan(E1, inst.E, inst.domain, cfg), _ConvexityScan(inst, cfg)]
+            calls.clear()
+            checker._run_pass(scans, cfg)
+            assert max(n * w for n, w in calls) <= cap // len(scans)
+            if samples == 40:
+                assert max(w for _, w in calls) > 1
+            if cap == full:
+                # at the implication budget a chunk evaluates its whole t-grid in one call
+                assert {w for _, w in calls} == {cfg.t_grid}
+                assert len(calls) == len(checker._chunk_ranges(samples, workers, cap // 2))
+
+
+def test_a_row_draws_no_member_after_one_it_did_not_find(monkeypatch):
+    from geoconvex import algebra, rng
+    from geoconvex.checker import _ProductSetScan, _Scan, _SetScan
+
+    class Drawn(_Scan):
+        members = 3
+
+        def draw(self, bases, region):
+            # each row's draw depends on its own base only
+            self.drawn.append(bases.size)
+            X = np.stack([bases % 97 + region, bases % 89], axis=1).astype(float)
+            return np.asfortranarray(X), (bases + region) % 5 != 0
+
+    bases = rng.base_array(3, np.arange(500))
+    scan = Drawn()
+    scan.drawn = []
+    rows, ok = scan.sample(bases)
+    full = [Drawn.draw(scan, bases, r) for r in range(3)]
+    found = np.cumprod([f for _, f in full], axis=0).astype(bool)
+    assert scan.drawn[:3] == [bases.size, found[0].sum(), found[1].sum()]
+    assert np.array_equal(ok, found[2]) and 0 < ok.sum() < ok.size
+    np.testing.assert_array_equal(rows[ok], np.hstack([X for X, _ in full])[ok])
+
+    # a domain with no member: member 1 of a pair is never drawn
+    drawn = {}
+    draw = algebra._draw
+
+    def counting_draw(domain, sub, pos0):
+        region = int(np.min(pos0)) // algebra.REGION_SIZE
+        drawn[region] = drawn.get(region, 0) + sub.size
+        return draw(domain, sub, pos0)
+
+    monkeypatch.setattr(algebra, "_draw", counting_draw)
+    empty = DomainSet(E1, ((-1.0, 1.0),), parse("-1", point_vars(1)))
+    never = ProductSet(DomainSet(E1, ((-1.0, 1.0),)), parse("-1", point_vars(1) + ("v",)),
+                       (0.0, 1.0))
+    for scan in (_SetScan(E1, EndoMap.identity(1), empty, CFG),
+                 _ProductSetScan(E1, EndoMap.identity(1), Bifunction.difference(), never, CFG)):
+        drawn.clear()
+        rows, ok = scan.sample(bases[:20])
+        assert not ok.any() and not rows.any()
+        assert drawn[0] == 20 * algebra.MAX_REJECTION_ROUNDS and drawn.get(1, 0) == 0

@@ -417,3 +417,32 @@ def test_geodesic_fan_is_bit_identical_in_any_layout(m):
         got = f_curve(t)
         assert _same_bits(got, ref)
         assert got.flags.f_contiguous or d == 1
+
+
+@pytest.mark.parametrize("m", [euclidean(1), E2, S2, sphere(7), B2, poincare_ball(3)],
+                         ids=lambda m: f"{m.kind.value}{m.dim}")
+def test_geodesic_fan_on_a_t_column_stacks_the_per_t_points(m):
+    from geoconvex.manifold import geodesic_fan
+
+    rng = np.random.default_rng(70 + m.dim)
+    n, d = 40, m.ambient_dim
+    X1 = rng.uniform(-0.6, 0.6, size=(n, d))
+    X2 = rng.uniform(-0.6, 0.6, size=(n, d))
+    if m.kind.value == "Sphere":
+        X1 /= np.linalg.norm(X1, axis=1, keepdims=True)
+        X2 /= np.linalg.norm(X2, axis=1, keepdims=True)
+        # nearly parallel rows take the linear fallback (sin(theta) < 1e-9)
+        X1[4:8] = X2[4:8] + 1e-12 * rng.normal(size=(4, d))
+        X1[4:8] /= np.linalg.norm(X1[4:8], axis=1, keepdims=True)
+    X1[:4] = X2[:4]  # coincident endpoints: zero velocity on the ball
+    ts = np.concatenate([np.linspace(0.0, 1.0, 9), rng.uniform(0.0, 1.0, 4)])
+    for order in "CF":
+        curve = geodesic_fan(m, np.asarray(X1, order=order), np.asarray(X2, order=order))
+        block = curve(ts[:, None])
+        assert block.shape == (ts.size, n, d)
+        for a, t in enumerate(ts):
+            assert _same_bits(block[a], curve(np.array([t])))
+            assert _same_bits(block[a], curve(float(t)))
+        # a refinement block: one column holding one t per row
+        per_row = ts[np.arange(n) % ts.size]
+        assert _same_bits(curve(per_row[None, :])[0], curve(per_row))
