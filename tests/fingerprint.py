@@ -3,8 +3,9 @@
 A fixed list of entries covers every statement id at two instance seeds,
 the function, strict, counterexample-search, interval and slope checks, the
 set check, product sets that hold, are violated, are vacuous or are partly
-sampled, one epigraph query, one DomainError and one PremiseFailed case, and
-a slope and a set check that meet a domain error in mid-run.
+sampled, one epigraph query, one DomainError and one PremiseFailed case,
+a slope and a set check that meet a domain error in mid-run, and a function
+and a set check on a box of the Poincare ball.
 Every entry runs at workers 1 and 2, which must agree.  `fingerprint.json`
 pins, per entry, its verdict, `repr(max_violation)` (of the conclusion for a
 statement), `samples_used` (summed over nested reports) and a sha256 prefix
@@ -80,6 +81,10 @@ def _cap() -> DomainSet:
 def _ball_distance() -> Instance:
     h = ScalarFn.from_source("(2*artanh(sqrt(x1^2 + x2^2 + 1e-30)))^2", 2)
     return Instance(B2, h, EndoMap.identity(2), DIFF, DomainSet(B2, ((-0.7, 0.7),) * 2))
+
+
+def _ball_box() -> DomainSet:
+    return DomainSet(B2, ((-0.5, 0.5),) * 2)
 
 
 def _product_set(graph: str, v_range, box=(-1.0, 1.0)) -> ProductSet:
@@ -158,9 +163,18 @@ def entries() -> list[tuple[str, CheckConfig, object]]:
         ("set.mid_error", lambda cfg: check_geodesic_E_convex_set(
             E2, EndoMap.from_source([log_E, "2*x2"], 2), DomainSet(E2, ((-1.0, 1.0),) * 2), cfg)),
     ]
+    # the bulk curve on the ball, on a violated function and a holding set
+    ball = [
+        ("fn.ball_box", lambda cfg: check_geodesic_phiE_convex_fn(Instance(
+            B2, ScalarFn.from_source("1 - x1^2 - x2^2", 2), EndoMap.identity(2), DIFF,
+            _ball_box()), cfg)),
+        ("set.ball_box", lambda cfg: check_geodesic_E_convex_set(
+            B2, EndoMap.identity(2), _ball_box(), cfg)),
+    ]
     return (out + [(label, CHECK_CFG, run) for label, run in checks]
             + [(label, RARE_CFG, run) for label, run in rare]
-            + [(label, MID_ERROR_CFG, run) for label, run in mid_error])
+            + [(label, MID_ERROR_CFG, run) for label, run in mid_error]
+            + [(label, CHECK_CFG, run) for label, run in ball])
 
 
 def _samples_used(d) -> int:
