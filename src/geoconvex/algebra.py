@@ -162,11 +162,16 @@ def _rejection_sample(bases: np.ndarray, region: int, stride: int, draw, accept)
     idx, attempt = np.flatnonzero(~ok), 1
     while idx.size and attempt < MAX_REJECTION_ROUNDS:
         r = max(1, min(TAIL_ROWS // idx.size, MAX_REJECTION_ROUNDS - attempt))
-        tries = attempt + np.tile(np.arange(r), idx.size)
-        cand = draw(np.repeat(bases[idx], r), region * REGION_SIZE + tries * stride)
-        hits = accept(cand).reshape(idx.size, r)
-        hit = hits.any(axis=1)  # a row keeps its first accepted attempt
-        rows[idx[hit]] = cand[(np.arange(idx.size) * r + hits.argmax(axis=1))[hit]]
+        if r == 1:  # one attempt per row, all at the same stream position
+            cand = draw(bases[idx], region * REGION_SIZE + attempt * stride)
+            hit = accept(cand)
+            rows[idx[hit]] = cand[hit]
+        else:
+            tries = attempt + np.tile(np.arange(r), idx.size)
+            cand = draw(np.repeat(bases[idx], r), region * REGION_SIZE + tries * stride)
+            hits = accept(cand).reshape(idx.size, r)
+            hit = hits.any(axis=1)  # a row keeps its first accepted attempt
+            rows[idx[hit]] = cand[(np.arange(idx.size) * r + hits.argmax(axis=1))[hit]]
         ok[idx[hit]] = True
         idx, attempt = idx[~hit], attempt + r
     return rows, ok

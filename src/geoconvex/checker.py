@@ -31,7 +31,7 @@ from .algebra import (
 from .errors import EvalDomainError, InverseSearchFailedError
 from .exprlang import Bifunction, EndoMap
 from .manifold import (
-    Manifold, ManifoldKind, Point, antipodal_mask, distance_batch, geodesic_batch, geodesic_fan,
+    Manifold, ManifoldKind, Point, antipodal_mask, curve_fan, distance_batch, geodesic_batch,
     row_finite, row_norm, valid_mask,
 )
 from .reports import CheckConfig, Report, Verdict, Witness
@@ -506,7 +506,7 @@ def _curve_lanes(scans, rows, T, offsets, sinks, width: int):
         for s in scans:
             c = code.copy()
             per_scan.append((s, c, s.prelude(rows, W, c)))
-        curve = geodesic_fan(m, *_halves(W))
+        curve = curve_fan(m, *_halves(W))
         for j in range(min(offsets), T.shape[1], width):
             t = T[:, j:j + width].T
             P = curve(t).reshape(-1, W.shape[1])

@@ -177,6 +177,8 @@ def antipodal_mask(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def geodesic_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
     """The curves from rows of X2 (t=0) to X1 (t=1), as a function of t.
 
+    The witness oracle: geodesic_batch and geodesic evaluate through it, and
+    on the ball it flows exp_x2(t log_x2 x1); the bulk path uses curve_fan.
     The per-pair part of the curve is computed once; the returned function
     maps t, one value for every row or an (N,) vector with one value per
     row, to the (N, d) points at t; leading axes are allowed, so a (w, 1)
@@ -213,6 +215,29 @@ def geodesic_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
 
     def at(t):
         return _ball_exp_batch(X2, np.asarray(t, dtype=np.float64)[..., None] * V, p2, lam)
+
+    return at
+
+
+def curve_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
+    """geodesic_fan for the bulk path, with its contract.  On the ball it is
+    the closed form x2 (+) tanh(t artanh|w|) w/|w|, w = (-x2) (+) x1 (Mobius
+    sums): a tanh per t, no Mobius sum.  It agrees with geodesic_fan's
+    exp_x2(t log_x2 x1) up to the conditioning of artanh near the boundary,
+    so witnesses are re-checked through that oracle."""
+    if m.kind is not ManifoldKind.POINCARE_BALL:
+        return geodesic_fan(m, X1, X2)
+    x2 = row_dot(X2, X2)
+    w = _mobius_add_batch(-X2, X1, x2)
+    nw = np.clip(row_norm(w), 0.0, 1.0 - 1e-16)
+    a = np.arctanh(nw)
+    u = np.where((nw > 1e-15)[:, None], w / np.maximum(nw, 1e-300)[:, None], 0.0)
+    c, q = row_dot(X2, u), 1.0 - x2
+
+    def at(t):
+        s = np.tanh(np.asarray(t, dtype=np.float64) * a)
+        b = 1.0 + 2.0 * s * c
+        return ((b + s * s)[..., None] * X2 + (q * s)[..., None] * u) / (b + x2 * s * s)[..., None]
 
     return at
 

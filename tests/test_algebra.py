@@ -218,16 +218,26 @@ def _one_attempt_per_call(bases, region, stride, draw, accept):
 
 # disks of 1 in about 2000 draws, where some rows are found in none of the
 # MAX_REJECTION_ROUNDS attempts, and of 1 in 30, where one call of the
-# batched tail often draws several members of a row
-@pytest.mark.parametrize("r2, some_lost", [("0.00064", True), ("0.04", False)])
-def test_rejection_tail_keeps_each_rows_first_accepted_attempt(r2, some_lost):
+# batched tail often draws several members of a row; and 10,000 rows on a
+# disk of 1 in 4, which leave more than TAIL_ROWS rows after attempt 0, so
+# the tail's first rounds draw one attempt per row
+@pytest.mark.parametrize("r2, some_lost, n", [
+    pytest.param("0.00064", True, 40, id="0.00064-True"),
+    pytest.param("0.04", False, 40, id="0.04-False"),
+    pytest.param("0.3183", False, 10_000, id="0.3183-False-10000"),
+])
+def test_rejection_tail_keeps_each_rows_first_accepted_attempt(r2, some_lost, n):
     from functools import partial
 
-    from geoconvex.algebra import _attempt_stride, _draw, _rejection_sample
+    from geoconvex.algebra import (
+        REGION_SIZE, TAIL_ROWS, _attempt_stride, _draw, _rejection_sample,
+    )
 
     speck = DomainSet(euclidean(2), ((-1.0, 1.0), (-1.0, 1.0)),
                       parse(f"{r2} - x1^2 - x2^2", point_vars(2)))
-    bases = rng.base_array(8, np.arange(40, dtype=np.uint64))
+    bases = rng.base_array(8, np.arange(n, dtype=np.uint64))
+    left = np.sum(~member_mask_batch(speck, _draw(speck, bases, 4 * REGION_SIZE)))
+    assert (left > TAIL_ROWS) == (n > 40)
     args = (bases, 4, _attempt_stride(speck), partial(_draw, speck),
             partial(member_mask_batch, speck))
     rows, found = _rejection_sample(*args)

@@ -1115,7 +1115,7 @@ def _record_fan_lanes(monkeypatch):
     """A list that receives (rows, t-columns) of every curve evaluation."""
     from geoconvex import checker
 
-    calls, fan = [], checker.geodesic_fan
+    calls, fan = [], checker.curve_fan
 
     def recording_fan(m, X1, X2):
         curve = fan(m, X1, X2)
@@ -1127,7 +1127,7 @@ def _record_fan_lanes(monkeypatch):
 
         return at
 
-    monkeypatch.setattr(checker, "geodesic_fan", recording_fan)
+    monkeypatch.setattr(checker, "curve_fan", recording_fan)
     return calls
 
 

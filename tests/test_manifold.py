@@ -402,6 +402,17 @@ def test_geodesic_fan_matches_per_t_formula(m):
 def test_geodesic_fan_is_bit_identical_in_any_layout(m):
     from geoconvex.manifold import geodesic_fan
 
+    _assert_layout_free(geodesic_fan, m)
+
+
+@pytest.mark.parametrize("m", [B2, poincare_ball(3)], ids=lambda m: f"{m.kind.value}{m.dim}")
+def test_curve_fan_is_bit_identical_in_any_layout(m):
+    from geoconvex.manifold import curve_fan
+
+    _assert_layout_free(curve_fan, m)
+
+
+def _assert_layout_free(fan, m):
     rng = np.random.default_rng(50 + m.dim)
     n, d = 48, m.ambient_dim
     X1 = rng.uniform(-0.6, 0.6, size=(n, d))
@@ -410,8 +421,8 @@ def test_geodesic_fan_is_bit_identical_in_any_layout(m):
         X1 /= np.linalg.norm(X1, axis=1, keepdims=True)
         X2 /= np.linalg.norm(X2, axis=1, keepdims=True)
     X1[:4] = X2[:4]
-    c_curve = geodesic_fan(m, X1, X2)
-    f_curve = geodesic_fan(m, np.asfortranarray(X1), np.asfortranarray(X2))
+    c_curve = fan(m, X1, X2)
+    f_curve = fan(m, np.asfortranarray(X1), np.asfortranarray(X2))
     for t in (0.0, 1.0, 0.3, np.array([0.7]), rng.uniform(0.0, 1.0, n)):
         ref = c_curve(t)
         got = f_curve(t)
@@ -446,3 +457,60 @@ def test_geodesic_fan_on_a_t_column_stacks_the_per_t_points(m):
         # a refinement block: one column holding one t per row
         per_row = ts[np.arange(n) % ts.size]
         assert _same_bits(curve(per_row[None, :])[0], curve(per_row))
+
+
+def _ball_pairs(m, rng, n=64, radius=0.9):
+    """n pairs of points within `radius` of the ball's centre: rows 0-3
+    coincide, rows 4-7 lie 1e-13 apart and rows 8-11 sit at `radius`."""
+    d = m.ambient_dim
+
+    def inside(k):
+        X = rng.normal(size=(k, d))
+        return X / np.linalg.norm(X, axis=1, keepdims=True) * radius * rng.uniform(size=(k, 1))
+
+    X1, X2 = inside(n), inside(n)
+    X1[:4] = X2[:4]
+    X1[4:8] = X2[4:8] + 1e-13 * rng.normal(size=(4, d))
+    for X in (X1, X2):
+        X[8:12] *= radius / np.linalg.norm(X[8:12], axis=1, keepdims=True)
+    return X1, X2
+
+
+@pytest.mark.parametrize("m", [B2, poincare_ball(3)], ids=lambda m: f"{m.kind.value}{m.dim}")
+def test_curve_fan_on_the_ball_stays_within_1e_12_of_the_oracle(m):
+    from geoconvex.manifold import curve_fan, geodesic_fan
+
+    rng = np.random.default_rng(90 + m.dim)
+    for order in "CF":
+        X1, X2 = (np.asarray(X, order=order) for X in _ball_pairs(m, rng))
+        curve, oracle = curve_fan(m, X1, X2), geodesic_fan(m, X1, X2)
+        assert _same_bits(curve(0.0), oracle(0.0))
+        ts = np.linspace(0.0, 1.0, 17)
+        block = curve(ts[:, None])
+        assert block.shape == (ts.size, *X1.shape)
+        for a, t in enumerate(ts):
+            assert _same_bits(block[a], curve(float(t)))
+            assert np.max(np.abs(block[a] - oracle(float(t)))) <= 1e-12
+            # coincident endpoints stay at X2
+            assert _same_bits(block[a, :4], X2[:4])
+        per_row = rng.uniform(0.0, 1.0, X1.shape[0])
+        assert _same_bits(curve(per_row[None, :])[0], curve(per_row))
+        assert np.max(np.abs(curve(per_row) - oracle(per_row))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [euclidean(1), E2, S2, sphere(3)],
+                         ids=lambda m: f"{m.kind.value}{m.dim}")
+def test_curve_fan_off_the_ball_is_geodesic_fan(m):
+    from geoconvex.manifold import curve_fan, geodesic_fan
+
+    rng = np.random.default_rng(110 + m.dim)
+    n, d = 40, m.ambient_dim
+    X1 = rng.uniform(-0.6, 0.6, size=(n, d))
+    X2 = rng.uniform(-0.6, 0.6, size=(n, d))
+    if m.kind.value == "Sphere":
+        X1 /= np.linalg.norm(X1, axis=1, keepdims=True)
+        X2 /= np.linalg.norm(X2, axis=1, keepdims=True)
+    curve, oracle = curve_fan(m, X1, X2), geodesic_fan(m, X1, X2)
+    ts = np.linspace(0.0, 1.0, 17)
+    for t in (0.3, ts[:, None], rng.uniform(0.0, 1.0, n)):
+        assert _same_bits(curve(t), oracle(t))
