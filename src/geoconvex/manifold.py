@@ -227,17 +227,17 @@ def curve_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
     so witnesses are re-checked through that oracle."""
     if m.kind is not ManifoldKind.POINCARE_BALL:
         return geodesic_fan(m, X1, X2)
-    x2 = row_dot(X2, X2)
-    w = _mobius_add_batch(-X2, X1, x2)
+    p2 = row_dot(X2, X2)
+    w = _mobius_add_batch(-X2, X1, p2)
     nw = np.clip(row_norm(w), 0.0, 1.0 - 1e-16)
     a = np.arctanh(nw)
     u = np.where((nw > 1e-15)[:, None], w / np.maximum(nw, 1e-300)[:, None], 0.0)
-    c, q = row_dot(X2, u), 1.0 - x2
+    c, q = row_dot(X2, u), 1.0 - p2
 
-    def at(t):
+    def at(t):  # the Mobius sum x2 (+) s u, with <x2, u> = c and |u|^2 taken as 1
         s = np.tanh(np.asarray(t, dtype=np.float64) * a)
         b = 1.0 + 2.0 * s * c
-        return ((b + s * s)[..., None] * X2 + (q * s)[..., None] * u) / (b + x2 * s * s)[..., None]
+        return ((b + s * s)[..., None] * X2 + (q * s)[..., None] * u) / (b + p2 * s * s)[..., None]
 
     return at
 
