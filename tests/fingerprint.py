@@ -4,8 +4,9 @@ A fixed list of entries covers every statement id at two instance seeds,
 the function, strict, counterexample-search, interval and slope checks, the
 set check, product sets that hold, are violated, are vacuous or are partly
 sampled, one epigraph query, one DomainError and one PremiseFailed case,
-a slope and a set check that meet a domain error in mid-run, and a function
-and a set check on a box of the Poincare ball.
+a slope and a set check that meet a domain error in mid-run, a function
+and a set check on a box of the Poincare ball, and the gap-function checks
+on holding, violated and non-evaluable phis.
 Every entry runs at workers 1 and 2, which must agree.  `fingerprint.json`
 pins, per entry, its verdict, `repr(max_violation)` (of the conclusion for a
 statement), `samples_used` (summed over nested reports) and a sha256 prefix
@@ -36,10 +37,15 @@ from geoconvex import (  # noqa: E402
     Instance,
     ProductSet,
     ScalarFn,
+    check_additive,
+    check_antisymmetric,
     check_geodesic_E_convex_set,
     check_geodesic_phiE_convex_fn,
     check_geodesic_phiE_convex_set,
+    check_nonneg_homogeneous,
+    check_nonneg_linear,
     check_phiE_convex_interval,
+    check_seq_upper_bounded,
     check_slope_inequality,
     epigraph_membership,
     euclidean,
@@ -61,6 +67,9 @@ RARE_CFG = CHECK_CFG.replace(samples=200)
 # checks that meet a domain error in mid-run, at the seed of a slope job
 # whose counters once depended on the worker count
 MID_ERROR_CFG = CHECK_CFG.replace(seed=3)
+# log(a) is non-finite at sample 0 of every property at seed 0; at seed 4
+# the first such samples are 9, 1 and 3 (homogeneous, additive, antisymmetric)
+LOG_SEEDS = (0, 4)
 WORKERS = (1, 2)
 HASH_CHARS = 16
 
@@ -101,6 +110,19 @@ def _epigraph_query(cfg) -> dict:
     # the preimage distance stands in for max_violation
     return {"verdict": "Located", "max_violation": dist, "samples_used": cfg.samples,
             "preimage": list(mu)}
+
+
+GAP_CHECKS = {"homogeneous": check_nonneg_homogeneous, "additive": check_additive,
+              "antisymmetric": check_antisymmetric, "linear": check_nonneg_linear}
+
+
+def _gap_check(check, src: str):
+    return lambda cfg: check(Bifunction.from_source(src), cfg.samples, cfg.seed, cfg)
+
+
+def _seq_check(src: str, sequences):
+    return lambda cfg: check_seq_upper_bounded(
+        Bifunction.from_source(src), EndoMap.identity(1), sequences, cfg.seed, cfg)
 
 
 def entries() -> list[tuple[str, CheckConfig, object]]:
@@ -171,10 +193,22 @@ def entries() -> list[tuple[str, CheckConfig, object]]:
         ("set.ball_box", lambda cfg: check_geodesic_E_convex_set(
             B2, EndoMap.identity(2), _ball_box(), cfg)),
     ]
+    # every property on phis that hold for some and are violated for others
+    gap = [(f"gap.{name}[{src}]", CHECK_CFG, _gap_check(check, src))
+           for src in ("a - 2*b", "a - b", "a - b + 1", "a*b")
+           for name, check in GAP_CHECKS.items()]
+    gap += [(f"gap.{name}[log(a), seed {seed}]", CHECK_CFG.replace(seed=seed),
+             _gap_check(check, "log(a)"))
+            for seed in LOG_SEEDS for name, check in GAP_CHECKS.items()]
+    gap += [
+        ("gap.seq_upper_bounded.violated", CHECK_CFG, _seq_check("a - b", [((1.0, 0.0), (0.0, 1.0))])),
+        ("gap.seq_upper_bounded.holds", CHECK_CFG, _seq_check(
+            "abs(a) + abs(b)", [((0.5, 1.5, 0.25), (1.0, 0.0, 2.0)), ((2.0, 1.0), (0.5, 0.75))])),
+    ]
     return (out + [(label, CHECK_CFG, run) for label, run in checks]
             + [(label, RARE_CFG, run) for label, run in rare]
             + [(label, MID_ERROR_CFG, run) for label, run in mid_error]
-            + [(label, CHECK_CFG, run) for label, run in ball])
+            + [(label, CHECK_CFG, run) for label, run in ball] + gap)
 
 
 def _samples_used(d) -> int:
