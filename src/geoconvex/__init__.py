@@ -12,25 +12,21 @@ or an explicit counterexample witness.  Statement-level verifiers combine
 these checks into premise -> conclusion implication tests.
 """
 
-from .algebra import (
-    DomainSet,
-    Instance,
-    ProductSet,
-    check_additive,
-    check_antisymmetric,
-    check_nonneg_homogeneous,
-    check_nonneg_linear,
-    check_seq_upper_bounded,
-)
+from .algebra import DomainSet, Instance, ProductSet
 from .checker import (
     CheckConfig,
     Report,
     Verdict,
     Witness,
+    check_additive,
+    check_antisymmetric,
     check_geodesic_E_convex_set,
     check_geodesic_phiE_convex_fn,
     check_geodesic_phiE_convex_set,
+    check_nonneg_homogeneous,
+    check_nonneg_linear,
     check_phiE_convex_interval,
+    check_seq_upper_bounded,
     check_slope_inequality,
     epigraph_membership,
     search_counterexample,

@@ -1,10 +1,8 @@
-"""Domains, problem instances, and sampled gap-function property checks.
+"""Domains, problem instances, and the seeded draws of their members.
 
 A DomainSet is an axis-aligned box in chart coordinates, optionally cut
 down by a membership predicate (a point belongs iff it is inside the box
-and the predicate evaluates > 0).  Property checks for gap functions are
-sampled semi-decisions: a passing report means no violation was found at
-the given budget, never a proof.
+and the predicate evaluates > 0).
 """
 
 from __future__ import annotations
@@ -15,10 +13,8 @@ from functools import partial
 import numpy as np
 
 from . import rng
-from .errors import EmptySequenceError
 from .exprlang import Bifunction, EndoMap, Expr, ScalarFn
-from .manifold import Manifold, ManifoldKind, Point, row_finite, row_norm
-from .reports import CheckConfig, Report, Verdict, Witness
+from .manifold import Manifold, ManifoldKind, row_finite, row_norm
 
 # Fixed rejection-sampling layout: each sampled object owns a region of the
 # stream so draws never depend on how work is chunked across workers.
@@ -38,7 +34,8 @@ REGION_AUX2 = 9
 # sample 10.  The value is kept because changing it moves reports.
 STREAM_DIRS = 10
 
-# Gap-function arguments are sampled from this fixed window.
+# Gap-function arguments are drawn from this fixed window, and the scale of
+# homogeneity from the second, at positions 0.. of region 0 of a stream.
 PHI_ARG_RANGE = (-10.0, 10.0)
 PHI_SCALE_RANGE = (0.0, 10.0)
 
@@ -265,180 +262,3 @@ def sample_product_members(ps: ProductSet, bases: np.ndarray, region: int):
 
     return _rejection_sample(bases, region, stride, draw,
                              lambda R: ps.member_mask(R[:, :d], R[:, d]))
-
-
-# ---------------------------------------------------------------------------
-# Gap-function property checks (sampled equations/inequalities over R)
-
-
-def _equation_report(
-    label: str,
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    witness_points: list[np.ndarray],
-    witness_t: np.ndarray | None,
-    budget: int,
-    seed: int,
-    cfg: CheckConfig,
-    notes: tuple[str, ...] = (),
-) -> Report:
-    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        return Report(Verdict.DOMAIN_ERROR, None, None, k, seed, notes=notes + (
-            f"{label}: non-finite value at sample {k} "
-            f"(args {[float(w[k]) for w in witness_points]})",
-        ))
-    viol = np.abs(lhs - rhs)
-    thresholds = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
-    max_violation = float(np.max(viol))
-    exceeded = viol > thresholds
-    if np.any(exceeded):
-        k = int(np.argmax(np.where(exceeded, viol, -np.inf)))
-        witness = Witness(
-            points=tuple(Point((float(w[k]),)) for w in witness_points),
-            t=float(witness_t[k]) if witness_t is not None else None,
-            lhs=float(lhs[k]),
-            rhs=float(rhs[k]),
-            violation=float(viol[k]),
-        )
-        return Report(Verdict.VIOLATED, max_violation, witness, budget, seed, notes=notes)
-    return Report(Verdict.HOLDS_ON_SAMPLES, max_violation, None, budget, seed, notes=notes)
-
-
-def _phi_args(bases: np.ndarray, count: int) -> list[np.ndarray]:
-    """Gap-function arguments from PHI_ARG_RANGE at stream positions 0..count-1."""
-    lo, hi = PHI_ARG_RANGE
-    return [lo + (hi - lo) * rng.unit_array(bases, k) for k in range(count)]
-
-
-def check_nonneg_homogeneous(
-    phi: Bifunction, budget: int, seed: int = 0, cfg: CheckConfig | None = None
-) -> Report:
-    """Sampled test of phi(t*u1, t*u2) == t*phi(u1, u2) for t >= 0."""
-    cfg = cfg or CheckConfig(seed=seed)
-    bases = rng.base_array(seed, np.arange(budget, dtype=np.uint64))
-    u1, u2 = _phi_args(bases, 2)
-    t = PHI_SCALE_RANGE[0] + (PHI_SCALE_RANGE[1] - PHI_SCALE_RANGE[0]) * rng.unit_array(bases, 2)
-    lhs = phi.eval_batch(t * u1, t * u2)
-    rhs = t * phi.eval_batch(u1, u2)
-    return _equation_report(
-        "nonneg_homogeneous", lhs, rhs, [u1, u2], t, budget, seed, cfg
-    )
-
-
-def check_additive(
-    phi: Bifunction, budget: int, seed: int = 0, cfg: CheckConfig | None = None
-) -> Report:
-    """Sampled test of phi(u1+v1, u2+v2) == phi(u1,u2) + phi(v1,v2)."""
-    cfg = cfg or CheckConfig(seed=seed)
-    bases = rng.base_array(seed, np.arange(budget, dtype=np.uint64))
-    u1, u2, v1, v2 = _phi_args(bases, 4)
-    lhs = phi.eval_batch(u1 + v1, u2 + v2)
-    rhs = phi.eval_batch(u1, u2) + phi.eval_batch(v1, v2)
-    return _equation_report(
-        "additive", lhs, rhs, [u1, u2, v1, v2], None, budget, seed, cfg
-    )
-
-
-def check_antisymmetric(
-    phi: Bifunction, budget: int, seed: int = 0, cfg: CheckConfig | None = None
-) -> Report:
-    """Sampled test of phi(a, b) == -phi(b, a).
-
-    The combination theorems use "antisymmetric" without pinning a formula;
-    this reading is recorded on the report.
-    """
-    cfg = cfg or CheckConfig(seed=seed)
-    bases = rng.base_array(seed, np.arange(budget, dtype=np.uint64))
-    a, b = _phi_args(bases, 2)
-    lhs = phi.eval_batch(a, b)
-    rhs = -phi.eval_batch(b, a)
-    return _equation_report(
-        "antisymmetric", lhs, rhs, [a, b], None, budget, seed, cfg,
-        notes=("interpretation: antisymmetry read as phi(a,b) = -phi(b,a)",),
-    )
-
-
-def check_nonneg_linear(
-    phi: Bifunction, budget: int, seed: int = 0, cfg: CheckConfig | None = None
-) -> Report:
-    """Conjunction of the homogeneity and additivity checks.  A part that
-    met a domain error adds its own notes (the failing sample and its
-    arguments) after the part verdicts."""
-    hom = check_nonneg_homogeneous(phi, budget, seed, cfg)
-    add = check_additive(phi, budget, seed, cfg)
-    both = hom.holds and add.holds
-    witness = hom.witness or add.witness
-    # a part that neither holds nor has a witness met a domain error
-    verdict = (Verdict.VIOLATED if witness else
-               Verdict.HOLDS_ON_SAMPLES if both else Verdict.DOMAIN_ERROR)
-    return Report(
-        verdict,
-        max((r.max_violation for r in (hom, add) if r.max_violation is not None), default=None),
-        witness,
-        budget,
-        seed,
-        flags={"nonneg_linear": both},
-        notes=(
-            f"homogeneous: {hom.verdict.value}",
-            f"additive: {add.verdict.value}",
-        ) + tuple(n for r in (hom, add) if r.verdict is Verdict.DOMAIN_ERROR for n in r.notes),
-    )
-
-
-def check_seq_upper_bounded(
-    phi: Bifunction,
-    E: EndoMap,
-    sequences,
-    seed: int = 0,
-    cfg: CheckConfig | None = None,
-) -> Report:
-    """Per pair of bounded sequences (u_i), (v_i), test
-
-        sup_i phi(E(u_i), E(v_i)) <= phi(sup_i E(u_i), sup_i E(v_i)).
-
-    Only the supplied finite sequences are examined; sequence space is not
-    searched.
-    """
-    cfg = cfg or CheckConfig(seed=seed)
-    sequences = list(sequences)
-    if not sequences:
-        raise EmptySequenceError("no sequence pairs supplied")
-    worst = None
-    max_violation = -np.inf
-    for pair_idx, (useq, vseq) in enumerate(sequences):
-        useq = list(useq)
-        vseq = list(vseq)
-        if not useq or not vseq or len(useq) != len(vseq):
-            raise EmptySequenceError(
-                f"pair {pair_idx}: sequences must be nonempty and equal-length"
-            )
-        eu = [E((float(u),))[0] for u in useq]
-        ev = [E((float(v),))[0] for v in vseq]
-        lhs = max(phi(a, b) for a, b in zip(eu, ev))
-        rhs = phi(max(eu), max(ev))
-        viol = lhs - rhs
-        max_violation = max(max_violation, viol)
-        if viol > cfg.threshold(rhs) and (worst is None or viol > worst[0]):
-            worst = (viol, pair_idx, lhs, rhs, eu, ev)
-    if worst is not None:
-        viol, pair_idx, lhs, rhs, eu, ev = worst
-        witness = Witness(
-            points=(Point((float(max(eu)),)), Point((float(max(ev)),))),
-            t=None,
-            lhs=float(lhs),
-            rhs=float(rhs),
-            violation=float(viol),
-        )
-        return Report(
-            Verdict.VIOLATED,
-            float(max_violation),
-            witness,
-            len(sequences),
-            seed,
-            notes=(f"violating sequence pair index {pair_idx}",),
-        )
-    return Report(
-        Verdict.HOLDS_ON_SAMPLES, float(max_violation), None, len(sequences), seed
-    )

@@ -25,14 +25,15 @@ import numpy as np
 
 from . import rng
 from .algebra import (
-    REGION_PREIMAGE, REGION_ROWS, DomainSet, Instance, ProductSet, member_mask_batch,
-    outside_margin_batch, sample_members, sample_product_members,
+    PHI_ARG_RANGE, PHI_SCALE_RANGE, REGION_PREIMAGE, REGION_ROWS, DomainSet, Instance,
+    ProductSet, _draw_box_uniform, member_mask_batch, outside_margin_batch, sample_members,
+    sample_product_members,
 )
-from .errors import EvalDomainError, InverseSearchFailedError
+from .errors import EmptySequenceError, EvalDomainError, InverseSearchFailedError
 from .exprlang import Bifunction, EndoMap
 from .manifold import (
-    Manifold, ManifoldKind, Point, antipodal_mask, curve_fan, distance_batch, geodesic_batch,
-    row_finite, row_norm, valid_mask,
+    Manifold, ManifoldKind, Point, antipodal_mask, curve_fan, distance_batch, euclidean,
+    geodesic_batch, row_finite, row_norm, valid_mask,
 )
 from .reports import CheckConfig, Report, Verdict, Witness
 
@@ -46,6 +47,11 @@ __all__ = [
     "check_geodesic_E_convex_set",
     "check_geodesic_phiE_convex_fn",
     "check_geodesic_phiE_convex_set",
+    "check_nonneg_homogeneous",
+    "check_additive",
+    "check_antisymmetric",
+    "check_nonneg_linear",
+    "check_seq_upper_bounded",
     "search_counterexample",
     "epigraph_membership",
     "EpigraphMembership",
@@ -219,7 +225,7 @@ class _Fold:
         cands = [(x, (i0 + a, c), rows[a] if T is None else np.append(rows[a], T[0, c]))
                  for x, a, c in picks]
         err_at = None if r == N else (i0 + r, scan.first_t + j if code == _LANE else -1)
-        note = None if r == N else scan.notes[code].format(i=i0 + r)
+        note = None if r == N else scan.error_note(code, i0 + r, rows[r])
         # counters cover the rows before the error, and its row when a lane came first
         cover = N if r == N else r + (j > 0)
         extra = {"unsampled": int(np.sum(~self.ok[:cover])),
@@ -332,8 +338,9 @@ class _Scan:
     * `witness(z)`, the scalar re-evaluation of a point (or None);
 
     and may replace how one member is drawn (`draw`), how it is mapped onto
-    the manifold and masked (`member_rows`), and how the finished report
-    reads its chunks' counters (`finish`).
+    the manifold and masked (`member_rows`), the note of a domain error
+    (`error_note`), and how the finished report reads its chunks' counters
+    (`finish`).
 
     A lane is addressed by (sample i, t-column c) and lanes are ordered by
     that pair.  c indexes the t-grid and bulk lanes start at c = first_t; an
@@ -402,6 +409,10 @@ class _Scan:
 
     def hold_back(self, viol, thr):
         """Set to -inf, in place, the bulk lanes that may not start refinement."""
+
+    def error_note(self, code: int, i: int, row) -> str:
+        """The note of a domain error with lane code `code` on sample i's row."""
+        return self.notes[code].format(i=i)
 
     def finish(self, report: Report, extras) -> Report:
         """The scan's report from the one `_finish_scan` built and the
@@ -964,6 +975,158 @@ def check_geodesic_phiE_convex_set(
     check holds with zero samples.
     """
     return _finish_scan(_ProductSetScan(m, E, phi, S, cfg), cfg)
+
+
+# ---------------------------------------------------------------------------
+# gap-function properties
+
+# Each sampled property of a gap function phi: its number of arguments,
+# whether a scale t >= 0 follows them, and its two sides, written once as a
+# function of phi `f` for the batch kernel and the scalar phi alike.  The
+# arguments of sample i are positions 0.. of region 0 of its stream, drawn
+# from PHI_ARG_RANGE and the scale from PHI_SCALE_RANGE.
+_GAP_PROPERTIES = {
+    "nonneg_homogeneous": (2, True, lambda f, u1, u2, t: (f(t * u1, t * u2), t * f(u1, u2))),
+    "additive": (4, False, lambda f, u1, u2, v1, v2: (f(u1 + v1, u2 + v2), f(u1, u2) + f(v1, v2))),
+    "antisymmetric": (2, False, lambda f, a, b: (f(a, b), -f(b, a))),
+}
+_GAP_BOXES = {
+    prop: DomainSet(euclidean(n + scaled), (PHI_ARG_RANGE,) * n + (PHI_SCALE_RANGE,) * scaled)
+    for prop, (n, scaled, _) in _GAP_PROPERTIES.items()
+}
+
+
+@dataclass
+class _GapScan(_Scan):
+    """Rows of sampled arguments of one gap-function property, one lane per
+    row: |lhs - rhs| of its two sides.  Only lanes above threshold are
+    candidates, and they are not refined: a witness is the sampled row."""
+
+    phi: Bifunction
+    prop: str
+    cfg: CheckConfig
+
+    members = 1
+    has_t = False
+
+    def __post_init__(self):
+        self.domain = _GAP_BOXES[self.prop]
+        self.manifold = self.domain.manifold
+        self.n_args, self.scaled, self.sides = _GAP_PROPERTIES[self.prop]
+
+    def sample(self, bases):
+        return _draw_box_uniform(self.domain, bases, 0), np.ones(bases.size, dtype=bool)
+
+    def intervals(self):
+        # empty, so a line search probes nothing and keeps its start row
+        return [(0.0, 0.0)] * len(self.domain.box)
+
+    def lanes(self, rows, T):
+        cfg = self.cfg
+        with np.errstate(all="ignore"):
+            lhs, rhs = self.sides(self.phi.eval_batch, *rows.T)
+            viol = np.abs(lhs - rhs)
+        thr = cfg.tol_abs + cfg.tol_rel * np.maximum(1.0, np.abs(rhs))
+        # a non-finite side makes the violation non-finite
+        err = np.where(np.isfinite(viol), _OK, _VAL_BAD)
+        return viol[:, None], thr[:, None], err[:, None]
+
+    def hold_back(self, viol, thr):
+        # a lane within threshold starts no refinement
+        viol[~(viol > thr)] = -np.inf
+
+    def error_note(self, code, i, row):
+        args = [float(x) for x in row[:self.n_args]]
+        return f"{self.prop}: non-finite value at sample {i} (args {args})"
+
+    def witness(self, z) -> Witness | None:
+        args = [float(x) for x in z]
+        try:
+            lhs, rhs = self.sides(self.phi, *args)
+        except EvalDomainError:
+            return None
+        return Witness(
+            points=tuple(Point((x,)) for x in args[:self.n_args]),
+            t=args[-1] if self.scaled else None,
+            lhs=float(lhs),
+            rhs=float(rhs),
+            violation=float(abs(lhs - rhs)),
+        )
+
+
+def check_nonneg_homogeneous(phi: Bifunction, cfg: CheckConfig) -> Report:
+    """Sampled test of phi(t*u1, t*u2) == t*phi(u1, u2) for t >= 0."""
+    return _finish_scan(_GapScan(phi, "nonneg_homogeneous", cfg), cfg)
+
+
+def check_additive(phi: Bifunction, cfg: CheckConfig) -> Report:
+    """Sampled test of phi(u1+v1, u2+v2) == phi(u1,u2) + phi(v1,v2)."""
+    return _finish_scan(_GapScan(phi, "additive", cfg), cfg)
+
+
+def check_antisymmetric(phi: Bifunction, cfg: CheckConfig) -> Report:
+    """Sampled test of phi(a, b) == -phi(b, a).
+
+    The combination theorems use "antisymmetric" without pinning a formula;
+    this reading is recorded on the report.
+    """
+    return _finish_scan(_GapScan(phi, "antisymmetric", cfg), cfg, notes=(
+        "interpretation: antisymmetry read as phi(a,b) = -phi(b,a)",))
+
+
+def check_nonneg_linear(phi: Bifunction, cfg: CheckConfig) -> Report:
+    """Conjunction of the homogeneity and additivity checks.  A part that
+    met a domain error adds its own notes (the failing sample and its
+    arguments) after the part verdicts."""
+    hom = check_nonneg_homogeneous(phi, cfg)
+    add = check_additive(phi, cfg)
+    both = hom.holds and add.holds
+    witness = hom.witness or add.witness
+    # a part that neither holds nor has a witness met a domain error
+    verdict = (Verdict.VIOLATED if witness else
+               Verdict.HOLDS_ON_SAMPLES if both else Verdict.DOMAIN_ERROR)
+    return Report(
+        verdict,
+        max((r.max_violation for r in (hom, add) if r.max_violation is not None), default=None),
+        witness, cfg.samples, cfg.seed, flags={"nonneg_linear": both},
+        notes=(f"homogeneous: {hom.verdict.value}", f"additive: {add.verdict.value}")
+        + tuple(n for r in (hom, add) if r.verdict is Verdict.DOMAIN_ERROR for n in r.notes),
+    )
+
+
+def check_seq_upper_bounded(phi: Bifunction, E: EndoMap, sequences, cfg: CheckConfig) -> Report:
+    """Per pair of bounded sequences (u_i), (v_i), test
+
+        sup_i phi(E(u_i), E(v_i)) <= phi(sup_i E(u_i), sup_i E(v_i)).
+
+    Only the supplied finite sequences are examined; sequence space is not
+    searched.
+    """
+    sequences = list(sequences)
+    if not sequences:
+        raise EmptySequenceError("no sequence pairs supplied")
+    worst = None  # (pair index, witness)
+    max_violation = -np.inf
+    for pair_idx, (useq, vseq) in enumerate(sequences):
+        useq, vseq = list(useq), list(vseq)
+        if not useq or not vseq or len(useq) != len(vseq):
+            raise EmptySequenceError(
+                f"pair {pair_idx}: sequences must be nonempty and equal-length"
+            )
+        eu = [E((float(u),))[0] for u in useq]
+        ev = [E((float(v),))[0] for v in vseq]
+        lhs = max(phi(a, b) for a, b in zip(eu, ev))
+        rhs = phi(max(eu), max(ev))
+        viol = lhs - rhs
+        max_violation = max(max_violation, viol)
+        if viol > cfg.threshold(rhs) and (worst is None or viol > worst[1].violation):
+            points = (Point((float(max(eu)),)), Point((float(max(ev)),)))
+            worst = (pair_idx, Witness(points, None, float(lhs), float(rhs), float(viol)))
+    if worst is None:
+        return Report(Verdict.HOLDS_ON_SAMPLES, float(max_violation), None, len(sequences),
+                      cfg.seed)
+    return Report(Verdict.VIOLATED, float(max_violation), worst[1], len(sequences), cfg.seed,
+                  notes=(f"violating sequence pair index {worst[0]}",))
 
 
 # ---------------------------------------------------------------------------

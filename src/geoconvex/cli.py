@@ -24,14 +24,12 @@ import time
 import traceback
 from collections import namedtuple
 
-from .algebra import (
-    DomainSet, Instance, ProductSet, check_additive, check_antisymmetric,
-    check_nonneg_homogeneous, check_nonneg_linear, check_seq_upper_bounded,
-)
+from .algebra import DomainSet, Instance, ProductSet
 from .checker import (
-    CheckConfig, Verdict, check_geodesic_E_convex_set, check_geodesic_phiE_convex_fn,
-    check_geodesic_phiE_convex_set, check_phiE_convex_interval, check_slope_inequality,
-    epigraph_membership, search_counterexample,
+    CheckConfig, Verdict, check_additive, check_antisymmetric, check_geodesic_E_convex_set,
+    check_geodesic_phiE_convex_fn, check_geodesic_phiE_convex_set, check_nonneg_homogeneous,
+    check_nonneg_linear, check_phiE_convex_interval, check_seq_upper_bounded,
+    check_slope_inequality, epigraph_membership, search_counterexample,
 )
 from .errors import ConfigError, GeoconvexError, InverseSearchFailedError
 from .exprlang import BUILTINS, COMPARE_OPS, Bifunction, EndoMap, ScalarFn, parse, point_vars
@@ -238,24 +236,21 @@ def _check_epigraph(raw: dict, cfg: CheckConfig) -> list[dict]:
     return out
 
 
-# bifunction properties: each entry reads what its check needs, then checks a phi
-def _sampled(check):
-    return lambda raw, cfg: lambda phi: check(phi, cfg.samples, cfg.seed, cfg)
-
-
-def _seq_upper_bounded(raw: dict, cfg: CheckConfig):
+# bifunction properties: each entry reads what its check needs from the job,
+# then returns the check of (phi, cfg)
+def _seq_upper_bounded(raw: dict):
     seqs = _each(raw, "sequences", _Kind(
         "a pair [u, v] of nonempty, equal-length lists of finite numbers",
         lambda p: _is_list(p, NUMBERS, n=2) and len(p[0]) == len(p[1]) > 0))
     E = _endomap(raw, "", "E", 1)
-    return lambda phi: check_seq_upper_bounded(phi, E, seqs, cfg.seed, cfg)
+    return lambda phi, cfg: check_seq_upper_bounded(phi, E, seqs, cfg)
 
 
 _PHI_CHECKS = {
-    "nonneg_homogeneous": _sampled(check_nonneg_homogeneous),
-    "additive": _sampled(check_additive),
-    "antisymmetric": _sampled(check_antisymmetric),
-    "nonneg_linear": _sampled(check_nonneg_linear),
+    "nonneg_homogeneous": lambda raw: check_nonneg_homogeneous,
+    "additive": lambda raw: check_additive,
+    "antisymmetric": lambda raw: check_antisymmetric,
+    "nonneg_linear": lambda raw: check_nonneg_linear,
     "seq_upper_bounded": _seq_upper_bounded,
 }
 
@@ -265,8 +260,8 @@ def _check_phi(raw: dict, cfg: CheckConfig) -> list[dict]:
     props = _get(raw, "", "properties", _Kind(
         "a list of " + ", ".join(_PHI_CHECKS), lambda v: _is_list(v, _one_of(*_PHI_CHECKS))),
         None) or ["nonneg_homogeneous", "additive", "antisymmetric"]
-    checks = [(prop, _PHI_CHECKS[prop](raw, cfg)) for prop in props]
-    return [dict(check(phi).to_dict(), property=prop) for prop, check in checks]
+    checks = [(prop, _PHI_CHECKS[prop](raw)) for prop in props]
+    return [dict(check(phi, cfg).to_dict(), property=prop) for prop, check in checks]
 
 
 # statements: the verifier of the id takes its arguments by parameter name,

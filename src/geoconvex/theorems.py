@@ -4,7 +4,7 @@ reporting PremiseFailed / HoldsOnSamples / Violated per statement.
 `STATEMENTS` maps every statement id to its verifier; the closure ids
 share `verify_closure` and the two limit ids `verify_phi_limit`, which take
 the id first.  Each verifier records its premises, in order, on one collector
-(`_Premises`), running them through the checker/algebra predicates.  A
+(`_Premises`), running them through the checker predicates.  A
 premise that the rest of the verifier depends on ends it at once with
 PremiseFailed and no conclusion; the conclusion is evaluated only when
 every premise holds on samples, so a conclusion violation on
@@ -32,10 +32,6 @@ from .algebra import (
     DomainSet,
     Instance,
     ProductSet,
-    check_additive,
-    check_antisymmetric,
-    check_nonneg_homogeneous,
-    check_seq_upper_bounded,
     member_mask_batch,
     sample_members,
 )
@@ -56,9 +52,13 @@ from .checker import (
     _halves,
     _line_refine,
     _pair_images,
+    check_additive,
+    check_antisymmetric,
     check_geodesic_phiE_convex_fn,
     check_geodesic_phiE_convex_set,
+    check_nonneg_homogeneous,
     check_phiE_convex_interval,
+    check_seq_upper_bounded,
 )
 from .errors import EvalDomainError, GeoconvexError
 from .exprlang import (
@@ -398,10 +398,8 @@ def verify_closure(tid: TheoremId, insts: Sequence[Instance],
     for k in range(len(insts)):
         ps.check(f"member {k} convexity", checks[k]())
     if tid is not TheoremId.SUP_FAMILY:
-        budget = min(cfg.samples, 20_000)
-        ps.check("phi nonnegatively homogeneous",
-                 check_nonneg_homogeneous(first.phi, budget, cfg.seed, cfg))
-        ps.check("phi additive", check_additive(first.phi, budget, cfg.seed, cfg))
+        ps.check("phi nonnegatively homogeneous", check_nonneg_homogeneous(first.phi, cfg))
+        ps.check("phi additive", check_additive(first.phi, cfg))
         if tid in (TheoremId.SCALING_41A, TheoremId.WEIGHTED_SUM):
             w = list(weights or [])
             # a WeightedSum takes one weight per member
@@ -423,7 +421,7 @@ def verify_closure(tid: TheoremId, insts: Sequence[Instance],
         ps.require("value streams sampleable", bool(sequences))
         ident = EndoMap.identity(1)
         ps.check("phi sequentially upper bounded on harvested value streams",
-                 check_seq_upper_bounded(first.phi, ident, sequences, cfg.seed, cfg))
+                 check_seq_upper_bounded(first.phi, ident, sequences, cfg))
     ps.gate()
     return ps.report(_built_check(combined, checks[-1]))
 
@@ -898,8 +896,7 @@ def verify_strict_differential(inst: Instance, cfg: CheckConfig,
     curve's velocity) must differ by more than tol_strict."""
     ps = _Premises(TheoremId.STRICT_DIFFERENTIAL, cfg)
     ps.check("strict convexity", check_geodesic_phiE_convex_fn(inst, cfg, strict=True))
-    ps.check("phi antisymmetric",
-             check_antisymmetric(inst.phi, min(cfg.samples, 20_000), cfg.seed, cfg))
+    ps.check("phi antisymmetric", check_antisymmetric(inst.phi, cfg))
     ps.gate()
     return ps.report(_finish_scan(_StrictDifferentialScan(inst, cfg, tol_strict), cfg, notes=(
         f"endpoint directional derivatives must differ by more than {tol_strict!r}",

@@ -117,12 +117,12 @@ GAP_CHECKS = {"homogeneous": check_nonneg_homogeneous, "additive": check_additiv
 
 
 def _gap_check(check, src: str):
-    return lambda cfg: check(Bifunction.from_source(src), cfg.samples, cfg.seed, cfg)
+    return lambda cfg: check(Bifunction.from_source(src), cfg)
 
 
 def _seq_check(src: str, sequences):
     return lambda cfg: check_seq_upper_bounded(
-        Bifunction.from_source(src), EndoMap.identity(1), sequences, cfg.seed, cfg)
+        Bifunction.from_source(src), EndoMap.identity(1), sequences, cfg)
 
 
 def entries() -> list[tuple[str, CheckConfig, object]]:

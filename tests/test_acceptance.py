@@ -294,7 +294,7 @@ def test_criterion_9_determinism(tmp_path):
 def test_criterion_10_negative_controls():
     cfg = CheckConfig(seed=10, samples=600)
     phi = Bifunction.from_source("a - b")
-    seq = check_seq_upper_bounded(phi, EndoMap.identity(1), [((1.0, 0.0), (0.0, 1.0))])
+    seq = check_seq_upper_bounded(phi, EndoMap.identity(1), [((1.0, 0.0), (0.0, 1.0))], cfg)
     seq_ok = (
         seq.verdict is Verdict.VIOLATED
         and seq.witness.lhs == pytest.approx(1.0)

@@ -3,6 +3,7 @@ import pytest
 
 from geoconvex import (
     Bifunction,
+    CheckConfig,
     DomainSet,
     EndoMap,
     Verdict,
@@ -17,6 +18,8 @@ from geoconvex import (
 )
 from geoconvex import rng
 from geoconvex.algebra import (
+    PHI_ARG_RANGE,
+    PHI_SCALE_RANGE,
     ProductSet,
     member_mask_batch,
     sample_members,
@@ -25,16 +28,16 @@ from geoconvex.algebra import (
 from geoconvex.errors import EmptySequenceError
 from geoconvex.exprlang import parse, point_vars
 
-BUDGET = 4000
+CFG = CheckConfig(samples=4000)
 
 
 def test_homogeneous_linear_form_holds():
-    rep = check_nonneg_homogeneous(Bifunction.from_source("a - 2*b"), BUDGET)
+    rep = check_nonneg_homogeneous(Bifunction.from_source("a - 2*b"), CFG)
     assert rep.holds and rep.max_violation <= 1e-9
 
 
 def test_homogeneous_constant_offset_violated():
-    rep = check_nonneg_homogeneous(Bifunction.from_source("a - b + 1"), BUDGET)
+    rep = check_nonneg_homogeneous(Bifunction.from_source("a - b + 1"), CFG)
     assert rep.verdict is Verdict.VIOLATED
     # the hand value at (u1,u2,t) = (0,0,2): lhs 1, rhs 2
     phi = Bifunction.from_source("a - b + 1")
@@ -43,52 +46,61 @@ def test_homogeneous_constant_offset_violated():
 
 
 def test_homogeneous_zero_function():
-    rep = check_nonneg_homogeneous(Bifunction.from_source("0"), BUDGET)
+    rep = check_nonneg_homogeneous(Bifunction.from_source("0"), CFG)
     assert rep.holds and rep.max_violation == 0.0
 
 
 def test_additive():
-    assert check_additive(Bifunction.from_source("a - 2*b"), BUDGET).holds
-    rep = check_additive(Bifunction.from_source("a*b"), BUDGET)
+    assert check_additive(Bifunction.from_source("a - 2*b"), CFG).holds
+    rep = check_additive(Bifunction.from_source("a*b"), CFG)
     assert rep.verdict is Verdict.VIOLATED
     phi = Bifunction.from_source("a*b")
     assert phi(1.0, 1.0) == 1.0 and phi(1.0, 0.0) + phi(0.0, 1.0) == 0.0
-    assert check_additive(Bifunction.from_source("0"), BUDGET).holds
+    assert check_additive(Bifunction.from_source("0"), CFG).holds
 
 
 def test_antisymmetric():
-    assert check_antisymmetric(Bifunction.from_source("a - b"), BUDGET).holds
-    rep = check_antisymmetric(Bifunction.from_source("a - 2*b"), BUDGET)
+    assert check_antisymmetric(Bifunction.from_source("a - b"), CFG).holds
+    rep = check_antisymmetric(Bifunction.from_source("a - 2*b"), CFG)
     assert rep.verdict is Verdict.VIOLATED
     phi = Bifunction.from_source("a - 2*b")
     assert phi(1.0, 0.0) == 1.0 and -phi(0.0, 1.0) == 2.0
-    assert check_antisymmetric(Bifunction.from_source("0"), BUDGET).holds
+    assert check_antisymmetric(Bifunction.from_source("0"), CFG).holds
     assert any("interpretation" in n for n in rep.notes)
 
 
 def test_nonneg_linear_flag_is_conjunction():
-    both = check_nonneg_linear(Bifunction.from_source("a - 2*b"), BUDGET)
+    both = check_nonneg_linear(Bifunction.from_source("a - 2*b"), CFG)
     assert both.flags["nonneg_linear"] is True and both.holds
-    only_hom = check_nonneg_linear(Bifunction.from_source("a*b"), BUDGET)
+    only_hom = check_nonneg_linear(Bifunction.from_source("a*b"), CFG)
     assert only_hom.flags["nonneg_linear"] is False
     assert only_hom.verdict is Verdict.VIOLATED
 
 
 def test_non_evaluable_phi_is_a_domain_error_report():
     phi = Bifunction.from_source("log(a)")
+    # at seed 0 sample 0 is non-finite for every property
     for check in (check_nonneg_homogeneous, check_additive, check_antisymmetric):
-        rep = check(phi, BUDGET, seed=4)
+        rep = check(phi, CFG)
         assert rep.verdict is Verdict.DOMAIN_ERROR and rep.max_violation is None
-        assert "non-finite value at sample" in rep.notes[-1]
-    rep = check_nonneg_linear(phi, BUDGET, seed=4)
+        assert rep.samples_used == 0
+        assert "non-finite value at sample 0" in rep.notes[-1]
+    rep = check_nonneg_linear(phi, CFG)
     assert rep.verdict is Verdict.DOMAIN_ERROR and rep.max_violation is None
     assert rep.flags["nonneg_linear"] is False
     assert "non-finite value at sample" in rep.notes[-1]
+    # at seed 4 the first non-finite samples are 9, 1 and 3, and a violation
+    # found before them wins, as in every scan
+    for check, first_bad in ((check_nonneg_homogeneous, 9), (check_additive, 1),
+                             (check_antisymmetric, 3)):
+        rep = check(phi, CFG.replace(seed=4))
+        assert rep.verdict is Verdict.VIOLATED and rep.samples_used == first_bad
+        assert rep.witness.origin_index < first_bad
 
 
 def test_seq_upper_bounded_difference_gap():
     phi = Bifunction.from_source("a - b")
-    rep = check_seq_upper_bounded(phi, EndoMap.identity(1), [((1.0, 0.0), (0.0, 1.0))])
+    rep = check_seq_upper_bounded(phi, EndoMap.identity(1), [((1.0, 0.0), (0.0, 1.0))], CFG)
     assert rep.verdict is Verdict.VIOLATED
     assert rep.witness.lhs == pytest.approx(1.0)
     assert rep.witness.rhs == pytest.approx(0.0)
@@ -96,7 +108,7 @@ def test_seq_upper_bounded_difference_gap():
 
 def test_seq_upper_bounded_constant_and_abs():
     const = Bifunction.from_source("3")
-    rep = check_seq_upper_bounded(const, EndoMap.identity(1), [((1.0, 2.0), (3.0, 4.0))])
+    rep = check_seq_upper_bounded(const, EndoMap.identity(1), [((1.0, 2.0), (3.0, 4.0))], CFG)
     assert rep.holds and rep.max_violation == 0.0
     # nonnegative sequences: sup of |.| commutes with sup there
     phi = Bifunction.from_source("abs(a) + abs(b)")
@@ -108,7 +120,7 @@ def test_seq_upper_bounded_constant_and_abs():
         )
         for _ in range(20)
     ]
-    rep2 = check_seq_upper_bounded(phi, EndoMap.identity(1), seqs)
+    rep2 = check_seq_upper_bounded(phi, EndoMap.identity(1), seqs, CFG)
     # exhaustive oracle over the same finite sequences
     for useq, vseq in seqs:
         lhs = max(phi(a, b) for a, b in zip(useq, vseq))
@@ -119,16 +131,62 @@ def test_seq_upper_bounded_constant_and_abs():
 def test_seq_upper_bounded_rejects_empty():
     phi = Bifunction.from_source("a - b")
     with pytest.raises(EmptySequenceError):
-        check_seq_upper_bounded(phi, EndoMap.identity(1), [])
+        check_seq_upper_bounded(phi, EndoMap.identity(1), [], CFG)
     with pytest.raises(EmptySequenceError):
-        check_seq_upper_bounded(phi, EndoMap.identity(1), [((), ())])
+        check_seq_upper_bounded(phi, EndoMap.identity(1), [((), ())], CFG)
 
 
 def test_property_checks_are_deterministic():
     phi = Bifunction.from_source("a - b + 0.5*a*b")
-    r1 = check_additive(phi, BUDGET, seed=9)
-    r2 = check_additive(phi, BUDGET, seed=9)
+    r1 = check_additive(phi, CFG.replace(seed=9))
+    r2 = check_additive(phi, CFG.replace(seed=9))
     assert r1 == r2
+
+
+GAP_CHECKS = (check_nonneg_homogeneous, check_additive, check_antisymmetric, check_nonneg_linear)
+
+
+@pytest.mark.parametrize("src, seed", [("a - 2*b", 0), ("a*b", 0), ("log(a)", 0), ("log(a)", 4)])
+def test_gap_checks_do_not_depend_on_workers(src, seed):
+    from geoconvex.checker import MAX_CHUNK
+
+    # three chunks at one worker, four at two
+    cfg = CheckConfig(seed=seed, samples=2 * MAX_CHUNK + 1)
+    phi = Bifunction.from_source(src)
+    for check in GAP_CHECKS:
+        one, two = (check(phi, cfg.replace(workers=w)).to_dict() for w in (1, 2))
+        assert one == two
+
+
+@pytest.mark.parametrize("check, src, box", [
+    (check_nonneg_homogeneous, "a - b + 1", (PHI_ARG_RANGE,) * 2 + (PHI_SCALE_RANGE,)),
+    (check_additive, "a*b", (PHI_ARG_RANGE,) * 4),
+    (check_antisymmetric, "a - 2*b", (PHI_ARG_RANGE,) * 2),
+])
+def test_gap_witness_arguments_are_their_stream_positions(check, src, box):
+    rep = check(Bifunction.from_source(src), CFG.replace(seed=11))
+    w = rep.witness
+    base = rng.base_array(11, np.array([w.origin_index], dtype=np.uint64))
+    # argument j of sample i is position j of region 0 of its stream
+    drawn = [lo + (hi - lo) * rng.unit_array(base, j)[0] for j, (lo, hi) in enumerate(box)]
+    scaled = check is check_nonneg_homogeneous
+    assert [p.coords[0] for p in w.points] == drawn[:len(drawn) - scaled]
+    assert w.t == (drawn[-1] if scaled else None)
+    assert rep.refined == (w,)
+
+
+class _DisagreeingPhi:
+    """A gap function whose batch kernel is a - b + 1 and whose scalar form is
+    a - b: homogeneity is violated in every lane and by no scalar value."""
+
+    eval_batch = staticmethod(Bifunction.from_source("a - b + 1").eval_batch)
+    __call__ = staticmethod(Bifunction.from_source("a - b"))
+
+
+def test_gap_violation_the_scalar_phi_does_not_confirm_is_not_reported():
+    rep = check_nonneg_homogeneous(_DisagreeingPhi(), CFG)
+    assert rep.verdict is Verdict.HOLDS_ON_SAMPLES and rep.max_violation > 1.0
+    assert "unconfirmed raw violation did not survive re-evaluation" in rep.notes
 
 
 def test_domain_sampling_membership_and_regions():

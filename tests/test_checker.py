@@ -1196,3 +1196,4 @@ def test_a_row_draws_no_member_after_one_it_did_not_find(monkeypatch):
         rows, ok = scan.sample(bases[:20])
         assert not ok.any() and not rows.any()
         assert drawn[0] == 20 * algebra.MAX_REJECTION_ROUNDS and drawn.get(1, 0) == 0
+
