@@ -594,7 +594,9 @@ class _ConvexityScan(_InstanceScan, _CurveScan):
             h1 = inst.h(tuple(w1))
             h2 = inst.h(tuple(w2))
             p12 = inst.phi(h1, h2)
-            gp = geodesic_batch(m, w1[None, :], w2[None, :], t)[0]
+            # the curve ends at the images themselves, as in the bulk lanes
+            gp = w1 if t == 1.0 else w2 if t == 0.0 else geodesic_batch(
+                m, w1[None, :], w2[None, :], t)[0]
             lhs = inst.h(tuple(gp))
         except EvalDomainError:
             return None

@@ -224,7 +224,8 @@ def curve_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
     the closed form x2 (+) tanh(t artanh|w|) w/|w|, w = (-x2) (+) x1 (Mobius
     sums): a tanh per t, no Mobius sum.  It agrees with geodesic_fan's
     exp_x2(t log_x2 x1) up to the conditioning of artanh near the boundary,
-    so witnesses are re-checked through that oracle."""
+    so witnesses are re-checked through that oracle.  Its points at t = 0
+    and t = 1 are the rows of X2 and X1 themselves."""
     if m.kind is not ManifoldKind.POINCARE_BALL:
         return geodesic_fan(m, X1, X2)
     p2 = row_dot(X2, X2)
@@ -235,9 +236,20 @@ def curve_fan(m: Manifold, X1: np.ndarray, X2: np.ndarray):
     c, q = row_dot(X2, u), 1.0 - p2
 
     def at(t):  # the Mobius sum x2 (+) s u, with <x2, u> = c and |u|^2 taken as 1
-        s = np.tanh(np.asarray(t, dtype=np.float64) * a)
+        t = np.asarray(t, dtype=np.float64)
+        s = np.tanh(t * a)
         b = 1.0 + 2.0 * s * c
-        return ((b + s * s)[..., None] * X2 + (q * s)[..., None] * u) / (b + p2 * s * s)[..., None]
+        P = ((b + s * s)[..., None] * X2 + (q * s)[..., None] * u) / (b + p2 * s * s)[..., None]
+        # rounding would move an endpoint, and h's gradient near the boundary
+        # blows the miss up, so the rows of the end columns are copied in
+        for end, X in ((0.0, X2), (1.0, X1)):
+            hit = t == end
+            if hit.ndim and hit.shape[-1] == 1:  # a block of t-columns: whole slabs
+                P[hit[..., 0]] = X
+            elif hit.any():  # one t for all rows or one per row
+                rows = np.broadcast_to(hit, P.shape[:-1])
+                P[rows] = np.broadcast_to(X, P.shape)[rows]
+        return P
 
     return at
 

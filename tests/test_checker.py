@@ -1197,3 +1197,52 @@ def test_a_row_draws_no_member_after_one_it_did_not_find(monkeypatch):
         assert not ok.any() and not rows.any()
         assert drawn[0] == 20 * algebra.MAX_REJECTION_ROUNDS and drawn.get(1, 0) == 0
 
+
+# the whole Poincare ball, where a curve point at t = 1 that misses E(mu1) by
+# rounding is blown up by h's gradient, about 2 / (1 - |x|^2)
+_WHOLE_BALL = DomainSet(poincare_ball(2), ((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def _whole_ball(h: str) -> Instance:
+    return Instance(poincare_ball(2), ScalarFn.from_source(h, 2), EndoMap.identity(2),
+                    Bifunction.difference(), _WHOLE_BALL)
+
+
+# the hyperbolic distance to the origin and a Busemann function, both
+# geodesically convex on the ball
+@pytest.mark.parametrize("h", ["2*artanh(sqrt(x1^2 + x2^2))",
+                               "log(((x1-1)^2 + x2^2)/(1 - x1^2 - x2^2))"])
+def test_convex_functions_on_the_whole_ball_are_not_violated(h):
+    for seed in range(10):
+        rep = check_geodesic_phiE_convex_fn(_whole_ball(h), CheckConfig(seed=seed, samples=20_000))
+        assert rep.verdict is not Verdict.VIOLATED, f"seed {seed}: {rep.witness}"
+
+
+def test_non_convex_function_on_the_whole_ball_stays_violated():
+    # tanh^2(d/2) in the distance d to the origin
+    for seed in range(10):
+        rep = check_geodesic_phiE_convex_fn(_whole_ball("x1^2 + x2^2"),
+                                            CheckConfig(seed=seed, samples=20_000))
+        assert rep.verdict is Verdict.VIOLATED, f"seed {seed}"
+
+
+def test_t1_lanes_on_the_ball_read_the_images_themselves():
+    from geoconvex import rng
+    from geoconvex.checker import _ConvexityScan, _pair_images
+
+    inst = _whole_ball("log(((x1-1)^2 + x2^2)/(1 - x1^2 - x2^2))")
+    cfg = CheckConfig(seed=3, samples=20_000)
+    scan = _ConvexityScan(inst, cfg)
+    rows, ok = scan.sample(rng.base_array(cfg.seed, np.arange(cfg.samples, dtype=np.uint64)))
+    viol, _, err = scan.lanes(rows, np.linspace(0.0, 1.0, cfg.t_grid)[None, :])
+    W, _ = _pair_images(inst.manifold, inst.E, *scan.endpoints(rows))
+    h1, h2 = _halves(inst.h.eval_batch(W))
+    # the lane is h(curve(1)) - (h2 + 1 * phi(h1, h2)) with curve(1) = E(mu1)
+    expected = h1 - (h2 + inst.phi.eval_batch(h1, h2))
+    counted = ok & (err[:, -1] == 0)
+    assert counted.sum() > 19_000
+    assert viol[counted, -1].tobytes() == expected[counted].tobytes()
+    # a witness at an end of the curve evaluates h at that image too
+    k = int(np.argmax(np.sum(rows[:, :2] ** 2, axis=1)))
+    for t, w in ((0.0, W[cfg.samples + k]), (1.0, W[k])):
+        assert scan.witness(np.append(rows[k], t)).lhs == inst.h(tuple(w))

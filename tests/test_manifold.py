@@ -514,3 +514,21 @@ def test_curve_fan_off_the_ball_is_geodesic_fan(m):
     ts = np.linspace(0.0, 1.0, 17)
     for t in (0.3, ts[:, None], rng.uniform(0.0, 1.0, n)):
         assert _same_bits(curve(t), oracle(t))
+
+
+@pytest.mark.parametrize("m", [B2, poincare_ball(3)], ids=lambda m: f"{m.kind.value}{m.dim}")
+def test_curve_fan_on_the_ball_ends_at_its_rows_exactly(m):
+    from geoconvex.manifold import curve_fan
+
+    rng = np.random.default_rng(130 + m.dim)
+    X1, X2 = _ball_pairs(m, rng)
+    curve = curve_fan(m, X1, X2)
+    block = curve(np.linspace(0.0, 1.0, 9)[:, None])
+    assert _same_bits(block[0], X2) and _same_bits(block[-1], X1)
+    assert _same_bits(curve(0.0), X2) and _same_bits(curve(1.0), X1)
+    # one t per row, as refinement probes pass it
+    per_row = rng.choice([0.0, 0.5, 1.0], size=X1.shape[0])
+    P = curve(per_row[None, :])[0]
+    assert _same_bits(curve(per_row), P)
+    assert _same_bits(P[per_row == 0.0], X2[per_row == 0.0])
+    assert _same_bits(P[per_row == 1.0], X1[per_row == 1.0])
